@@ -13,12 +13,12 @@ from .harness import COMMANDS, RunConfig, run, summarize
 from .walker import CrossingVariant
 
 _QUANTITY_HELP = {
-    "exact": ("order", "moment order for the exact report (default 8)"),
+    "exact": ("order", "moment order for the exact report, 1..12 (default 8)"),
     "mc-shapes": ("level", "crossing level N"),
     "mc-length": ("level", "crossing level N"),
     "limit-path": ("depth", "refinement depth M"),
     "dimension": ("depth", "refinement depth M"),
-    "moments": ("order", "number of moments K"),
+    "moments": ("order", "number of moments K, 1..12"),
 }
 
 _DEFAULT_LEVEL = {
@@ -85,6 +85,9 @@ def main(argv: list[str] | None = None) -> int:
         config = config_from_args(args)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         report = run(config)
     except (ValueError, OSError) as exc:

@@ -19,7 +19,6 @@ from math import sqrt
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from . import __version__, eraser, exact, lattice, limit, walker
 from .lattice import Vertex
@@ -29,6 +28,8 @@ REPLICA_CHUNK = 2000
 P_VALUE_FLOOR = 1e-3
 DIMENSION_TOLERANCE = 0.05
 RESIDUAL_TOLERANCE = 1e-9
+MAX_MOMENT_ORDER = 12
+SKELETON_CHUNK = 4096  # skeleton records formatted per write
 
 
 class DegenerateCells(ValueError):
@@ -69,7 +70,10 @@ def chi_square(
     if len(cells) < 2:
         raise DegenerateCells("fewer than two cells after pooling")
     stat = sum((o - p * n) ** 2 / (p * n) for p, _, o in cells)
-    p_value = float(_scipy_stats.chi2.sf(stat, df=len(cells) - 1))
+    # scipy takes about a second to import; only the chi-square commands need it.
+    from scipy.stats import chi2
+
+    p_value = float(chi2.sf(stat, df=len(cells) - 1))
     return stat, p_value
 
 
@@ -179,6 +183,10 @@ class RunConfig:
             raise ValueError("threads must be >= 1")
         if self.fmt not in ("json", "csv", "svg"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if self.command in ("exact", "moments") and not 1 <= self.level <= MAX_MOMENT_ORDER:
+            raise ValueError(
+                f"{self.command} needs a moment order in 1..{MAX_MOMENT_ORDER}, got {self.level}"
+            )
 
     def effective_samples(self) -> int:
         if self.samples is not None:
@@ -354,8 +362,7 @@ def run(config: RunConfig) -> McReport:
 
 
 def _run_exact(config: RunConfig) -> tuple[dict, bool]:
-    order = config.level if config.level >= 1 else 8
-    return {"exact": exact.exact_report(moment_order=min(order, 12))}, True
+    return {"exact": exact.exact_report(moment_order=config.level)}, True
 
 
 def _run_mc_shapes(config: RunConfig) -> tuple[dict, bool]:
@@ -423,7 +430,7 @@ def _run_limit_path(config: RunConfig) -> tuple[dict, bool]:
     s1, s2 = path.s_counts()
     payload = {
         "depth": path.depth,
-        "cells": len(path.cells),
+        "cells": len(path.cell_array),
         "counts": {"one_visit": s1, "two_visit": s2},
         "scaled_length": path.scaled_length(),
         "_family": family,  # consumed by the artifact writer, stripped from JSON
@@ -455,8 +462,7 @@ def _run_dimension(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_moments(config: RunConfig) -> tuple[dict, bool]:
-    order = config.level if config.level > 1 else 8
-    table = exact.moment_table(min(order, 12))
+    table = exact.moment_table(config.level)
     residuals = {}
     worst = 0.0
     for t in (-0.5, -0.1, 0.1):
@@ -471,10 +477,11 @@ def _run_moments(config: RunConfig) -> tuple[dict, bool]:
         "order": table.K,
         "moments": {str(k): [float(x) for x in table.moment(k)] for k in range(1, table.K + 1)},
         "w_prime_mean": float(table.w_prime_mean),
-        "w_prime_variance": float(table.w_prime_variance),
         "residuals": residuals,
         "tolerance": RESIDUAL_TOLERANCE,
     }
+    if table.K >= 2:  # the variance needs the second moment
+        payload["w_prime_variance"] = float(table.w_prime_variance)
     return payload, worst < RESIDUAL_TOLERANCE
 
 
@@ -497,20 +504,7 @@ def _write_artifacts(config: RunConfig, report: McReport) -> None:
     if config.fmt == "json":
         out.with_suffix(".json").write_text(clean.to_json())
         if family is not None:
-            sk = eraser.Skeleton(
-                level=0,
-                entries=tuple(
-                    eraser.SkeletonEntry(
-                        triangle=lattice.TriangleId(c.corner, 0),
-                        entry=c.entry,
-                        exit=c.exit,
-                        kind=c.kind,
-                        exit_index=k,
-                    )
-                    for k, c in enumerate(family[-1].cells)
-                ),
-            )
-            out.with_suffix(".skeleton.json").write_text(eraser.skeleton_to_json(sk) + "\n")
+            _write_skeleton(family[-1], out.with_suffix(".skeleton.json"))
     elif config.fmt == "csv":
         if family is None:
             raise ValueError(f"{config.command} has no csv artifact")
@@ -522,6 +516,32 @@ def _write_artifacts(config: RunConfig, report: McReport) -> None:
             raise ValueError(f"{config.command} has no svg artifact")
         shown = [m for m in family if m.depth in (0, 2, 4, family[-1].depth)]
         out.with_suffix(".svg").write_text(emit_svg(shown))
+
+
+def _write_skeleton(path: limit.RefinedPath, target: Path) -> None:
+    """The cells of ``path`` as a JSON list, one record per line.
+
+    The records are those of ``eraser.skeleton_to_json`` with each cell's
+    position in the chain as its exit index; they are formatted straight
+    from the cell array, a chunk at a time.
+    """
+    cells = path.cell_array
+    corners = np.minimum(np.minimum(cells[:, 0:2], cells[:, 2:4]), cells[:, 4:6])
+    rows = np.column_stack((corners, cells[:, [0, 1, 2, 3, 6]], np.arange(len(cells))))
+    with target.open("w") as fh:
+        fh.write("[\n ")
+        for start in range(0, len(rows), SKELETON_CHUNK):
+            if start:
+                fh.write(",\n ")
+            chunk = rows[start : start + SKELETON_CHUNK].tolist()
+            fh.write(
+                ",\n ".join(
+                    f'{{"corner": [{ci}, {cj}], "level": 0, "entry": [{ei}, {ej}], '
+                    f'"exit": [{xi}, {xj}], "kind": {kind}, "exit_index": {k}}}'
+                    for ci, cj, ei, ej, xi, xj, kind, k in chunk
+                )
+            )
+        fh.write("\n]\n")
 
 
 def summarize(report: McReport) -> str:

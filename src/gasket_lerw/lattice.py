@@ -210,22 +210,6 @@ def count_up_triangles(level_span: int) -> int:
     return 2 * count
 
 
-def is_lattice_path(path: LatticePath) -> bool:
-    """Whether consecutive vertices are gasket neighbors throughout."""
-    if not path:
-        return False
-    if not is_vertex(path[0]):
-        return False
-    for a, b in zip(path, path[1:]):
-        if b not in neighbors(a):
-            return False
-    return True
-
-
-def path_length(path: LatticePath) -> int:
-    return len(path) - 1
-
-
 def euclid_sq(u: Vertex, v: Vertex) -> int:
     """Squared Euclidean distance between two lattice vertices (an integer)."""
     di = u[0] - v[0]

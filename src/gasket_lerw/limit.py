@@ -15,23 +15,30 @@ Cell geometry is kept in integer coordinates at the working depth (the
 triangle side is the unit), so doubling at each refinement is exact and the
 projective structure is an identity: refining depth M+1 with the same
 stream reproduces the depth-M chain cell for cell.
+
+Each level is stored as one int64 array with a row per cell (entry, exit and
+third corner as integer pairs, then the kind) and refined all at once: the
+level draws one uniform per parent, in skeleton order, picks each parent's
+shape from the cumulative law of its kind and places every child by one
+affine map.  The uniforms are taken level by level in skeleton order, so a
+seed determines the path; ``RefinedPath.cells`` turns the array into
+``SkeletonCell`` tuples only when a caller asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import log, sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import eraser
+from .eraser import TYPE_ONE, TYPE_TWO
 from .exact import ShapeTable, mat_pow, moment_table, shape_table, spectral_data
 from .lattice import Vertex
-
-TYPE_ONE = 1
-TYPE_TWO = 2
 
 
 class InsufficientDepth(ValueError):
@@ -118,13 +125,35 @@ def refinement_table(table: ShapeTable | None = None) -> RefinementKernels:
     return RefinementKernels(type_one=tuple(type_one), type_two=tuple(type_two))
 
 
-@dataclass(frozen=True)
+def _cell_array(cells: Sequence[SkeletonCell]) -> np.ndarray:
+    """Rows (entry i, j, exit i, j, third i, j, kind) of a cell sequence."""
+    rows = [(*c.entry, *c.exit, *c.third, c.kind) for c in cells]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 7)
+
+
+@dataclass(frozen=True, eq=False)
 class RefinedPath:
     """A depth-M skeleton chain with lambda-scaled traversal times."""
 
     depth: int
-    cells: tuple[SkeletonCell, ...]
+    cell_array: np.ndarray  # one int64 row per cell, as built by _cell_array
     level_counts: tuple[tuple[int, int], ...]  # (one-visit, two-visit) per level 0..depth
+
+    @cached_property
+    def cells(self) -> tuple[SkeletonCell, ...]:
+        return tuple(
+            SkeletonCell(entry=(ei, ej), exit=(xi, xj), third=(ti, tj), kind=kind)
+            for ei, ej, xi, xj, ti, tj, kind in self.cell_array.tolist()
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RefinedPath):
+            return NotImplemented
+        return (
+            self.depth == other.depth
+            and self.level_counts == other.level_counts
+            and np.array_equal(self.cell_array, other.cell_array)
+        )
 
     def s_counts(self) -> tuple[int, int]:
         return self.level_counts[-1]
@@ -173,47 +202,65 @@ def growth_rate():
     return _GROWTH[0]
 
 
-class _UniformSource:
-    __slots__ = ("_rng", "_buf", "_k")
+class _LevelLaw(NamedTuple):
+    """Refinement kernels as arrays, for refining a whole level at once.
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf: list[float] = []
-        self._k = 0
+    Shapes are numbered over both laws, the type-one law first; ``frames``
+    holds every shape's children in the side-2 shape frame, shape after
+    shape, as ``_cell_array`` rows.
+    """
 
-    def draw(self) -> float:
-        k = self._k
-        if k >= len(self._buf):
-            self._buf = self._rng.random(4096).tolist()
-            k = 0
-        self._k = k + 1
-        return self._buf[k]
+    cum_one: np.ndarray  # cumulative type-one law, last entry forced to 1.0
+    cum_two: np.ndarray
+    first: np.ndarray  # shape number -> its first row in frames
+    count: np.ndarray  # shape number -> its number of children
+    frames: np.ndarray
 
+    @classmethod
+    def of(cls, kernels: RefinementKernels) -> _LevelLaw:
+        cums = []
+        first = []
+        children: list[SkeletonCell] = []
+        for kind in (TYPE_ONE, TYPE_TWO):
+            cum = []
+            acc = 0.0
+            for p, shape in kernels.law(kind):
+                acc += float(p)
+                cum.append(acc)
+                first.append(len(children))
+                children.extend(shape.children)
+            cum[-1] = 1.0
+            cums.append(np.array(cum))
+        first.append(len(children))
+        bounds = np.array(first, dtype=np.int64)
+        return cls(cums[0], cums[1], bounds[:-1], np.diff(bounds), _cell_array(children))
 
-def _sampling_law(kernels: RefinementKernels, kind: int):
-    law = kernels.law(kind)
-    cum = []
-    acc = 0.0
-    for p, shape in law:
-        acc += float(p)
-        cum.append((acc, shape.children))
-    cum[-1] = (1.0, cum[-1][1])
-    return cum
+    def refine(self, parents: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Children of every parent row, in skeleton order.
 
-
-def _map_child(cell: SkeletonCell, parent: SkeletonCell) -> SkeletonCell:
-    """Place a frame cell inside a parent, doubling the parent's coordinates."""
-    (ei, ej), (xi, xj), (ti, tj) = parent.entry, parent.exit, parent.third
-    dxi, dxj = xi - ei, xj - ej
-    dti, dtj = ti - ei, tj - ej
-    bi, bj = 2 * ei, 2 * ej
-
-    def place(p: Vertex) -> Vertex:
-        return (bi + p[0] * dti + p[1] * dxi, bj + p[0] * dtj + p[1] * dxj)
-
-    return SkeletonCell(
-        entry=place(cell.entry), exit=place(cell.exit), third=place(cell.third), kind=cell.kind
-    )
+        Parent k takes the first shape of its kind's law whose cumulative
+        mass is at least r[k].  Each child point (a, b) of the shape frame
+        lands at 2 entry + a (third - entry) + b (exit - entry), doubling
+        the parent's coordinates.
+        """
+        shape = np.searchsorted(self.cum_one, r)
+        two = parents[:, 6] == TYPE_TWO
+        shape[two] = len(self.cum_one) + np.searchsorted(self.cum_two, r[two])
+        sizes = self.count[shape]
+        owner = np.repeat(np.arange(len(parents)), sizes)
+        offsets = np.cumsum(sizes) - sizes
+        rows = np.repeat(self.first[shape] - offsets, sizes) + np.arange(len(owner))
+        frame = self.frames[rows]
+        parent = parents[owner]
+        entry = parent[:, 0:2]
+        to_exit = parent[:, 2:4] - entry
+        to_third = parent[:, 4:6] - entry
+        out = np.empty_like(frame)
+        for col in (0, 2, 4):
+            a, b = frame[:, col : col + 1], frame[:, col + 1 : col + 2]
+            out[:, col : col + 2] = 2 * entry + a * to_third + b * to_exit
+        out[:, 6] = frame[:, 6]
+        return out
 
 
 def sample_refined_family(
@@ -230,32 +277,15 @@ def sample_refined_family(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if kernels is None:
-        kernels = refinement_table()
-    laws = {TYPE_ONE: _sampling_law(kernels, TYPE_ONE), TYPE_TWO: _sampling_law(kernels, TYPE_TWO)}
-    uniforms = _UniformSource(rng)
-
-    cells: tuple[SkeletonCell, ...] = (ANCESTOR,)
+    law = _LevelLaw.of(refinement_table() if kernels is None else kernels)
+    cells = _cell_array((ANCESTOR,))
     counts = [(1, 0)]
-    family = [RefinedPath(depth=0, cells=cells, level_counts=tuple(counts))]
+    family = [RefinedPath(depth=0, cell_array=cells, level_counts=tuple(counts))]
     for m in range(1, depth + 1):
-        nxt: list[SkeletonCell] = []
-        s1 = s2 = 0
-        for parent in cells:
-            r = uniforms.draw()
-            for cum, children in laws[parent.kind]:
-                if r <= cum:
-                    break
-            for child in children:
-                mapped = _map_child(child, parent)
-                nxt.append(mapped)
-                if mapped.kind == TYPE_ONE:
-                    s1 += 1
-                else:
-                    s2 += 1
-        cells = tuple(nxt)
-        counts.append((s1, s2))
-        family.append(RefinedPath(depth=m, cells=cells, level_counts=tuple(counts)))
+        cells = law.refine(cells, rng.random(len(cells)))
+        s2 = int(np.count_nonzero(cells[:, 6] == TYPE_TWO))
+        counts.append((len(cells) - s2, s2))
+        family.append(RefinedPath(depth=m, cell_array=cells, level_counts=tuple(counts)))
     return family
 
 
@@ -298,7 +328,7 @@ def coarse_grain_refined(path: RefinedPath) -> RefinedPath:
     s2 = len(parents) - s1
     return RefinedPath(
         depth=path.depth - 1,
-        cells=tuple(parents),
+        cell_array=_cell_array(parents),
         level_counts=path.level_counts[:-2] + ((s1, s2),),
     )
 

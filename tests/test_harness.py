@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -172,6 +173,16 @@ class TestArtifacts:
         run(RunConfig(command="limit-path", level=5, seed=2, out=str(tmp_path / "p"), fmt="json"))
         assert json.loads((tmp_path / "p.skeleton.json").read_text())[0]["level"] == 0
 
+    def test_skeleton_artifact_bytes(self, tmp_path):
+        # Digest of the artifact as first written through eraser.skeleton_to_json.
+        run(RunConfig(command="limit-path", level=12, seed=1, out=str(tmp_path / "s")))
+        data = (tmp_path / "s.skeleton.json").read_bytes()
+        assert len(data) == 1_625_927
+        assert (
+            hashlib.sha256(data).hexdigest()
+            == "386b42a07ca90b244e15ea48bce9fc6894b1d98f966af596d3aee3f379569180"
+        )
+
     def test_family_never_leaks_into_json(self, tmp_path):
         run(RunConfig(command="limit-path", level=3, seed=2, out=str(tmp_path / "q")))
         doc = json.loads((tmp_path / "q.json").read_text())
@@ -193,6 +204,19 @@ class TestCli:
         assert cli.main(["moments", "6"]) == 0
         out = capsys.readouterr().out
         assert "[moments] pass" in out
+
+    def test_moments_order_one_is_honoured(self, tmp_path, capsys):
+        assert cli.main(["moments", "1", "--out", str(tmp_path / "m")]) == 0
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert doc["order"] == 1 and list(doc["moments"]) == ["1"]
+        assert doc["config"]["level"] == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["moments", "13"], ["moments", "0"], ["exact", "0"], ["exact", "13"]]
+    )
+    def test_exit_one_on_order_out_of_range(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert "1..12" in capsys.readouterr().err
 
     def test_exit_two_on_statistical_failure(self, monkeypatch, capsys):
         failing = McReport(

@@ -30,6 +30,60 @@ from gasket_lerw.walker import replica_rng
 F = Fraction
 
 
+# Per-cell reference for the level-at-once sampler: one buffered uniform per
+# parent in skeleton order, a linear scan of the cumulative law, and each
+# child placed by its own affine map.
+class _UniformSource:
+    def __init__(self, rng):
+        self._rng = rng
+        self._buf: list[float] = []
+        self._k = 0
+
+    def draw(self) -> float:
+        if self._k >= len(self._buf):
+            self._buf = self._rng.random(4096).tolist()
+            self._k = 0
+        self._k += 1
+        return self._buf[self._k - 1]
+
+
+def _map_child(cell, parent):
+    (ei, ej), (xi, xj), (ti, tj) = parent.entry, parent.exit, parent.third
+
+    def place(p):
+        a, b = p
+        return (2 * ei + a * (ti - ei) + b * (xi - ei), 2 * ej + a * (tj - ej) + b * (xj - ej))
+
+    return SkeletonCell(place(cell.entry), place(cell.exit), place(cell.third), cell.kind)
+
+
+def _reference_family(depth, rng, kernels):
+    laws = {}
+    for kind in (1, 2):
+        cum = []
+        acc = 0.0
+        for p, shape in kernels.law(kind):
+            acc += float(p)
+            cum.append((acc, shape.children))
+        cum[-1] = (1.0, cum[-1][1])
+        laws[kind] = cum
+    uniforms = _UniformSource(rng)
+    cells = (ANCESTOR,)
+    counts = [(1, 0)]
+    family = [(cells, tuple(counts))]
+    for _ in range(depth):
+        nxt = []
+        for parent in cells:
+            r = uniforms.draw()
+            children = next(ch for cum, ch in laws[parent.kind] if r <= cum)
+            nxt.extend(_map_child(child, parent) for child in children)
+        cells = tuple(nxt)
+        s1 = sum(1 for c in cells if c.kind == 1)
+        counts.append((s1, len(cells) - s1))
+        family.append((cells, tuple(counts)))
+    return family
+
+
 class TestRefinementTable:
     def test_kernel_sizes(self, kernels):
         assert len(kernels.type_one) == 7
@@ -57,7 +111,22 @@ class TestRefinementTable:
                 assert all(a.exit == b.entry for a, b in zip(cells, cells[1:]))
 
 
+def _deterministic_kernels(kernels):
+    w1 = next(s for p, s in kernels.type_one if s.shape_id == "w1")
+    return RefinementKernels(type_one=((F(1), w1),), type_two=kernels.type_two)
+
+
 class TestSampling:
+    @pytest.mark.parametrize("seed", [12094959, 1, 2, 3, 41])
+    def test_matches_per_cell_reference(self, kernels, seed):
+        for law in (kernels, _deterministic_kernels(kernels)):
+            got = sample_refined_family(10, replica_rng(seed, 0), law)
+            want = _reference_family(10, replica_rng(seed, 0), law)
+            assert [(p.cells, p.level_counts) for p in got] == want
+            for depth in (0, 3, 7):
+                shallow = sample_refined_family(depth, replica_rng(seed, 0), law)
+                assert shallow == got[: depth + 1]
+
     def test_depth_zero_is_the_ancestor(self):
         path = sample_limit_path(0, replica_rng(0, 0))
         assert path.cells == (ANCESTOR,)
@@ -208,9 +277,7 @@ class TestLengthStatistics:
 
 class TestBoxCounting:
     def test_deterministic_two_child_refinement_has_slope_one(self, kernels):
-        w1 = next(s for p, s in kernels.type_one if s.shape_id == "w1")
-        det = RefinementKernels(type_one=((F(1), w1),), type_two=kernels.type_two)
-        path = sample_limit_path(8, replica_rng(0, 0), det)
+        path = sample_limit_path(8, replica_rng(0, 0), _deterministic_kernels(kernels))
         assert box_count_dimension(path) == pytest.approx(1.0)
         assert path.level_counts[-1] == (2**8, 0)
 
