@@ -1,7 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 2 when a statistical acceptance test fails,
-1 on usage or I/O errors.
+1 on usage or I/O errors, on a level, depth or order outside a command's
+range, and on a runtime failure of the samplers or the exact solver (a
+walk past its step budget, a singular linear system).  Every exit 1 prints
+one ``error: ...`` line on standard error.
 """
 
 from __future__ import annotations
@@ -9,8 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .exact import SingularSystem
 from .harness import COMMANDS, RunConfig, run, summarize
-from .walker import CrossingVariant
+from .walker import CrossingVariant, StepBudgetExceeded
 
 _QUANTITY_HELP = {
     "exact": ("order", "moment order for the exact report, 1..12 (default 8)"),
@@ -90,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         report = run(config)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, StepBudgetExceeded, SingularSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(summarize(report))

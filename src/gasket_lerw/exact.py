@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import mpmath
@@ -386,11 +386,12 @@ class ShapeInfo:
 class ShapeTable:
     shapes: tuple[ShapeInfo, ...]
 
-    @property
+    # Built once per table: ``classify_shape`` reads ``by_path`` per sample.
+    @cached_property
     def by_path(self) -> dict[tuple[Vertex, ...], ShapeInfo]:
         return {s.path: s for s in self.shapes}
 
-    @property
+    @cached_property
     def by_id(self) -> dict[str, ShapeInfo]:
         return {s.shape_id: s for s in self.shapes}
 

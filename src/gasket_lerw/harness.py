@@ -160,6 +160,8 @@ def emit_svg(paths, style: SvgStyle = SvgStyle()) -> str:
 # ---------------------------------------------------------------------------
 
 COMMANDS = ("exact", "mc-shapes", "mc-length", "limit-path", "dimension", "moments")
+# Smallest crossing level N or refinement depth M each sampler accepts.
+MIN_LEVEL = {"mc-shapes": 1, "mc-length": 1, "limit-path": 0, "dimension": limit.MIN_BOX_DEPTH}
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,10 @@ class RunConfig:
         if self.command in ("exact", "moments") and not 1 <= self.level <= MAX_MOMENT_ORDER:
             raise ValueError(
                 f"{self.command} needs a moment order in 1..{MAX_MOMENT_ORDER}, got {self.level}"
+            )
+        if self.level < MIN_LEVEL.get(self.command, self.level):
+            raise ValueError(
+                f"{self.command} needs a level >= {MIN_LEVEL[self.command]}, got {self.level}"
             )
 
     def effective_samples(self) -> int:
@@ -275,17 +281,27 @@ def classify_top_shape(path, level: int, table=None) -> str:
     return eraser.classify_shape(_scale_path(coarse, level - 1), table)
 
 
-def _shapes_worker(args) -> dict[str, int]:
+def _shapes_worker(args) -> tuple[dict[str, int], int]:
+    """Shape counts of one replica, and its conditioning attempts (0 unless
+    the method is rejection, which runs the lockstep kernel)."""
     level, variant_value, method, seed, replica, count = args
     variant = CrossingVariant(variant_value)
     rng = walker.replica_rng(seed, replica)
     table = exact.shape_table()
+    if method == "rejection":
+        shapes, attempts = walker.sample_patterns(
+            level, variant, count, rng, keep=lambda p: classify_top_shape(p, level, table)
+        )
+    else:
+        shapes = [
+            classify_top_shape(walker.sample_crossing(level, variant, method, rng), level, table)
+            for _ in range(count)
+        ]
+        attempts = 0
     counts: dict[str, int] = {}
-    for _ in range(count):
-        path = walker.sample_crossing(level, variant, method, rng)
-        sid = classify_top_shape(path, level, table)
+    for sid in shapes:
         counts[sid] = counts.get(sid, 0) + 1
-    return counts
+    return counts, attempts
 
 
 def _length_worker(args) -> tuple[int, float, float]:
@@ -376,7 +392,7 @@ def _run_mc_shapes(config: RunConfig) -> tuple[dict, bool]:
         config.threads,
     )
     counts: dict[str, int] = {}
-    for part in results:
+    for part, _ in results:
         for k, v in sorted(part.items()):
             counts[k] = counts.get(k, 0) + v
     stat, p_value = chi_square(counts, expected)
@@ -388,6 +404,13 @@ def _run_mc_shapes(config: RunConfig) -> tuple[dict, bool]:
         "p_value": p_value,
         "threshold": P_VALUE_FLOOR,
     }
+    if config.method == "rejection":
+        # Observed acceptance against the exact one; informative only, the
+        # verdict stays the chi-square's.
+        attempts = sum(a for _, a in results)
+        p = float(walker.ACCEPTANCE[config.variant])
+        payload["attempts"] = attempts
+        payload["acceptance_z"] = (n - p * attempts) / sqrt(attempts * p * (1 - p))
     return payload, p_value > P_VALUE_FLOOR
 
 
@@ -547,7 +570,7 @@ def _write_skeleton(path: limit.RefinedPath, target: Path) -> None:
 def summarize(report: McReport) -> str:
     """One console line per run; the only place timing appears."""
     verdict = "pass" if report.passed else "FAIL"
-    keys = ("p_value", "z_score", "mean_slope", "scaled_mean", "w_prime_mean")
+    keys = ("p_value", "acceptance_z", "z_score", "mean_slope", "scaled_mean", "w_prime_mean")
     bits = [f"{k}={report.payload[k]:.6g}" for k in keys if k in report.payload]
     return (
         f"[{report.command}] {verdict} "

@@ -41,6 +41,9 @@ from .exact import ShapeTable, mat_pow, moment_table, shape_table, spectral_data
 from .lattice import Vertex
 
 
+MIN_BOX_DEPTH = 6  # levels a box-counting fit needs
+
+
 class InsufficientDepth(ValueError):
     """Box counting needs several levels to fit a slope."""
 
@@ -432,8 +435,8 @@ def box_count_dimension(path: RefinedPath, min_level: int = 2) -> float:
     Counts come from the coarse-grained skeletons recorded during
     refinement: K_m cells of side 2**-m at level m.
     """
-    if path.depth < 6:
-        raise InsufficientDepth("box counting needs depth >= 6")
+    if path.depth < MIN_BOX_DEPTH:
+        raise InsufficientDepth(f"box counting needs depth >= {MIN_BOX_DEPTH}")
     xs = []
     ys = []
     for m in range(min_level, path.depth + 1):

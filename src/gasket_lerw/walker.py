@@ -19,6 +19,12 @@ unit edges.  Both produce the same law (given its endpoints, each segment
 between coarse visits is an independent conditioned crossing of one cell),
 which the test suite checks against the rejection sampler.
 
+``sample_patterns`` is the rejection method run for many attempts at once:
+the attempts step in numpy lockstep over a neighbour table of the vertices
+they can reach and keep only their level-(N-1) visits, which is all that
+``mc-shapes`` reads.  It has the law of the scalar rejection sampler but
+consumes the stream in another order, so it is gated against it by law.
+
 Samplers draw from an explicit ``numpy.random.Generator``; independent
 replicas must use independently spawned streams (``replica_rng``).
 """
@@ -27,7 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from fractions import Fraction
+from functools import lru_cache
+from math import ceil
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -250,3 +259,159 @@ def _sample_hierarchical(N: int, variant: CrossingVariant, dice: _Dice) -> list[
             out,
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Lockstep rejection kernel
+# ---------------------------------------------------------------------------
+
+#: Exact probability of each conditioning event (``exact`` derives it too).
+ACCEPTANCE = {CrossingVariant.DIRECT: Fraction(1, 4), CrossingVariant.VIA_CORNER: Fraction(1, 16)}
+
+MAX_SLOTS = 1024  # attempts walked at once by ``sample_patterns``
+
+
+@dataclass(frozen=True)
+class _Region:
+    """The unit vertices a conditioned level-N attempt can reach, indexed
+    from 0 (the origin), with their neighbour table and grid flags."""
+
+    vertices: tuple[Vertex, ...]
+    table: np.ndarray  # int32, row-major (vertex, direction); -1 past a stop
+    coarse: np.ndarray  # bool: on the level-(N-1) grid
+    top: np.ndarray  # bool: on the level-N grid
+    apex: int  # index of a_N
+    corner: int  # index of b_N, or -1 when the attempt never stops there
+
+
+@lru_cache(maxsize=32)
+def _region(N: int, variant: CrossingVariant) -> _Region:
+    """Breadth-first closure from O (and b_N for via-corner) that stops at
+    every level-N vertex other than the leg's start: the level-N cells at O,
+    plus those at b_N.  Directions follow ``lattice.neighbors``."""
+    mask = (1 << N) - 1
+    index: dict[Vertex, int] = {}
+    vertices: list[Vertex] = []
+    starts = (ORIGIN, corner(N)) if variant is CrossingVariant.VIA_CORNER else (ORIGIN,)
+    for start in starts:
+        if start not in index:
+            index[start] = len(vertices)
+            vertices.append(start)
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            if v != start and ((v[0] | v[1]) & mask) == 0:
+                continue
+            for u in neighbors(v):
+                if u not in index:
+                    index[u] = len(vertices)
+                    vertices.append(u)
+                    queue.append(u)
+    table = np.array(
+        [[index.get(u, -1) for u in neighbors(v)] for v in vertices], dtype=np.int32
+    ).ravel()
+    coords = np.array(vertices, dtype=np.int64)
+    bits = coords[:, 0] | coords[:, 1]
+    return _Region(
+        vertices=tuple(vertices),
+        table=table,
+        coarse=(bits & ((1 << (N - 1)) - 1)) == 0,
+        top=(bits & mask) == 0,
+        apex=index[apex(N)],
+        corner=index.get(corner(N), -1),
+    )
+
+
+def sample_patterns(
+    N: int,
+    variant: CrossingVariant,
+    count: int,
+    rng: np.random.Generator,
+    keep: Callable[[list[Vertex]], object] = tuple,
+    max_steps: int = DEFAULT_STEP_BUDGET,
+) -> tuple[list, int]:
+    """Level-(N-1) patterns of ``count`` conditioned level-N crossings.
+
+    The fine walk is conditioned by rejection, as in ``sample_crossing(...,
+    "rejection")``, but up to ``MAX_SLOTS`` attempts step together, one
+    ``rng.integers(0, 4, n)`` per step over a neighbour table.  An attempt
+    records only its once-in-a-row visits to the level-(N-1) grid, which is
+    ``coarse_grain(path, N - 1)`` of the path it walks.  Attempts are
+    numbered in launch order and the first ``count`` accepted by number are
+    returned; attempts are i.i.d., so this choice leaves the law unchanged.
+    Each accepted pattern goes through ``keep`` as soon as it is accepted;
+    the few accepted past the final cutoff are dropped afterwards.
+
+    Returns the kept values in attempt order and the number of attempts up
+    to the ``count``-th acceptance.
+    """
+    if N < 1:
+        raise ValueError("crossing level must be >= 1")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    reg = _region(N, variant)
+    table, coarse, top, vertices = reg.table, reg.coarse, reg.top, reg.vertices
+    via = variant is CrossingVariant.VIA_CORNER
+    n = min(MAX_SLOTS, ceil(count / ACCEPTANCE[variant]))
+    # Per slot: the vertex (0 is the origin), the start of the current leg,
+    # the last recorded grid vertex, the pattern length and attempt number.
+    cur = np.zeros(n, np.int64)
+    start = np.zeros(n, np.int64)
+    last = np.zeros(n, np.int64)
+    plen = np.ones(n, np.int64)
+    number = np.arange(n)
+    buf = np.zeros((n, 64), np.int32)
+    launched = n
+    kept: dict[int, object] = {}
+    cutoff = -1  # number of the count-th acceptance, once there are count
+    steps = 0
+    while n:
+        steps += n
+        if steps > max_steps:
+            raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
+        cur = table[cur * 4 + rng.integers(0, 4, n)]
+        hit = np.flatnonzero(coarse[cur] & (cur != last))
+        if not hit.size:
+            continue
+        at = cur[hit]
+        pos = plen[hit]
+        if pos.max() >= buf.shape[1]:
+            buf = np.concatenate((buf, np.zeros_like(buf)), axis=1)
+        buf[hit, pos] = at
+        plen[hit] = pos + 1
+        last[hit] = at
+        # A leg ends at a level-N vertex other than its start; that visit is
+        # always a new grid visit, so the ends are among the hits.
+        end = top[at] & (at != start[hit])
+        if not end.any():
+            continue
+        ends, at = hit[end], at[end]
+        ok = at == reg.apex
+        done = ends
+        if via:
+            first = start[ends] == 0
+            on = first & (at == reg.corner)  # b_N first: the second leg starts
+            start[ends[on]] = reg.corner
+            ok &= ~first
+            done = ends[~on]
+        for s in ends[ok].tolist():
+            kept[int(number[s])] = keep([vertices[v] for v in buf[s, : plen[s]].tolist()])
+        if len(kept) >= count:
+            order = sorted(kept)
+            cutoff = order[count - 1]
+            for k in order[count:]:
+                del kept[k]
+        if cutoff < 0:  # relaunch the finished slots as fresh attempts
+            number[done] = np.arange(launched, launched + len(done))
+            launched += len(done)
+            cur[done] = start[done] = last[done] = 0
+            plen[done] = 1
+            continue
+        # Only attempts numbered below the cutoff can still change the result.
+        alive = number < cutoff
+        alive[done] = False
+        if not alive.all():
+            cur, start, last, plen = cur[alive], start[alive], last[alive], plen[alive]
+            number, buf = number[alive], buf[alive]
+            n = len(cur)
+    return [kept[k] for k in sorted(kept)], cutoff + 1

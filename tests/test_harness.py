@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from gasket_lerw import cli, harness
+from gasket_lerw import cli, harness, walker
+from gasket_lerw.exact import SingularSystem
 from gasket_lerw.harness import (
     DegenerateCells,
     McReport,
@@ -19,7 +20,7 @@ from gasket_lerw.harness import (
     run,
 )
 from gasket_lerw.limit import sample_limit_path
-from gasket_lerw.walker import CrossingVariant, replica_rng, sample_crossing
+from gasket_lerw.walker import CrossingVariant, StepBudgetExceeded, replica_rng, sample_crossing
 
 
 class TestChiSquare:
@@ -143,6 +144,23 @@ class TestRunCommands:
         multi = RunConfig(command="mc-shapes", level=1, samples=4500, seed=11, threads=3)
         assert run(base).payload["counts"] == run(multi).payload["counts"]
 
+    def test_mc_shapes_reports_acceptance(self, table):
+        # 2500 samples are two replicas; attempts add up over both.
+        report = run(RunConfig(command="mc-shapes", level=2, samples=2500, seed=13))
+        payload = report.payload
+        replicas = [
+            walker.sample_patterns(2, CrossingVariant.DIRECT, c, replica_rng(13, r))[1]
+            for r, c in ((0, 2000), (1, 500))
+        ]
+        assert payload["attempts"] == sum(replicas)
+        p = 0.25
+        z = (2500 - p * payload["attempts"]) / (payload["attempts"] * p * (1 - p)) ** 0.5
+        assert payload["acceptance_z"] == pytest.approx(z)
+        assert abs(payload["acceptance_z"]) < 3
+        hier = run(RunConfig(command="mc-shapes", level=2, samples=200, seed=13,
+                             method="hierarchical"))
+        assert "attempts" not in hier.payload and "acceptance_z" not in hier.payload
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(command="nope")
@@ -234,6 +252,28 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run", boom)
         assert cli.main(["exact"]) == 1
+
+    @pytest.mark.parametrize(
+        "error", [StepBudgetExceeded("step budget 10 exhausted"), SingularSystem("no pivot")]
+    )
+    def test_exit_one_on_sampler_or_solver_failure(self, error, monkeypatch, capsys):
+        def boom(config):
+            raise error
+
+        monkeypatch.setattr(cli, "run", boom)
+        assert cli.main(["mc-shapes", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["mc-shapes", "0"], ["mc-length", "0"], ["dimension", "5"], ["limit-path", "-1"]]
+    )
+    def test_exit_one_on_level_out_of_range(self, argv, monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("ran a command outside its range")
+
+        monkeypatch.setattr(cli, "run", never)
+        assert cli.main(argv) == 1
+        assert "needs a level >= " in capsys.readouterr().err
 
     def test_quantity_positional_overrides_flag(self):
         args = cli.build_parser().parse_args(["mc-shapes", "2", "--level", "3"])

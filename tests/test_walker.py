@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import chi2_contingency, ks_2samp
 
 from gasket_lerw.eraser import chronological_erase
-from gasket_lerw.lattice import ORIGIN, apex, corner, euclid_sq, neighbors, on_grid
-from gasket_lerw.harness import chi_square
+from gasket_lerw.exact import solve_shape_distribution
+from gasket_lerw.lattice import (
+    ORIGIN,
+    apex,
+    corner,
+    euclid_sq,
+    neighbors,
+    neighbors_on_grid,
+    on_grid,
+)
+from gasket_lerw.harness import chi_square, classify_top_shape
 from gasket_lerw.walker import (
+    ACCEPTANCE,
     CrossingVariant,
     StepBudgetExceeded,
     attempt_crossing,
@@ -18,6 +28,7 @@ from gasket_lerw.walker import (
     hitting_times,
     replica_rng,
     sample_crossing,
+    sample_patterns,
 )
 
 DIRECT = CrossingVariant.DIRECT
@@ -185,6 +196,93 @@ class TestHierarchicalAgreesWithRejection:
         expected = {k: float(v) for k, v in table.column(DIRECT).items()}
         _, p_value = chi_square(counts, expected)
         assert p_value > 1e-3
+
+
+def _shape_counts(shapes) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for sid in shapes:
+        counts[sid] = counts.get(sid, 0) + 1
+    return counts
+
+
+class TestLockstepKernel:
+    """``sample_patterns`` against the scalar rejection sampler it replaces
+    in ``mc-shapes``.  The two consume the stream in different orders, so
+    the gates are on the law, not on paths."""
+
+    @pytest.mark.parametrize("n,samples", [(1, 3000), (2, 3000), (3, 2000), (4, 800)])
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_shape_law_matches_exact(self, n, samples, variant, table):
+        shapes, _ = sample_patterns(
+            n, variant, samples, replica_rng(610 + n, 0),
+            keep=lambda p: classify_top_shape(p, n, table),
+        )
+        assert len(shapes) == samples
+        expected = {k: float(v) for k, v in table.column(variant).items()}
+        _, p_value = chi_square(_shape_counts(shapes), expected)
+        assert p_value > 1e-3
+
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_small_batches_keep_the_law(self, variant, table):
+        # Few samples per call leave most slots in flight at the end, where
+        # taking the first attempts to finish would favour short walks.
+        shapes = []
+        for r in range(300):
+            part, _ = sample_patterns(
+                2, variant, 10, replica_rng(650, r), keep=lambda p: classify_top_shape(p, 2, table)
+            )
+            shapes += part
+        expected = {k: float(v) for k, v in table.column(variant).items()}
+        _, p_value = chi_square(_shape_counts(shapes), expected)
+        assert p_value > 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_shape_law_matches_scalar_rejection(self, n, variant, table):
+        samples = 1500
+        kernel, _ = sample_patterns(
+            n, variant, samples, replica_rng(620 + n, 0),
+            keep=lambda p: classify_top_shape(p, n, table),
+        )
+        rng = replica_rng(630 + n, 0)
+        scalar = [
+            classify_top_shape(sample_crossing(n, variant, "rejection", rng), n, table)
+            for _ in range(samples)
+        ]
+        ids = sorted(table.column(variant))
+        a, b = _shape_counts(kernel), _shape_counts(scalar)
+        rows = [[a.get(k, 0) for k in ids], [b.get(k, 0) for k in ids]]
+        assert chi2_contingency(rows).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_pattern_structure(self, n, variant):
+        patterns, attempts = sample_patterns(n, variant, 200, replica_rng(640 + n, 0))
+        assert len(patterns) == 200 and attempts >= 200
+        for p in patterns:
+            assert p[0] == ORIGIN and p[-1] == apex(n)
+            assert all(b in neighbors_on_grid(a, n - 1) for a, b in zip(p, p[1:]))
+            top = coarse_grain(p, n)
+            assert top == ([ORIGIN, apex(n)] if variant is DIRECT else [ORIGIN, corner(n), apex(n)])
+
+    def test_same_stream_same_patterns(self):
+        a = sample_patterns(2, VIA, 300, replica_rng(9, 3))
+        b = sample_patterns(2, VIA, 300, replica_rng(9, 3))
+        c = sample_patterns(2, VIA, 300, replica_rng(9, 4))
+        assert a == b
+        assert a != c
+
+    def test_step_budget(self):
+        with pytest.raises(StepBudgetExceeded):
+            sample_patterns(4, DIRECT, 10, replica_rng(0, 0), max_steps=1000)
+
+    def test_invalid_level(self):
+        with pytest.raises(ValueError):
+            sample_patterns(0, DIRECT, 10, replica_rng(0, 0))
+
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_acceptance_is_the_exact_event_probability(self, variant):
+        assert ACCEPTANCE[variant] == solve_shape_distribution(variant).event_probability
 
 
 @pytest.mark.slow
