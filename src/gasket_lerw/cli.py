@@ -1,5 +1,9 @@
 """Command-line entry point.
 
+Each Monte Carlo command has one sampler: ``mc-shapes`` runs the lockstep
+kernel ``walker.sample_patterns`` and ``mc-length`` the scalar
+``walker.sample_crossing``, at every level.
+
 Exit codes: 0 on success, 2 when a statistical acceptance test fails,
 1 on usage or I/O errors, on a level, depth or order outside a command's
 range, and on a runtime failure of the samplers or the exact solver (a
@@ -54,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=[v.value for v in CrossingVariant],
             default=CrossingVariant.DIRECT.value,
         )
-        p.add_argument("--method", choices=["rejection", "hierarchical"], default=None)
         p.add_argument("--out", default=None, help="output path prefix")
         p.add_argument("--format", dest="fmt", choices=["json", "csv", "svg"], default="json")
     return parser
@@ -64,11 +67,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     level = args.quantity if args.quantity is not None else args.level
     if level is None:
         level = _DEFAULT_LEVEL[args.command]
-    method = args.method
-    if method is None:
-        # Rejection is the ground truth at small levels; the hierarchical
-        # sampler is the performance path once crossings get long.
-        method = "hierarchical" if level >= 5 else "rejection"
     return RunConfig(
         command=args.command,
         level=level,
@@ -76,7 +74,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         threads=args.threads,
         variant=CrossingVariant(args.variant),
-        method=method,
         out=args.out,
         fmt=args.fmt,
     )

@@ -172,7 +172,6 @@ class RunConfig:
     seed: int = 0
     threads: int = 1
     variant: CrossingVariant = CrossingVariant.DIRECT
-    method: str = "rejection"
     out: str | None = None
     fmt: str = "json"
 
@@ -282,22 +281,14 @@ def classify_top_shape(path, level: int, table=None) -> str:
 
 
 def _shapes_worker(args) -> tuple[dict[str, int], int]:
-    """Shape counts of one replica, and its conditioning attempts (0 unless
-    the method is rejection, which runs the lockstep kernel)."""
-    level, variant_value, method, seed, replica, count = args
+    """Shape counts of one replica, and its conditioning attempts."""
+    level, variant_value, seed, replica, count = args
     variant = CrossingVariant(variant_value)
     rng = walker.replica_rng(seed, replica)
     table = exact.shape_table()
-    if method == "rejection":
-        shapes, attempts = walker.sample_patterns(
-            level, variant, count, rng, keep=lambda p: classify_top_shape(p, level, table)
-        )
-    else:
-        shapes = [
-            classify_top_shape(walker.sample_crossing(level, variant, method, rng), level, table)
-            for _ in range(count)
-        ]
-        attempts = 0
+    shapes, attempts = walker.sample_patterns(
+        level, variant, count, rng, keep=lambda p: classify_top_shape(p, level, table)
+    )
     counts: dict[str, int] = {}
     for sid in shapes:
         counts[sid] = counts.get(sid, 0) + 1
@@ -305,13 +296,13 @@ def _shapes_worker(args) -> tuple[dict[str, int], int]:
 
 
 def _length_worker(args) -> tuple[int, float, float]:
-    level, variant_value, method, seed, replica, count = args
+    level, variant_value, seed, replica, count = args
     variant = CrossingVariant(variant_value)
     rng = walker.replica_rng(seed, replica)
     total = 0.0
     total_sq = 0.0
     for _ in range(count):
-        path = walker.sample_crossing(level, variant, method, rng)
+        path = walker.sample_crossing(level, variant, rng)
         ell = float(len(eraser.loop_erase(path)) - 1)
         total += ell
         total_sq += ell * ell
@@ -387,7 +378,7 @@ def _run_mc_shapes(config: RunConfig) -> tuple[dict, bool]:
     expected = {k: float(v) for k, v in table.column(config.variant).items()}
     results = _run_replicas(
         _shapes_worker,
-        lambda r, c: (config.level, config.variant.value, config.method, config.seed, r, c),
+        lambda r, c: (config.level, config.variant.value, config.seed, r, c),
         _replicas(n),
         config.threads,
     )
@@ -396,6 +387,10 @@ def _run_mc_shapes(config: RunConfig) -> tuple[dict, bool]:
         for k, v in sorted(part.items()):
             counts[k] = counts.get(k, 0) + v
     stat, p_value = chi_square(counts, expected)
+    # Observed acceptance against the exact one; informative only, the
+    # verdict stays the chi-square's.
+    attempts = sum(a for _, a in results)
+    p = float(walker.ACCEPTANCE[config.variant])
     payload = {
         "samples": n,
         "counts": dict(sorted(counts.items())),
@@ -403,14 +398,9 @@ def _run_mc_shapes(config: RunConfig) -> tuple[dict, bool]:
         "statistic": stat,
         "p_value": p_value,
         "threshold": P_VALUE_FLOOR,
+        "attempts": attempts,
+        "acceptance_z": (n - p * attempts) / sqrt(attempts * p * (1 - p)),
     }
-    if config.method == "rejection":
-        # Observed acceptance against the exact one; informative only, the
-        # verdict stays the chi-square's.
-        attempts = sum(a for _, a in results)
-        p = float(walker.ACCEPTANCE[config.variant])
-        payload["attempts"] = attempts
-        payload["acceptance_z"] = (n - p * attempts) / sqrt(attempts * p * (1 - p))
     return payload, p_value > P_VALUE_FLOOR
 
 
@@ -418,7 +408,7 @@ def _run_mc_length(config: RunConfig) -> tuple[dict, bool]:
     n = config.effective_samples()
     results = _run_replicas(
         _length_worker,
-        lambda r, c: (config.level, config.variant.value, config.method, config.seed, r, c),
+        lambda r, c: (config.level, config.variant.value, config.seed, r, c),
         _replicas(n),
         config.threads,
     )

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import eraser
 from .eraser import TYPE_ONE, TYPE_TWO
-from .exact import ShapeTable, mat_pow, moment_table, shape_table, spectral_data
+from .exact import ShapeTable, moment_table, offspring_laws, shape_table, spectral_data
 from .lattice import Vertex
 
 
@@ -467,9 +467,7 @@ def sample_branching_counts(
     laws); dropping the geometry lets each generation be drawn with two
     multinomials across all runs.
     """
-    table = shape_table()
-    law1 = [(s.p_direct, (s.s1, s.s2)) for s in table.shapes if s.p_direct]
-    law2 = [(s.p_via, (s.s1, s.s2)) for s in table.shapes if s.p_via]
+    law1, law2 = offspring_laws()
     p1 = np.array([float(p) for p, _ in law1])
     p2 = np.array([float(p) for p, _ in law2])
     off1 = np.array([s for _, s in law1], dtype=np.int64)
@@ -482,15 +480,3 @@ def sample_branching_counts(
         d2 = rng.multinomial(state[:, 1], p2)
         state = d1 @ off1 + d2 @ off2
     return state
-
-
-def branching_mean_prediction(depth: int, ancestor: tuple[int, int] = (1, 0)) -> tuple[float, float]:
-    """Exact rational mean of (S1, S2), as floats for comparisons."""
-    from .exact import build_phi_theta, mean_matrix
-
-    phi, theta = build_phi_theta(shape_table())
-    mn = mat_pow(mean_matrix(phi, theta), depth)
-    return (
-        float(ancestor[0] * mn[0][0] + ancestor[1] * mn[1][0]),
-        float(ancestor[0] * mn[0][1] + ancestor[1] * mn[1][1]),
-    )

@@ -11,18 +11,17 @@ over the four neighbors:
 Coarse visits are counted with the once-in-a-row rule: consecutive returns to
 the vertex counted last do not register again.
 
-The ``rejection`` method simulates the fine walk and retries until the
-conditioning event holds; it is the ground truth.  The ``hierarchical``
-method samples the level-(N-1) crossing pattern by rejection and fills each
-of its steps with an independent conditioned sub-crossing, recursing down to
-unit edges.  Both produce the same law (given its endpoints, each segment
-between coarse visits is an independent conditioned crossing of one cell),
-which the test suite checks against the rejection sampler.
+``sample_crossing`` simulates the fine walk and conditions it by rejection,
+one leg at a time: the walk from O is retried until its first coarse visit
+is a_N (direct) or b_N (via-corner), and for via-corner the walk from b_N is
+then retried until its next coarse visit is a_N.  By the strong Markov
+property at the b_N visit this is the law of retrying whole attempts
+(``attempt_crossing`` runs one whole attempt).  It is the ground truth.
 
-``sample_patterns`` is the rejection method run for many attempts at once:
-the attempts step in numpy lockstep over a neighbour table of the vertices
-they can reach and keep only their level-(N-1) visits, which is all that
-``mc-shapes`` reads.  It has the law of the scalar rejection sampler but
+``sample_patterns`` is whole-attempt rejection run for many attempts at
+once: the attempts step in numpy lockstep over a neighbour table of the
+vertices they can reach and keep only their level-(N-1) visits, which is
+all that ``mc-shapes`` reads.  It has the law of ``sample_crossing`` but
 consumes the stream in another order, so it is gated against it by law.
 
 Samplers draw from an explicit ``numpy.random.Generator``; independent
@@ -160,105 +159,49 @@ def attempt_crossing(
     rng: np.random.Generator,
     max_steps: int = DEFAULT_STEP_BUDGET,
 ) -> list[Vertex] | None:
-    """Run one conditioning trial of the fine walk; None if the event fails."""
+    """Run one whole conditioning trial of the fine walk; None if the event fails."""
     dice = _Dice(rng, max_steps)
-    return _attempt(N, variant, dice)
-
-
-def _attempt(N: int, variant: CrossingVariant, dice: _Dice) -> list[Vertex] | None:
     mask = (1 << N) - 1
-    a_N = apex(N)
     path = [ORIGIN]
     _walk_until(ORIGIN, mask, dice, path)
-    if variant is CrossingVariant.DIRECT:
-        return path if path[-1] == a_N else None
-    b_N = corner(N)
-    if path[-1] != b_N:
-        return None
-    _walk_until(b_N, mask, dice, path)
-    return path if path[-1] == a_N else None
+    if variant is CrossingVariant.VIA_CORNER:
+        if path[-1] != corner(N):
+            return None
+        _walk_until(corner(N), mask, dice, path)
+    return path if path[-1] == apex(N) else None
+
+
+def _leg(start: Vertex, stop: Vertex, mask: int, dice: _Dice) -> list[Vertex]:
+    """The walk from ``start`` to its next masked-grid vertex, retried until
+    that vertex is ``stop``."""
+    while True:
+        path = [start]
+        _walk_until(start, mask, dice, path)
+        if path[-1] == stop:
+            return path
 
 
 def sample_crossing(
     N: int,
     variant: CrossingVariant = CrossingVariant.DIRECT,
-    method: str = "rejection",
     rng: np.random.Generator | None = None,
     max_steps: int = DEFAULT_STEP_BUDGET,
 ) -> list[Vertex]:
-    """Sample one conditioned crossing path at level N (starts at O, ends at a_N)."""
+    """Sample one conditioned crossing path at level N (starts at O, ends at a_N).
+
+    Each leg is retried on its own (module docstring); ``max_steps`` caps
+    the raw steps of the whole call.
+    """
     if N < 1:
         raise ValueError("crossing level must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
     dice = _Dice(rng, max_steps)
-    if method == "rejection":
-        while True:
-            path = _attempt(N, variant, dice)
-            if path is not None:
-                return path
-    elif method == "hierarchical":
-        return _sample_hierarchical(N, variant, dice)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-
-
-def _unit_pattern(start: Vertex, dice: _Dice) -> list[Vertex]:
-    """Walk from a unit-frame vertex until the first even-grid vertex differs."""
-    seg = [start]
-    _walk_until(start, 1, dice, seg)
-    return seg
-
-
-def _fill_step(u: Vertex, v: Vertex, m: int, dice: _Dice, out: list[Vertex]) -> None:
-    """Append the fine continuation of the level-m coarse step u -> v.
-
-    The segment is the walk from u stopped at its next level-m grid visit,
-    conditioned to stop at v; it is sampled by drawing the level-(m-1)
-    pattern inside the cell by rejection (acceptance exactly 1/4) and
-    recursing on its steps.
-    """
-    if m == 0:
-        out.append(v)
-        return
-    shift = m - 1
-    u0 = (u[0] >> shift, u[1] >> shift)
-    v0 = (v[0] >> shift, v[1] >> shift)
-    while True:
-        seg = _unit_pattern(u0, dice)
-        if seg[-1] == v0:
-            break
-    if shift == 0:
-        out.extend(seg[1:])
-        return
-    for a, b in zip(seg, seg[1:]):
-        _fill_step(
-            (a[0] << shift, a[1] << shift),
-            (b[0] << shift, b[1] << shift),
-            shift,
-            dice,
-            out,
-        )
-
-
-def _sample_hierarchical(N: int, variant: CrossingVariant, dice: _Dice) -> list[Vertex]:
-    while True:
-        pattern = _attempt(1, variant, dice)
-        if pattern is not None:
-            break
-    if N == 1:
-        return pattern
-    shift = N - 1
-    out = [ORIGIN]
-    for a, b in zip(pattern, pattern[1:]):
-        _fill_step(
-            (a[0] << shift, a[1] << shift),
-            (b[0] << shift, b[1] << shift),
-            shift,
-            dice,
-            out,
-        )
-    return out
+    mask = (1 << N) - 1
+    if variant is CrossingVariant.DIRECT:
+        return _leg(ORIGIN, apex(N), mask, dice)
+    b_N = corner(N)
+    return _leg(ORIGIN, b_N, mask, dice) + _leg(b_N, apex(N), mask, dice)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +275,8 @@ def sample_patterns(
 ) -> tuple[list, int]:
     """Level-(N-1) patterns of ``count`` conditioned level-N crossings.
 
-    The fine walk is conditioned by rejection, as in ``sample_crossing(...,
-    "rejection")``, but up to ``MAX_SLOTS`` attempts step together, one
+    The fine walk is conditioned by rejecting whole attempts, as in
+    ``attempt_crossing``, but up to ``MAX_SLOTS`` attempts step together, one
     ``rng.integers(0, 4, n)`` per step over a neighbour table.  An attempt
     records only its once-in-a-row visits to the level-(N-1) grid, which is
     ``coarse_grain(path, N - 1)`` of the path it walks.  Attempts are
@@ -341,6 +284,9 @@ def sample_patterns(
     returned; attempts are i.i.d., so this choice leaves the law unchanged.
     Each accepted pattern goes through ``keep`` as soon as it is accepted;
     the few accepted past the final cutoff are dropped afterwards.
+
+    ``max_steps`` is a budget per sample, as in ``sample_crossing``: the
+    call may take ``max_steps * count`` slot-steps in all.
 
     Returns the kept values in attempt order and the number of attempts up
     to the ``count``-th acceptance.
@@ -364,11 +310,11 @@ def sample_patterns(
     launched = n
     kept: dict[int, object] = {}
     cutoff = -1  # number of the count-th acceptance, once there are count
-    steps = 0
+    steps, budget = 0, max_steps * count
     while n:
         steps += n
-        if steps > max_steps:
-            raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
+        if steps > budget:
+            raise StepBudgetExceeded(f"step budget {max_steps} x {count} samples exhausted")
         cur = table[cur * 4 + rng.integers(0, 4, n)]
         hit = np.flatnonzero(coarse[cur] & (cur != last))
         if not hit.size:

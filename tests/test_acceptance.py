@@ -108,7 +108,7 @@ def test_a4_sampler_against_exact_level_one(table):
     for variant in (DIRECT, VIA):
         counts: dict[str, int] = {}
         for _ in range(n):
-            path = sample_crossing(1, variant, "rejection", rng)
+            path = sample_crossing(1, variant, rng)
             sid = eraser.classify_shape(loop_erase(path), table)
             counts[sid] = counts.get(sid, 0) + 1
         expected = {k: float(v) for k, v in table.column(variant).items()}
@@ -127,7 +127,7 @@ def test_a5_recursion_consistency(table):
     counts: dict[str, int] = {}
     svals = np.empty((n, 2))
     for k in range(n):
-        path = sample_crossing(2, DIRECT, "rejection", rng)
+        path = sample_crossing(2, DIRECT, rng)
         sid = classify_top_shape(path, 2, table)
         counts[sid] = counts.get(sid, 0) + 1
         svals[k] = skeleton(loop_erase(path), 0).s_counts()
@@ -153,7 +153,7 @@ def test_a6_length_scaling(eig):
     for level in (3, 4, 5, 6):
         total = 0
         for _ in range(n):
-            path = sample_crossing(level, DIRECT, "hierarchical", rng)
+            path = sample_crossing(level, DIRECT, rng)
             total += len(loop_erase(path)) - 1
         means[level] = total / n
     ratios = [means[k + 1] / means[k] for k in (3, 4, 5)]
@@ -230,7 +230,7 @@ def test_a10_operator_laws():
     checked = flips = 0
     for level in (2, 3):
         for _ in range(1000):
-            path = sample_crossing(level, DIRECT, "rejection", rng)
+            path = sample_crossing(level, DIRECT, rng)
             erased = loop_erase(path)
             assert is_self_avoiding(erased)
             assert loop_erase(erased) == erased

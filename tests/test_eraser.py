@@ -88,7 +88,7 @@ class TestSkeleton:
     def test_entries_chain_and_exit_indices_increase(self):
         rng = replica_rng(12, 0)
         for _ in range(50):
-            p = sample_crossing(2, VIA, "rejection", rng)
+            p = sample_crossing(2, VIA, rng)
             sk = skeleton(p, 1)
             assert all(a.exit == b.entry for a, b in zip(sk.entries, sk.entries[1:]))
             idx = [e.exit_index for e in sk.entries]
@@ -113,7 +113,7 @@ class TestEraseScale:
     def test_top_stage_makes_coarse_view_loop_free(self):
         rng = replica_rng(13, 0)
         for _ in range(200):
-            p = sample_crossing(2, DIRECT, "rejection", rng)
+            p = sample_crossing(2, DIRECT, rng)
             staged = erase_scale(p, 2)
             assert is_self_avoiding(coarse_grain(staged, 1))
             # The fully coarse structure is untouched.
@@ -123,7 +123,7 @@ class TestEraseScale:
         # A crossing with a coarse loop cannot start at the unit stage.
         rng = replica_rng(14, 0)
         for _ in range(200):
-            p = sample_crossing(2, DIRECT, "rejection", rng)
+            p = sample_crossing(2, DIRECT, rng)
             if not is_self_avoiding(coarse_grain(p, 1)):
                 with pytest.raises(ScaleLoopsRemain):
                     erase_scale(p, 1)
@@ -142,7 +142,7 @@ class TestLoopErase:
         rng = replica_rng(15, 0)
         for variant in (DIRECT, VIA):
             for _ in range(10_000):
-                p = sample_crossing(1, variant, "rejection", rng)
+                p = sample_crossing(1, variant, rng)
                 assert loop_erase(p) == chronological_erase(p)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -150,7 +150,7 @@ class TestLoopErase:
     def test_idempotent_self_avoiding_and_lengths(self, n, variant):
         rng = replica_rng(16 + n, 0)
         for _ in range(300):
-            p = sample_crossing(n, variant, "rejection", rng)
+            p = sample_crossing(n, variant, rng)
             e = loop_erase(p)
             assert is_self_avoiding(e)
             assert e[0] == ORIGIN and e[-1] == apex(n)
@@ -173,7 +173,7 @@ class TestLoopErase:
         rng = replica_rng(19, 0)
         flips = 0
         for _ in range(300):
-            p = sample_crossing(2, DIRECT, "rejection", rng)
+            p = sample_crossing(2, DIRECT, rng)
             stage = skeleton(erase_to_scale(p, 1), 1)
             final = skeleton(loop_erase(p), 1)
             assert stage.triangles() == final.triangles()
@@ -187,7 +187,7 @@ class TestLoopErase:
         rng = replica_rng(23, 0)
         for n, variant in ((2, DIRECT), (2, VIA), (3, DIRECT)):
             for _ in range(60):
-                p = sample_crossing(n, variant, "rejection", rng)
+                p = sample_crossing(n, variant, rng)
                 shortcut = chronological_erase(coarse_grain(p, n - 1))
                 assert erased_coarse_path(p, n - 1) == shortcut
 
@@ -202,7 +202,7 @@ class TestScaleLoopPredicate:
     def test_erased_paths_have_no_scale_loops(self):
         rng = replica_rng(21, 0)
         for _ in range(100):
-            p = sample_crossing(2, DIRECT, "rejection", rng)
+            p = sample_crossing(2, DIRECT, rng)
             e = loop_erase(p)
             for m in range(3):
                 assert not has_scale_loop(e, m, working_level=2)
@@ -210,7 +210,7 @@ class TestScaleLoopPredicate:
     def test_partial_erasure_kills_scales_top_down(self):
         rng = replica_rng(22, 0)
         for _ in range(150):
-            p = sample_crossing(3, DIRECT, "rejection", rng)
+            p = sample_crossing(3, DIRECT, rng)
             staged = erase_to_scale(p, 1)
             assert not has_loops_at_or_above(staged, 1)
             # Scale-classified loops at the erased levels are gone too.

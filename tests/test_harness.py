@@ -105,9 +105,7 @@ class TestRunCommands:
         assert set(report.payload["expected"]) == {f"w{k}" for k in range(1, 11)}
 
     def test_mc_length_small(self):
-        report = run(
-            RunConfig(command="mc-length", level=2, samples=1500, seed=5, method="rejection")
-        )
+        report = run(RunConfig(command="mc-length", level=2, samples=1500, seed=5))
         assert report.passed
         assert abs(report.payload["z_score"]) < 3
 
@@ -119,7 +117,6 @@ class TestRunCommands:
                 samples=1200,
                 seed=7,
                 variant=CrossingVariant.VIA_CORNER,
-                method="hierarchical",
             )
         )
         assert report.passed, report.payload["z_score"]
@@ -157,9 +154,13 @@ class TestRunCommands:
         z = (2500 - p * payload["attempts"]) / (payload["attempts"] * p * (1 - p)) ** 0.5
         assert payload["acceptance_z"] == pytest.approx(z)
         assert abs(payload["acceptance_z"]) < 3
-        hier = run(RunConfig(command="mc-shapes", level=2, samples=200, seed=13,
-                             method="hierarchical"))
-        assert "attempts" not in hier.payload and "acceptance_z" not in hier.payload
+        assert "method" not in report.config
+
+    def test_mc_shapes_level_five_runs_the_kernel(self):
+        report = run(RunConfig(command="mc-shapes", level=5, samples=200, seed=17))
+        assert report.passed
+        assert report.payload["attempts"] >= 200
+        assert abs(report.payload["acceptance_z"]) < 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -213,7 +214,7 @@ class TestClassify:
 
         rng = replica_rng(33, 0)
         for _ in range(300):
-            p = sample_crossing(1, CrossingVariant.VIA_CORNER, "rejection", rng)
+            p = sample_crossing(1, CrossingVariant.VIA_CORNER, rng)
             assert classify_top_shape(p, 1, table) == classify_shape(loop_erase(p), table)
 
 
@@ -279,8 +280,11 @@ class TestCli:
         args = cli.build_parser().parse_args(["mc-shapes", "2", "--level", "3"])
         assert cli.config_from_args(args).level == 2
 
-    def test_method_default_switches_with_level(self):
-        args = cli.build_parser().parse_args(["mc-length", "6"])
-        assert cli.config_from_args(args).method == "hierarchical"
-        args = cli.build_parser().parse_args(["mc-length", "2"])
-        assert cli.config_from_args(args).method == "rejection"
+    def test_no_method_option(self, monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("ran with an unknown option")
+
+        monkeypatch.setattr(cli, "run", never)
+        assert cli.main(["mc-length", "6", "--method", "rejection"]) == 1
+        assert cli.main(["mc-length", "--help"]) == 0
+        assert "--method" not in capsys.readouterr().out

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gasket_lerw import limit
-from gasket_lerw.exact import moment_table, spectral_data
+from gasket_lerw.exact import moment_table, spectral_data, type_count_mean
 from gasket_lerw.harness import chi_square
 from gasket_lerw.limit import (
     ANCESTOR,
@@ -15,7 +15,6 @@ from gasket_lerw.limit import (
     RefinementKernels,
     SkeletonCell,
     box_count_dimension,
-    branching_mean_prediction,
     coarse_grain_refined,
     growth_rate,
     length_statistics,
@@ -206,7 +205,7 @@ class TestBranchingStatistics:
         runs = 40_000
         for depth in (1, 2, 4, 6):
             counts = sample_branching_counts(depth, runs, rng)
-            want = branching_mean_prediction(depth)
+            want = type_count_mean(depth)
             for j in (0, 1):
                 got = counts[:, j].mean()
                 se = counts[:, j].std(ddof=1) / sqrt(runs)
@@ -219,7 +218,7 @@ class TestBranchingStatistics:
         counts = np.array(
             [sample_limit_path(depth, rng).s_counts() for _ in range(3000)], dtype=float
         )
-        want = branching_mean_prediction(depth)
+        want = type_count_mean(depth)
         for j in (0, 1):
             se = counts[:, j].std(ddof=1) / sqrt(len(counts))
             assert abs(counts[:, j].mean() - want[j]) < 3.5 * se
@@ -242,7 +241,7 @@ class TestBranchingStatistics:
     def test_ancestor_type_two_starts_from_via_law(self):
         rng = np.random.default_rng(31)
         counts = sample_branching_counts(1, 30_000, rng, ancestor=(0, 1))
-        want = branching_mean_prediction(1, ancestor=(0, 1))
+        want = type_count_mean(1, ancestor=(0, 1))
         for j in (0, 1):
             se = counts[:, j].std(ddof=1) / sqrt(len(counts))
             assert abs(counts[:, j].mean() - want[j]) < 3.5 * se

@@ -97,7 +97,7 @@ class TestCoarseGrain:
         n = 1000
         seen: dict[tuple, int] = {}
         for _ in range(n):
-            p = sample_crossing(2, DIRECT, "rejection", rng)
+            p = sample_crossing(2, DIRECT, rng)
             key = tuple((i // 2, j // 2) for i, j in coarse_grain(p, 1))
             seen[key] = seen.get(key, 0) + 1
 
@@ -147,11 +147,10 @@ class TestConditioning:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
-    @pytest.mark.parametrize("method", ["rejection", "hierarchical"])
-    def test_crossing_structure(self, n, variant, method):
+    def test_crossing_structure(self, n, variant):
         rng = replica_rng(5 * n, 1)
         for _ in range(40):
-            p = sample_crossing(n, variant, method, rng)
+            p = sample_crossing(n, variant, rng)
             assert p[0] == ORIGIN and p[-1] == apex(n)
             hits = [p[t] for t in hitting_indices(p, n)]
             if variant is DIRECT:
@@ -162,40 +161,79 @@ class TestConditioning:
             assert all(euclid_sq(v, ORIGIN) <= 4 * 4**n for v in p)
             assert all(b in neighbors(a) for a, b in zip(p, p[1:]))
 
-    def test_invalid_method_and_level(self):
+    def test_invalid_level(self):
         with pytest.raises(ValueError):
-            sample_crossing(0, DIRECT, "rejection", replica_rng(0, 0))
-        with pytest.raises(ValueError):
-            sample_crossing(1, DIRECT, "importance", replica_rng(0, 0))
+            sample_crossing(0, DIRECT, replica_rng(0, 0))
 
     def test_step_budget(self):
         with pytest.raises(StepBudgetExceeded):
-            sample_crossing(4, DIRECT, "rejection", replica_rng(0, 0), max_steps=10)
+            sample_crossing(4, DIRECT, replica_rng(0, 0), max_steps=10)
 
 
-class TestHierarchicalAgreesWithRejection:
-    @pytest.mark.parametrize("n,samples", [(2, 4000), (3, 10_000), (4, 1500)])
-    def test_length_distributions_match(self, n, samples):
-        r1 = replica_rng(100 + n, 0)
-        r2 = replica_rng(200 + n, 1)
-        a = [len(sample_crossing(n, DIRECT, "rejection", r1)) for _ in range(samples)]
-        b = [len(sample_crossing(n, DIRECT, "hierarchical", r2)) for _ in range(samples)]
-        assert ks_2samp(a, b).pvalue > 1e-3
+def _whole_attempt_crossing(N, variant, rng):
+    """Reference sampler: whole attempts retried until the event holds, the
+    direction draws taken 4096 at a time from one buffer per call, as
+    ``walker._Dice`` takes them.  It shares no code with the walker."""
+    mask = (1 << N) - 1
+    draws = iter(())
 
-    def test_coarse_shape_law_matches(self, table):
-        # Chi-square of the erased coarse pattern, hierarchical vs exact law.
-        from gasket_lerw.harness import classify_top_shape
+    def walk(v0, path):
+        nonlocal draws
+        cur = v0
+        while True:
+            d = next(draws, None)
+            if d is None:
+                draws = iter(rng.integers(0, 4, size=4096).tolist())
+                d = next(draws)
+            cur = neighbors(cur)[d]
+            path.append(cur)
+            if ((cur[0] | cur[1]) & mask) == 0 and cur != v0:
+                return cur
 
-        rng = replica_rng(303, 0)
-        counts: dict[str, int] = {}
-        n = 4000
-        for _ in range(n):
-            p = sample_crossing(3, DIRECT, "hierarchical", rng)
-            sid = classify_top_shape(p, 3, table)
-            counts[sid] = counts.get(sid, 0) + 1
-        expected = {k: float(v) for k, v in table.column(DIRECT).items()}
-        _, p_value = chi_square(counts, expected)
-        assert p_value > 1e-3
+    while True:
+        path = [ORIGIN]
+        end = walk(ORIGIN, path)
+        if variant is VIA:
+            if end != corner(N):
+                continue
+            end = walk(end, path)
+        if end == apex(N):
+            return path
+
+
+class TestLegwiseSampler:
+    """``sample_crossing`` against whole-attempt rejection.  Direct crossings
+    have one leg, so they keep the reference's stream path for path; the
+    via-corner legs are retried separately, so that law is gated by law."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_direct_keeps_the_whole_attempt_stream(self, n):
+        for seed in range(20):
+            assert sample_crossing(n, DIRECT, replica_rng(seed, n)) == _whole_attempt_crossing(
+                n, DIRECT, replica_rng(seed, n)
+            )
+
+    @pytest.mark.parametrize("n,samples", [(2, 3000), (3, 1500)])
+    def test_via_corner_length_law_matches(self, n, samples):
+        r1, r2 = replica_rng(660 + n, 0), replica_rng(670 + n, 0)
+        legwise = [len(sample_crossing(n, VIA, r1)) for _ in range(samples)]
+        whole = [len(_whole_attempt_crossing(n, VIA, r2)) for _ in range(samples)]
+        assert ks_2samp(legwise, whole).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n,samples", [(2, 3000), (3, 1500)])
+    def test_via_corner_shape_law_matches(self, n, samples, table):
+        r1, r2 = replica_rng(680 + n, 0), replica_rng(690 + n, 0)
+        legwise = [
+            classify_top_shape(sample_crossing(n, VIA, r1), n, table) for _ in range(samples)
+        ]
+        whole = [
+            classify_top_shape(_whole_attempt_crossing(n, VIA, r2), n, table)
+            for _ in range(samples)
+        ]
+        ids = sorted(table.column(VIA))
+        a, b = _shape_counts(legwise), _shape_counts(whole)
+        rows = [[a.get(k, 0) for k in ids], [b.get(k, 0) for k in ids]]
+        assert chi2_contingency(rows).pvalue > 1e-3
 
 
 def _shape_counts(shapes) -> dict[str, int]:
@@ -246,7 +284,7 @@ class TestLockstepKernel:
         )
         rng = replica_rng(630 + n, 0)
         scalar = [
-            classify_top_shape(sample_crossing(n, variant, "rejection", rng), n, table)
+            classify_top_shape(sample_crossing(n, variant, rng), n, table)
             for _ in range(samples)
         ]
         ids = sorted(table.column(variant))
@@ -276,6 +314,11 @@ class TestLockstepKernel:
         with pytest.raises(StepBudgetExceeded):
             sample_patterns(4, DIRECT, 10, replica_rng(0, 0), max_steps=1000)
 
+    def test_step_budget_is_per_sample(self):
+        # About 520 slot-steps per sample at N = 3, so 1M for the whole call.
+        patterns, _ = sample_patterns(3, DIRECT, 2000, replica_rng(1, 0), max_steps=10**4)
+        assert len(patterns) == 2000
+
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             sample_patterns(0, DIRECT, 10, replica_rng(0, 0))
@@ -292,16 +335,10 @@ def test_mean_length_growth_band():
     # and consecutive levels grow by a factor inside (4.5, 5.5).
     rng = replica_rng(77, 0)
     means = {}
-    plan = {
-        2: ("rejection", 1200),
-        3: ("rejection", 1200),
-        4: ("rejection", 900),
-        5: ("hierarchical", 800),
-        6: ("hierarchical", 400),
-    }
-    for n, (method, cnt) in plan.items():
+    plan = {2: 1200, 3: 1200, 4: 900, 5: 800, 6: 400}
+    for n, cnt in plan.items():
         lens = np.array(
-            [len(sample_crossing(n, DIRECT, method, rng)) - 1 for _ in range(cnt)], dtype=float
+            [len(sample_crossing(n, DIRECT, rng)) - 1 for _ in range(cnt)], dtype=float
         )
         means[n] = lens.mean()
         z = (lens.mean() - 5.0**n) / (lens.std(ddof=1) / cnt**0.5)
@@ -322,7 +359,7 @@ def test_replica_rng_reproducible_and_disjoint():
 def test_unit_chronological_erasure_of_crossing_is_self_avoiding():
     rng = replica_rng(4, 2)
     for _ in range(200):
-        p = sample_crossing(1, DIRECT, "rejection", rng)
+        p = sample_crossing(1, DIRECT, rng)
         e = chronological_erase(p)
         assert len(set(e)) == len(e)
         assert e[0] == ORIGIN and e[-1] == apex(1)
