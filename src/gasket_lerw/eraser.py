@@ -12,8 +12,9 @@ coarse view of the segment is chronologically erased, and the surviving fine
 sub-segments are spliced back together.  Surviving pieces are addressed by
 half-open index ranges of the pre-stage path, matching the concatenation
 formula wd = [w(T_{s_i}), ..., w(T_{s_i + 1} - 1)] plus the final exit
-vertex.  After the stage, coarse-graining the output one level down yields a
-loop-free path; the coarser skeletons never change again, although a
+vertex.  A stage scans the path once, for its level-M and level-(M-1) visits
+together.  After the stage, coarse-graining the output one level down yields
+a loop-free path; the coarser skeletons never change again, although a
 two-visit triangle can turn into a one-visit one when the erased mass
 included the middle corner.
 """
@@ -33,9 +34,10 @@ from .lattice import (
     corner,
     euclid_sq,
     on_grid,
+    up_triangle_exists,
     vertex_level,
 )
-from .walker import CrossingVariant, coarse_grain, hitting_indices
+from .walker import CrossingVariant, hitting_indices
 
 TYPE_ONE = 1
 TYPE_TWO = 2
@@ -141,39 +143,67 @@ def stack_erase(path: Sequence[Vertex]) -> list[Vertex]:
 # ---------------------------------------------------------------------------
 
 
-def skeleton(path: Sequence[Vertex], level: int) -> Skeleton:
-    """The ordered 2**level-triangles a path crosses, with exit times.
+def _crossed_cells(path: Sequence[Vertex], hits: list[int], level: int):
+    """The ordered 2**level-triangles along the grid visits ``path[hits]``:
+    yields (corner, n, j), the triangle's lower-left corner and the
+    positions in ``hits`` of its entry and exit.
 
-    The exit time of a triangle is the last grid visit before the coarse
-    path moves to a vertex outside it; the next triangle is the unique
-    filled cell containing that exit and the following grid visit.
+    The exit of a triangle is the last grid visit before the coarse path
+    moves to a vertex outside it; the next triangle is the unique filled
+    cell containing that exit and the following grid visit.
     """
-    if not path:
-        raise ValueError("empty path")
-    if not (on_grid(path[0], level) and on_grid(path[-1], level)):
-        raise ValueError(f"path endpoints must lie on the level-{level} grid")
-    ht = hitting_indices(path, level)
-    m = len(ht) - 1
-    entries: list[SkeletonEntry] = []
+    side = 1 << level
+    m = len(hits) - 1
     n = 0
     while n < m:
-        u = path[ht[n]]
-        tri = cell_of_step(u, path[ht[n + 1]], level)
+        u, v = path[hits[n]], path[hits[n + 1]]
+        # Two grid vertices are corners of one cell exactly when both lie
+        # within a side of their coordinatewise minimum, the cell's corner.
+        ci, cj = c = (min(u[0], v[0]), min(u[1], v[1]))
+        if not (
+            u[0] + u[1] - ci - cj <= side
+            and v[0] + v[1] - ci - cj <= side
+            and cj >= 0
+            and up_triangle_exists(c, level)
+        ):
+            c = cell_of_step(u, v, level).corner  # raises NoCommonCell
+            ci, cj = c
         j = n + 1
-        while j < m and tri.contains(path[ht[j + 1]]):
+        while j < m:
+            w = path[hits[j + 1]]
+            di, dj = w[0] - ci, w[1] - cj
+            if di < 0 or dj < 0 or di + dj > side:
+                break
             j += 1
+        yield c, n, j
+        n = j
+
+
+def skeleton(path: Sequence[Vertex], level: int) -> Skeleton:
+    """The ordered 2**level-triangles a path crosses, with exit times
+    (``_crossed_cells``)."""
+    _check_grid_endpoints(path, level)
+    ht = hitting_indices(path, level)
+    entries = []
+    for c, n, j in _crossed_cells(path, ht, level):
         visits = j - n
         entries.append(
             SkeletonEntry(
-                triangle=tri,
-                entry=u,
+                triangle=TriangleId(c, level),
+                entry=path[ht[n]],
                 exit=path[ht[j]],
                 kind=visits if visits <= 2 else None,
                 exit_index=ht[j],
             )
         )
-        n = j
     return Skeleton(level=level, entries=tuple(entries))
+
+
+def _check_grid_endpoints(path: Sequence[Vertex], level: int) -> None:
+    if not path:
+        raise ValueError("empty path")
+    if not (on_grid(path[0], level) and on_grid(path[-1], level)):
+        raise ValueError(f"path endpoints must lie on the level-{level} grid")
 
 
 def skeleton_to_json(sk: Skeleton) -> str:
@@ -209,6 +239,32 @@ def has_loops_at_or_above(path: Sequence[Vertex], level: int) -> bool:
         k += 1
 
 
+def _stage_visits(path: Sequence[Vertex], level: int) -> tuple[list[int], list[int]]:
+    """One scan for both grids a stage reads: the path indices of the
+    level-(M-1) visits, and the positions in that list of the level-M
+    visits, each counted once in a row.
+
+    A level-M visit counted at level M is also counted at level M-1: the
+    last level-(M-1) visit before it cannot be the same vertex, or that
+    would be the last level-M visit as well.
+    """
+    fine_mask = (1 << (level - 1)) - 1
+    top_bit = 1 << (level - 1)
+    fine: list[int] = []
+    top: list[int] = []
+    last = last_top = None
+    for t, v in enumerate(path):
+        bits = v[0] | v[1]
+        if bits & fine_mask or v == last:
+            continue
+        last = v
+        if not bits & top_bit and v != last_top:
+            last_top = v
+            top.append(len(fine))
+        fine.append(t)
+    return fine, top
+
+
 def erase_scale(path: Sequence[Vertex], level: int, check: bool = True) -> list[Vertex]:
     """Remove every 2**(level-1)-scale loop from a path whose coarser views
     are already loop-free.
@@ -216,25 +272,26 @@ def erase_scale(path: Sequence[Vertex], level: int, check: bool = True) -> list[
     Works triangle by triangle along the level-M skeleton; inside each
     triangle the level-(M-1) coarse sequence is chronologically erased and
     the fine sub-segments under the surviving coarse steps are spliced.
+    One scan of the path finds the grid visits of both levels; a triangle's
+    level-(M-1) visits are a slice of them, and the kept pieces are slices
+    of the path.
     """
     if level < 1:
         raise ValueError("erasure stage level must be >= 1")
     if check and has_loops_at_or_above(path, level):
         raise ScaleLoopsRemain(f"loops of scale 2**{level} or larger remain")
-    sk = skeleton(path, level)
+    _check_grid_endpoints(path, level)
+    fine, top = _stage_visits(path, level)
+    ht = [fine[k] for k in top]
     out: list[Vertex] = [path[0]]
-    prev_exit = 0
-    for e in sk.entries:
-        seg = list(path[prev_exit : e.exit_index + 1])
-        prev_exit = e.exit_index
-        ht = hitting_indices(seg, level - 1)
-        keep = _sup_rule_keep([seg[t] for t in ht])
-        first = True
-        for i in range(len(keep) - 1):
-            chunk = seg[ht[keep[i]] : ht[keep[i] + 1]]
-            out.extend(chunk[1:] if first else chunk)
-            first = False
-        out.append(seg[ht[keep[-1]]])
+    for _, n, j in _crossed_cells(path, ht, level):
+        hs = fine[top[n] : top[j] + 1]
+        keep = _sup_rule_keep([path[t] for t in hs])
+        skip = 1  # the triangle's entry is already in ``out``
+        for k in keep[:-1]:
+            out += path[hs[k] + skip : hs[k + 1]]
+            skip = 0
+        out.append(path[hs[keep[-1]]])
     return out
 
 
@@ -272,16 +329,6 @@ def erase_to_scale(path: Sequence[Vertex], down_to: int) -> list[Vertex]:
 def loop_erase(path: Sequence[Vertex]) -> list[Vertex]:
     """The fully loop-erased crossing: self-avoiding, origin to apex."""
     return erase_to_scale(path, 0)
-
-
-def erased_coarse_path(path: Sequence[Vertex], level: int) -> list[Vertex]:
-    """Coarse view of the partially erased path after stages above ``level``.
-
-    This is the loop-free level-M path the remaining stages refine; at
-    level = N-1 it equals the chronological erasure of the coarse-grained
-    input, which is how callers in the Monte Carlo harness obtain it.
-    """
-    return coarse_grain(erase_to_scale(path, level), level)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.command == "mc-length" and self.samples is not None and self.samples < 2:
+            raise ValueError(f"mc-length needs at least 2 samples, got {self.samples}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.fmt not in ("json", "csv", "svg"):
@@ -422,7 +424,8 @@ def _run_mc_length(config: RunConfig) -> tuple[dict, bool]:
     scale = lam**-config.level
     ancestor = (1, 0) if config.variant is CrossingVariant.DIRECT else (0, 1)
     exact_mean = float(exact.length_mean(config.level, ancestor))
-    z = (mean - exact_mean) / se if se else 0.0
+    # With no spread there is no z-score, and nothing to pass on.
+    z = (mean - exact_mean) / se if se > 0 else None
     payload = {
         "samples": count,
         "mean_length": mean,
@@ -433,7 +436,7 @@ def _run_mc_length(config: RunConfig) -> tuple[dict, bool]:
         "z_score": z,
         "growth_rate": lam,
     }
-    return payload, abs(z) <= 3.0
+    return payload, z is not None and abs(z) <= 3.0
 
 
 def _run_limit_path(config: RunConfig) -> tuple[dict, bool]:
@@ -561,7 +564,7 @@ def summarize(report: McReport) -> str:
     """One console line per run; the only place timing appears."""
     verdict = "pass" if report.passed else "FAIL"
     keys = ("p_value", "acceptance_z", "z_score", "mean_slope", "scaled_mean", "w_prime_mean")
-    bits = [f"{k}={report.payload[k]:.6g}" for k in keys if k in report.payload]
+    bits = [f"{k}={report.payload[k]:.6g}" for k in keys if report.payload.get(k) is not None]
     return (
         f"[{report.command}] {verdict} "
         + " ".join(bits)

@@ -22,10 +22,9 @@ vertices has length n (the number of unit steps).
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 Vertex = tuple[int, int]
-LatticePath = Sequence[Vertex]
 
 ORIGIN: Vertex = (0, 0)
 
@@ -215,26 +214,6 @@ def euclid_sq(u: Vertex, v: Vertex) -> int:
     di = u[0] - v[0]
     dj = u[1] - v[1]
     return di * di + di * dj + dj * dj
-
-
-def path_to_csv(path: LatticePath) -> str:
-    """Repo-wide path dump format: header step,i,j and exact integer rows."""
-    lines = ["step,i,j"]
-    lines.extend(f"{t},{i},{j}" for t, (i, j) in enumerate(path))
-    return "\n".join(lines) + "\n"
-
-
-def path_from_csv(text: str) -> list[Vertex]:
-    rows = text.strip().splitlines()
-    if not rows or rows[0].strip() != "step,i,j":
-        raise ValueError("expected header 'step,i,j'")
-    out: list[Vertex] = []
-    for t, row in enumerate(rows[1:]):
-        step, i, j = (int(x) for x in row.split(","))
-        if step != t:
-            raise ValueError(f"non-contiguous step column at row {t}")
-        out.append((i, j))
-    return out
 
 
 def triangles_of_generation(level_span: int) -> list[TriangleId]:

@@ -19,10 +19,15 @@ property at the b_N visit this is the law of retrying whole attempts
 (``attempt_crossing`` runs one whole attempt).  It is the ground truth.
 
 ``sample_patterns`` is whole-attempt rejection run for many attempts at
-once: the attempts step in numpy lockstep over a neighbour table of the
-vertices they can reach and keep only their level-(N-1) visits, which is
-all that ``mc-shapes`` reads.  It has the law of ``sample_crossing`` but
-consumes the stream in another order, so it is gated against it by law.
+once: the attempts step in numpy lockstep and keep only their level-(N-1)
+visits, which is all that ``mc-shapes`` reads.  It has the law of
+``sample_crossing`` but consumes the stream in another order, so it is gated
+against it by law.
+
+Both walkers read one table per (N, variant): the vertices a level-N attempt
+can reach, with their neighbours by direction (``_region``).  The scalar
+walker steps through it one block of draws at a time and builds vertex
+tuples only for the legs it keeps.
 
 Samplers draw from an explicit ``numpy.random.Generator``; independent
 replicas must use independently spawned streams (``replica_rng``).
@@ -42,6 +47,7 @@ import numpy as np
 from .lattice import ORIGIN, Vertex, apex, corner, neighbors, on_grid
 
 DEFAULT_STEP_BUDGET = 10**9
+BLOCK = 4096  # direction draws per block of ``sample_crossing``
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -58,40 +64,32 @@ class CrossingVariant(Enum):
     VIA_CORNER = "via-corner"
 
 
-@dataclass(frozen=True)
-class HittingTimes:
-    """Indices at which a path visits the level-M grid, counted once in a row."""
-
-    level: int
-    times: tuple[int, ...]
-
-
 class _Dice:
-    """Buffered draws from a numpy Generator, with a global step budget.
+    """Direction draws from a numpy Generator, a block at a time, with a
+    global step budget.
 
-    One direction draw corresponds to exactly one walk step, so the budget is
-    enforced here instead of in every sampling loop.
+    One draw is one walk step.  Walkers iterate ``draws``, the rest of the
+    current block, and call ``refill`` when it runs dry; the budget is
+    checked there, against the draws of the blocks already used up.
     """
 
-    __slots__ = ("_rng", "_dirs", "_di", "_budget", "used")
+    __slots__ = ("_rng", "_size", "_budget", "_drawn", "draws")
 
-    def __init__(self, rng: np.random.Generator, budget: int = DEFAULT_STEP_BUDGET):
+    def __init__(
+        self, rng: np.random.Generator, budget: int = DEFAULT_STEP_BUDGET, size: int = BLOCK
+    ):
         self._rng = rng
-        self._dirs: list[int] = []
-        self._di = 0
+        self._size = size
         self._budget = budget
-        self.used = 0
+        self._drawn = 0
+        self.draws = iter(())
 
-    def direction(self) -> int:
-        i = self._di
-        if i >= len(self._dirs):
-            self.used += len(self._dirs)
-            if self.used > self._budget:
-                raise StepBudgetExceeded(f"step budget {self._budget} exhausted")
-            self._dirs = self._rng.integers(0, 4, size=4096).tolist()
-            i = 0
-        self._di = i + 1
-        return self._dirs[i]
+    def refill(self) -> None:
+        if self._drawn > self._budget:
+            raise StepBudgetExceeded(f"step budget {self._budget} exhausted")
+        # Bytes iterate as small ints, with no conversion per draw.
+        self.draws = iter(self._rng.integers(0, 4, size=self._size).astype(np.uint8).tobytes())
+        self._drawn += self._size
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
@@ -116,12 +114,6 @@ def hitting_indices(path: Sequence[Vertex], level: int) -> list[int]:
     return out
 
 
-def hitting_times(path: Sequence[Vertex], level: int) -> HittingTimes:
-    if not path:
-        raise ValueError("empty path")
-    return HittingTimes(level=level, times=tuple(hitting_indices(path, level)))
-
-
 def coarse_grain(path: Sequence[Vertex], level: int, validate: bool = True) -> list[Vertex]:
     """The subsequence of a path at its level-M grid visits.
 
@@ -140,17 +132,24 @@ def coarse_grain(path: Sequence[Vertex], level: int, validate: bool = True) -> l
 # ---------------------------------------------------------------------------
 
 
-def _walk_until(v0: Vertex, mask: int, dice: _Dice, path: list[Vertex]) -> None:
-    """Unit-lattice SRW from v0 until the first visit to a masked-grid vertex
-    other than v0, appending every step to ``path`` (which must end with v0)."""
-    cur = v0
-    direction = dice.direction
+def _walk(dice: _Dice, reg: _Region, start: int, path: list[int]) -> int:
+    """Step from row ``start`` of the region table (the last entry of
+    ``path``) to the first level-N vertex other than the start, appending
+    each row reached to ``path``; return the row it stops at.
+
+    Rows are 4 * vertex index and the level-N vertices come first, so a row
+    below ``reg.stops`` is a level-N vertex.
+    """
+    table, stops = reg.rows, reg.stops
+    cur = start
     append = path.append
     while True:
-        cur = neighbors(cur)[direction()]
-        append(cur)
-        if ((cur[0] | cur[1]) & mask) == 0 and cur != v0:
-            return
+        for d in dice.draws:
+            cur = table[cur + d]
+            append(cur)
+            if cur < stops and cur != start:
+                return cur
+        dice.refill()
 
 
 def attempt_crossing(
@@ -159,25 +158,30 @@ def attempt_crossing(
     rng: np.random.Generator,
     max_steps: int = DEFAULT_STEP_BUDGET,
 ) -> list[Vertex] | None:
-    """Run one whole conditioning trial of the fine walk; None if the event fails."""
-    dice = _Dice(rng, max_steps)
-    mask = (1 << N) - 1
-    path = [ORIGIN]
-    _walk_until(ORIGIN, mask, dice, path)
+    """Run one whole conditioning trial of the fine walk; None if the event fails.
+
+    Draws come in blocks of about 13 mean trial lengths (5**N steps), so a
+    trial at a low level does not draw a whole ``BLOCK``.
+    """
+    if N < 1:
+        raise ValueError("crossing level must be >= 1")
+    reg = _region(N, variant)
+    dice = _Dice(rng, max_steps, min(BLOCK, 64 * 5 ** (N - 1)))
+    path = [0]
+    end = _walk(dice, reg, 0, path)
     if variant is CrossingVariant.VIA_CORNER:
-        if path[-1] != corner(N):
+        if end != 4 * reg.corner:
             return None
-        _walk_until(corner(N), mask, dice, path)
-    return path if path[-1] == apex(N) else None
+        end = _walk(dice, reg, end, path)
+    return reg.path(path) if end == 4 * reg.apex else None
 
 
-def _leg(start: Vertex, stop: Vertex, mask: int, dice: _Dice) -> list[Vertex]:
-    """The walk from ``start`` to its next masked-grid vertex, retried until
-    that vertex is ``stop``."""
+def _leg(dice: _Dice, reg: _Region, start: int, stop: int) -> list[int]:
+    """The walk from row ``start`` to its next level-N vertex, retried until
+    that vertex is row ``stop``."""
     while True:
         path = [start]
-        _walk_until(start, mask, dice, path)
-        if path[-1] == stop:
+        if _walk(dice, reg, start, path) == stop:
             return path
 
 
@@ -190,18 +194,18 @@ def sample_crossing(
     """Sample one conditioned crossing path at level N (starts at O, ends at a_N).
 
     Each leg is retried on its own (module docstring); ``max_steps`` caps
-    the raw steps of the whole call.
+    the raw steps of the whole call, checked each ``BLOCK`` draws.
     """
     if N < 1:
         raise ValueError("crossing level must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
+    reg = _region(N, variant)
     dice = _Dice(rng, max_steps)
-    mask = (1 << N) - 1
     if variant is CrossingVariant.DIRECT:
-        return _leg(ORIGIN, apex(N), mask, dice)
-    b_N = corner(N)
-    return _leg(ORIGIN, b_N, mask, dice) + _leg(b_N, apex(N), mask, dice)[1:]
+        return reg.path(_leg(dice, reg, 0, 4 * reg.apex))
+    b_N = 4 * reg.corner
+    return reg.path(_leg(dice, reg, 0, b_N) + _leg(dice, reg, b_N, 4 * reg.apex)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +221,22 @@ MAX_SLOTS = 1024  # attempts walked at once by ``sample_patterns``
 @dataclass(frozen=True)
 class _Region:
     """The unit vertices a conditioned level-N attempt can reach, indexed
-    from 0 (the origin), with their neighbour table and grid flags."""
+    from 0 (the origin) with the level-N vertices first, their neighbour
+    table and grid flags."""
 
     vertices: tuple[Vertex, ...]
     table: np.ndarray  # int32, row-major (vertex, direction); -1 past a stop
+    rows: list[int]  # 4 * table: the row each (row + direction) steps to
+    stops: int  # 4 * the number of level-N vertices
     coarse: np.ndarray  # bool: on the level-(N-1) grid
     top: np.ndarray  # bool: on the level-N grid
     apex: int  # index of a_N
     corner: int  # index of b_N, or -1 when the attempt never stops there
+
+    def path(self, rows: list[int]) -> list[Vertex]:
+        """The vertices of a walk given as rows."""
+        vertices = self.vertices
+        return [vertices[r >> 2] for r in rows]
 
 
 @lru_cache(maxsize=32)
@@ -250,16 +262,22 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
                     index[u] = len(vertices)
                     vertices.append(u)
                     queue.append(u)
+    # A stable sort: the origin stays first, and the level-N vertices lead.
+    vertices.sort(key=lambda v: ((v[0] | v[1]) & mask) != 0)
+    index = {v: k for k, v in enumerate(vertices)}
     table = np.array(
         [[index.get(u, -1) for u in neighbors(v)] for v in vertices], dtype=np.int32
     ).ravel()
     coords = np.array(vertices, dtype=np.int64)
     bits = coords[:, 0] | coords[:, 1]
+    top = (bits & mask) == 0
     return _Region(
         vertices=tuple(vertices),
         table=table,
+        rows=(table * 4).tolist(),
+        stops=4 * int(top.sum()),
         coarse=(bits & ((1 << (N - 1)) - 1)) == 0,
-        top=(bits & mask) == 0,
+        top=top,
         apex=index[apex(N)],
         corner=index.get(corner(N), -1),
     )

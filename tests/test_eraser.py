@@ -16,7 +16,6 @@ from gasket_lerw.eraser import (
     crossing_level,
     erase_scale,
     erase_to_scale,
-    erased_coarse_path,
     has_loops_at_or_above,
     has_scale_loop,
     is_self_avoiding,
@@ -25,8 +24,14 @@ from gasket_lerw.eraser import (
     skeleton_to_json,
     stack_erase,
 )
-from gasket_lerw.lattice import ORIGIN, TriangleId, apex, corner, neighbors
-from gasket_lerw.walker import CrossingVariant, coarse_grain, replica_rng, sample_crossing
+from gasket_lerw.lattice import ORIGIN, TriangleId, apex, cell_of_step, corner, neighbors
+from gasket_lerw.walker import (
+    CrossingVariant,
+    coarse_grain,
+    hitting_indices,
+    replica_rng,
+    sample_crossing,
+)
 
 DIRECT = CrossingVariant.DIRECT
 VIA = CrossingVariant.VIA_CORNER
@@ -183,13 +188,81 @@ class TestLoopErase:
                 flips += a.kind != b.kind
         assert flips > 0  # the flip is a real phenomenon, not a dead branch
 
-    def test_erased_coarse_path_equals_erased_coarse_grain(self):
-        rng = replica_rng(23, 0)
-        for n, variant in ((2, DIRECT), (2, VIA), (3, DIRECT)):
-            for _ in range(60):
-                p = sample_crossing(n, variant, rng)
-                shortcut = chronological_erase(coarse_grain(p, n - 1))
-                assert erased_coarse_path(p, n - 1) == shortcut
+
+def _two_scan_skeleton(path, level):
+    """Reference skeleton: (triangle, entry index, exit index) per crossed
+    cell, from one scan at the skeleton's level and ``cell_of_step``."""
+    ht = hitting_indices(path, level)
+    out, n, m = [], 0, len(ht) - 1
+    while n < m:
+        tri = cell_of_step(path[ht[n]], path[ht[n + 1]], level)
+        j = n + 1
+        while j < m and tri.contains(path[ht[j + 1]]):
+            j += 1
+        out.append((tri, ht[n], ht[j]))
+        n = j
+    return out
+
+
+def _two_scan_erase_scale(path, level):
+    """Reference stage: the skeleton scan, then a copy of each triangle's
+    segment scanned again one level down and chronologically erased."""
+    out = [path[0]]
+    prev = 0
+    for _, _, exit_index in _two_scan_skeleton(path, level):
+        seg = list(path[prev : exit_index + 1])
+        prev = exit_index
+        ht = hitting_indices(seg, level - 1)
+        coarse = [seg[t] for t in ht]
+        last = {v: k for k, v in enumerate(coarse)}
+        keep = [last[coarse[0]]]
+        while keep[-1] < len(coarse) - 1:
+            keep.append(last[coarse[keep[-1] + 1]])
+        first = True
+        for i in range(len(keep) - 1):
+            chunk = seg[ht[keep[i]] : ht[keep[i] + 1]]
+            out.extend(chunk[1:] if first else chunk)
+            first = False
+        out.append(seg[ht[keep[-1]]])
+    return out
+
+
+HAND_BUILT = [
+    [(0, 0), (1, 0), (1, 1), (0, 2)],
+    [(0, 0), (1, 0), (0, 1), (0, 2)],
+    [(0, 0), (1, 0), (0, 1), (1, 0), (1, 1), (0, 2)],
+    [(0, 0), (1, 0), (2, 0), (1, 1), (0, 2)],
+    [(0, 0), (1, 0), (0, 1), (1, 0), (0, 1), (1, 1), (0, 2)],
+]
+
+
+class TestOneScanStage:
+    """The stage that scans the path once against the two-scan stage it
+    replaced, output for output."""
+
+    def _check(self, p):
+        n = (p[-1][1]).bit_length() - 1
+        ref = list(p)
+        assert erase_to_scale(p, n) == ref
+        for m in range(n, 0, -1):
+            assert [(e.triangle, e.exit_index) for e in skeleton(ref, m).entries] == [
+                (tri, x) for tri, _, x in _two_scan_skeleton(ref, m)
+            ]
+            ref = _two_scan_erase_scale(ref, m)
+            assert erase_to_scale(p, m - 1) == ref
+        assert loop_erase(p) == ref
+
+    def test_hand_built_paths(self):
+        for p in HAND_BUILT:
+            self._check(p)
+            assert erase_scale(p, 1, check=False) == _two_scan_erase_scale(p, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_sampled_crossings(self, n, variant):
+        rng = replica_rng(90 + n, 0)
+        for _ in range(200):
+            self._check(sample_crossing(n, variant, rng))
 
 
 class TestScaleLoopPredicate:

@@ -162,6 +162,33 @@ class TestRunCommands:
         assert report.payload["attempts"] >= 200
         assert abs(report.payload["acceptance_z"]) < 3
 
+    def test_mc_length_payload_is_pinned(self):
+        # The payload at this seed since the tuple walk and the two-scan
+        # eraser: faster kernels must leave every sampled path unchanged.
+        cfg = dict(
+            command="mc-length", level=4, samples=240, seed=12094959,
+            variant=CrossingVariant.VIA_CORNER,
+        )
+        payload = run(RunConfig(**cfg)).payload
+        assert payload["mean_length"] == 38.30416666666667
+        assert payload["stderr"] == 0.5615963349225308
+        assert run(RunConfig(**cfg, threads=2)).payload == payload
+
+    def test_mc_length_without_spread_fails(self, tmp_path):
+        # Both level-1 crossings erase to length 2 at this seed, against an
+        # exact mean of 13/5: no standard error, so no z-score and no pass.
+        out = tmp_path / "flat"
+        report = run(RunConfig(command="mc-length", level=1, samples=2, seed=4, out=str(out)))
+        assert report.payload["stderr"] == 0.0
+        assert report.payload["z_score"] is None
+        assert not report.passed
+
+        def no_constant(name):
+            raise AssertionError(f"{name} in the JSON artifact")
+
+        doc = json.loads((out.with_suffix(".json")).read_text(), parse_constant=no_constant)
+        assert doc["z_score"] is None and doc["passed"] is False
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(command="nope")
@@ -275,6 +302,20 @@ class TestCli:
         monkeypatch.setattr(cli, "run", never)
         assert cli.main(argv) == 1
         assert "needs a level >= " in capsys.readouterr().err
+
+    def test_mc_length_needs_two_samples(self, monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("ran mc-length on one sample")
+
+        monkeypatch.setattr(cli, "run", never)
+        assert cli.main(["mc-length", "1", "--samples", "1", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "at least 2 samples" in err
+
+    def test_exit_two_without_spread(self, capsys):
+        assert cli.main(["mc-length", "1", "--samples", "2", "--seed", "4"]) == 2
+        assert "[mc-length] FAIL" in capsys.readouterr().out
 
     def test_quantity_positional_overrides_flag(self):
         args = cli.build_parser().parse_args(["mc-shapes", "2", "--level", "3"])

@@ -26,8 +26,6 @@ from gasket_lerw.lattice import (
     neighbors,
     neighbors_on_grid,
     on_grid,
-    path_from_csv,
-    path_to_csv,
     up_triangle_exists,
     vertex_level,
 )
@@ -203,10 +201,3 @@ def test_walks_stay_on_vertices(dirs):
     for d in dirs:
         v = neighbors(v)[d]
         assert is_vertex(v)
-
-
-def test_csv_round_trip():
-    path = [ORIGIN, (1, 0), (1, 1), (0, 2)]
-    text = path_to_csv(path)
-    assert text.splitlines()[0] == "step,i,j"
-    assert path_from_csv(text) == path

@@ -25,7 +25,6 @@ from gasket_lerw.walker import (
     attempt_crossing,
     coarse_grain,
     hitting_indices,
-    hitting_times,
     replica_rng,
     sample_crossing,
     sample_patterns,
@@ -46,22 +45,25 @@ walks = st.lists(st.integers(0, 3), min_size=0, max_size=80).map(walk_from_dirs)
 
 
 class TestHittingTimes:
+    """``hitting_indices``; the eraser's one-scan stage visits must agree
+    with it (tests/test_eraser.py)."""
+
     def test_counts_same_vertex_once_in_a_row(self):
         w = [(0, 0), (1, 0), (1, 1), (1, 0), (2, 0)]
-        assert hitting_times(w, 1).times == (0, 4)
+        assert hitting_indices(w, 1) == [0, 4]
 
     def test_unit_level_counts_every_vertex(self):
         w = [(0, 0), (1, 0), (0, 1)]
-        assert hitting_times(w, 0).times == (0, 1, 2)
+        assert hitting_indices(w, 0) == [0, 1, 2]
 
     def test_apex_hit(self):
         w = [(0, 0), (1, 0), (1, 1), (0, 2)]
-        assert hitting_times(w, 1).times == (0, 3)
+        assert hitting_indices(w, 1) == [0, 3]
 
     def test_repeated_coarse_vertex_countable_after_other_hit(self):
         # O, b_1, O: the second O visit counts because b_1 intervened.
         w = [(0, 0), (1, 0), (2, 0), (1, 0), (0, 0)]
-        assert hitting_times(w, 1).times == (0, 2, 4)
+        assert hitting_indices(w, 1) == [0, 2, 4]
 
 
 class TestCoarseGrain:
@@ -170,35 +172,101 @@ class TestConditioning:
             sample_crossing(4, DIRECT, replica_rng(0, 0), max_steps=10)
 
 
-def _whole_attempt_crossing(N, variant, rng):
-    """Reference sampler: whole attempts retried until the event holds, the
-    direction draws taken 4096 at a time from one buffer per call, as
-    ``walker._Dice`` takes them.  It shares no code with the walker."""
-    mask = (1 << N) - 1
-    draws = iter(())
+class _TupleWalk:
+    """Reference walker on vertex tuples: each step looks up
+    ``lattice.neighbors`` of the current vertex, and the direction draws
+    come ``block`` at a time from one buffer per call, the budget checked
+    at each refill against the draws already used up.  It shares no code
+    with the walker's region table."""
 
-    def walk(v0, path):
-        nonlocal draws
-        cur = v0
+    def __init__(self, rng, block=4096, max_steps=10**9):
+        self.rng, self.block, self.max_steps = rng, block, max_steps
+        self.dirs, self.used = [], 0
+
+    def draw(self):
+        if not self.dirs:
+            if self.used > self.max_steps:
+                raise StepBudgetExceeded("reference budget")
+            self.dirs = self.rng.integers(0, 4, size=self.block).tolist()[::-1]
+            self.used += self.block
+        return self.dirs.pop()
+
+    def walk(self, v0, mask):
+        path, cur = [v0], v0
         while True:
-            d = next(draws, None)
-            if d is None:
-                draws = iter(rng.integers(0, 4, size=4096).tolist())
-                d = next(draws)
-            cur = neighbors(cur)[d]
+            cur = neighbors(cur)[self.draw()]
             path.append(cur)
             if ((cur[0] | cur[1]) & mask) == 0 and cur != v0:
-                return cur
+                return path
 
-    while True:
-        path = [ORIGIN]
-        end = walk(ORIGIN, path)
+    def leg(self, start, stop, mask):
+        while True:
+            path = self.walk(start, mask)
+            if path[-1] == stop:
+                return path
+
+    def crossing(self, N, variant):
+        mask = (1 << N) - 1
+        if variant is DIRECT:
+            return self.leg(ORIGIN, apex(N), mask)
+        return self.leg(ORIGIN, corner(N), mask) + self.leg(corner(N), apex(N), mask)[1:]
+
+    def attempt(self, N, variant):
+        mask = (1 << N) - 1
+        path = self.walk(ORIGIN, mask)
         if variant is VIA:
-            if end != corner(N):
-                continue
-            end = walk(end, path)
-        if end == apex(N):
-            return path
+            if path[-1] != corner(N):
+                return None
+            path += self.walk(corner(N), mask)[1:]
+        return path if path[-1] == apex(N) else None
+
+
+def _whole_attempt_crossing(N, variant, rng):
+    """Reference sampler: whole attempts of the tuple walk, retried on one
+    stream until the event holds."""
+    walk = _TupleWalk(rng)
+    while (path := walk.attempt(N, variant)) is None:
+        pass
+    return path
+
+
+class TestRegionWalker:
+    """The region-table walker against the tuple walk it replaced: the same
+    draws give the same paths, call after call on one stream."""
+
+    @pytest.mark.parametrize("n,seeds", [(1, 12), (2, 12), (3, 8), (4, 6), (5, 4), (6, 3)])
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_sample_crossing_equals_tuple_walk(self, n, seeds, variant):
+        for seed in range(seeds):
+            r1, r2 = replica_rng(seed, 40 + n), replica_rng(seed, 40 + n)
+            for _ in range(2):
+                ref = _TupleWalk(r2).crossing(n, variant)
+                assert sample_crossing(n, variant, r1) == ref
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_attempt_crossing_equals_tuple_walk(self, n, variant):
+        # Trials draw blocks sized to the trial: 64 draws at level 1, five
+        # times more per level, at most 4096.
+        r1, r2 = replica_rng(70 + n, 0), replica_rng(70 + n, 0)
+        for _ in range(200 if n < 4 else 40):
+            ref = _TupleWalk(r2, block=min(4096, 64 * 5 ** (n - 1))).attempt(n, variant)
+            assert attempt_crossing(n, variant, r1) == ref
+
+    @pytest.mark.parametrize("max_steps", [0, 4096, 8191, 8192])
+    def test_budget_stops_at_the_same_block(self, max_steps):
+        # This crossing draws three blocks: budgets below 8192 stop it at
+        # the third refill, and 8192 lets it finish.
+        outcomes = []
+        for sampler in (
+            lambda rng: sample_crossing(4, VIA, rng, max_steps),
+            lambda rng: _TupleWalk(rng, max_steps=max_steps).crossing(4, VIA),
+        ):
+            try:
+                outcomes.append(sampler(replica_rng(3, 0)))
+            except StepBudgetExceeded:
+                outcomes.append("exceeded")
+        assert outcomes[0] == outcomes[1]
 
 
 class TestLegwiseSampler:
