@@ -34,7 +34,6 @@ from .lattice import (
     corner,
     euclid_sq,
     on_grid,
-    up_triangle_exists,
     vertex_level,
 )
 from .walker import CrossingVariant, hitting_indices
@@ -145,37 +144,21 @@ def stack_erase(path: Sequence[Vertex]) -> list[Vertex]:
 
 def _crossed_cells(path: Sequence[Vertex], hits: list[int], level: int):
     """The ordered 2**level-triangles along the grid visits ``path[hits]``:
-    yields (corner, n, j), the triangle's lower-left corner and the
-    positions in ``hits`` of its entry and exit.
+    yields (cell, n, j), the triangle and the positions in ``hits`` of its
+    entry and exit.
 
     The exit of a triangle is the last grid visit before the coarse path
     moves to a vertex outside it; the next triangle is the unique filled
     cell containing that exit and the following grid visit.
     """
-    side = 1 << level
     m = len(hits) - 1
     n = 0
     while n < m:
-        u, v = path[hits[n]], path[hits[n + 1]]
-        # Two grid vertices are corners of one cell exactly when both lie
-        # within a side of their coordinatewise minimum, the cell's corner.
-        ci, cj = c = (min(u[0], v[0]), min(u[1], v[1]))
-        if not (
-            u[0] + u[1] - ci - cj <= side
-            and v[0] + v[1] - ci - cj <= side
-            and cj >= 0
-            and up_triangle_exists(c, level)
-        ):
-            c = cell_of_step(u, v, level).corner  # raises NoCommonCell
-            ci, cj = c
+        cell = cell_of_step(path[hits[n]], path[hits[n + 1]], level)
         j = n + 1
-        while j < m:
-            w = path[hits[j + 1]]
-            di, dj = w[0] - ci, w[1] - cj
-            if di < 0 or dj < 0 or di + dj > side:
-                break
+        while j < m and cell.contains(path[hits[j + 1]]):
             j += 1
-        yield c, n, j
+        yield cell, n, j
         n = j
 
 
@@ -185,11 +168,11 @@ def skeleton(path: Sequence[Vertex], level: int) -> Skeleton:
     _check_grid_endpoints(path, level)
     ht = hitting_indices(path, level)
     entries = []
-    for c, n, j in _crossed_cells(path, ht, level):
+    for cell, n, j in _crossed_cells(path, ht, level):
         visits = j - n
         entries.append(
             SkeletonEntry(
-                triangle=TriangleId(c, level),
+                triangle=cell,
                 entry=path[ht[n]],
                 exit=path[ht[j]],
                 kind=visits if visits <= 2 else None,

@@ -49,9 +49,10 @@ class TriangleId(NamedTuple):
 
     def contains(self, v: Vertex) -> bool:
         """Whether a lattice point lies in the closed triangle."""
-        di = v[0] - self.corner[0]
-        dj = v[1] - self.corner[1]
-        return di >= 0 and dj >= 0 and di + dj <= self.side
+        (i, j), level = self
+        di = v[0] - i
+        dj = v[1] - j
+        return di >= 0 and dj >= 0 and di + dj <= 1 << level
 
 
 class NoCommonCell(ValueError):
@@ -182,13 +183,21 @@ def vertex_level(v: Vertex, cap: int = 62) -> int:
 
 
 def cell_of_step(u: Vertex, v: Vertex, level: int) -> TriangleId:
-    """The unique filled 2**level-triangle containing both u and v.
+    """The unique filled 2**level-triangle having two distinct level-``level``
+    grid vertices u and v as corners.
 
-    The only candidates are the (at most two) filled cells incident to u.
+    Any two corners of an upward cell have the cell's lower-left corner as
+    their coordinatewise minimum, so that is the only candidate.
     """
-    for cell in incident_cells(u, level):
-        if cell.contains(v):
-            return cell
+    c = ci, cj = min(u[0], v[0]), min(u[1], v[1])
+    side = 1 << level
+    if (
+        cj >= 0
+        and u[0] + u[1] - ci - cj <= side
+        and v[0] + v[1] - ci - cj <= side
+        and up_triangle_exists(c, level)
+    ):
+        return TriangleId(c, level)
     raise NoCommonCell(f"{u} and {v} share no filled level-{level} cell")
 
 

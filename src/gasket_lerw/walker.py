@@ -160,8 +160,10 @@ def attempt_crossing(
 ) -> list[Vertex] | None:
     """Run one whole conditioning trial of the fine walk; None if the event fails.
 
-    Draws come in blocks of about 13 mean trial lengths (5**N steps), so a
-    trial at a low level does not draw a whole ``BLOCK``.
+    Draws come in blocks of 64 * 5**(N-1), scaled with the mean trial
+    length (about 5**N steps) up to ``BLOCK``, so a trial at a low level
+    does not draw a whole ``BLOCK``; from N = 4 on the block is the full
+    ``BLOCK``, as in ``sample_crossing``.
     """
     if N < 1:
         raise ValueError("crossing level must be >= 1")

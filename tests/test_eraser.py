@@ -24,7 +24,7 @@ from gasket_lerw.eraser import (
     skeleton_to_json,
     stack_erase,
 )
-from gasket_lerw.lattice import ORIGIN, TriangleId, apex, cell_of_step, corner, neighbors
+from gasket_lerw.lattice import ORIGIN, TriangleId, apex, corner, incident_cells, neighbors
 from gasket_lerw.walker import (
     CrossingVariant,
     coarse_grain,
@@ -191,11 +191,13 @@ class TestLoopErase:
 
 def _two_scan_skeleton(path, level):
     """Reference skeleton: (triangle, entry index, exit index) per crossed
-    cell, from one scan at the skeleton's level and ``cell_of_step``."""
+    cell, from one scan at the skeleton's level and a search over the cells
+    incident to each entry."""
     ht = hitting_indices(path, level)
     out, n, m = [], 0, len(ht) - 1
     while n < m:
-        tri = cell_of_step(path[ht[n]], path[ht[n + 1]], level)
+        u, v = path[ht[n]], path[ht[n + 1]]
+        (tri,) = [c for c in incident_cells(u, level) if c.contains(v)]
         j = n + 1
         while j < m and tri.contains(path[ht[j + 1]]):
             j += 1

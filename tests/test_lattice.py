@@ -193,6 +193,35 @@ class TestCellOfStep:
                     assert cell.contains(v) and cell.contains(u)
                     assert up_triangle_exists(cell.corner, m)
 
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_matches_incident_cell_search(self, m):
+        # Over all pairs of distinct grid vertices of a doubled generation-4
+        # region, the lower-left-corner lookup finds exactly the cell that a
+        # search over the filled cells incident to u finds, and raises
+        # NoCommonCell exactly when that search finds none.
+        s, n = 1 << m, 1 << 4
+        cells = [
+            TriangleId((i, j), m)
+            for j in range(0, n, s)
+            for i in range(-n, n, s)
+            if up_triangle_exists((i, j), m)
+        ]
+        grid = sorted({c for cell in cells for c in cell.corners()})
+        shared = 0
+        for u in grid:
+            for v in grid:
+                if u == v:
+                    continue
+                found = [c for c in lattice.incident_cells(u, m) if c.contains(v)]
+                assert len(found) <= 1
+                if found:
+                    assert cell_of_step(u, v, m) == found[0]
+                    shared += 1
+                else:
+                    with pytest.raises(NoCommonCell):
+                        cell_of_step(u, v, m)
+        assert shared == 6 * len(cells)
+
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=60))
 @settings(max_examples=200, deadline=None)

@@ -253,10 +253,13 @@ class TestRegionWalker:
             ref = _TupleWalk(r2, block=min(4096, 64 * 5 ** (n - 1))).attempt(n, variant)
             assert attempt_crossing(n, variant, r1) == ref
 
-    @pytest.mark.parametrize("max_steps", [0, 4096, 8191, 8192])
-    def test_budget_stops_at_the_same_block(self, max_steps):
-        # This crossing draws three blocks: budgets below 8192 stop it at
-        # the third refill, and 8192 lets it finish.
+    @pytest.mark.parametrize(
+        "max_steps,exceeded", [(0, True), (4096, True), (8191, True), (8192, False)]
+    )
+    def test_budget_stops_at_the_same_block(self, max_steps, exceeded):
+        # This crossing draws three blocks.  A refill raises once the draws
+        # already taken exceed the budget: budget 0 stops it at the second
+        # refill, 4096 and 8191 at the third, and 8192 lets it finish.
         outcomes = []
         for sampler in (
             lambda rng: sample_crossing(4, VIA, rng, max_steps),
@@ -267,6 +270,7 @@ class TestRegionWalker:
             except StepBudgetExceeded:
                 outcomes.append("exceeded")
         assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == "exceeded") is exceeded
 
 
 class TestLegwiseSampler:
