@@ -1,14 +1,18 @@
 """Command-line entry point.
 
+Every command takes its level, depth or order as one positional argument.
 Each Monte Carlo command has one sampler: ``mc-shapes`` runs the lockstep
 kernel ``walker.sample_patterns`` and ``mc-length`` the scalar
-``walker.sample_crossing``, at every level.
+``walker.sample_crossing``, at every level.  ``--format csv`` and
+``--format svg`` draw the ``limit-path`` sample (the svg overlays depths
+0, 2, 4 and M); every other command writes JSON only.
 
 Exit codes: 0 on success, 2 when a statistical acceptance test fails,
 1 on usage or I/O errors, on a level, depth or order outside a command's
-range, and on a runtime failure of the samplers or the exact solver (a
-walk past its step budget, a singular linear system).  Every exit 1 prints
-one ``error: ...`` line on standard error.
+range, on a format the command cannot write, and on a runtime failure of
+the samplers or the exact solver (a walk past its step budget, a singular
+linear system).  Every exit 1 prints one ``error: ...`` line on standard
+error.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         name, help_text = _QUANTITY_HELP[command]
         p = sub.add_parser(command)
         p.add_argument("quantity", nargs="?", type=int, default=None, help=help_text)
-        p.add_argument("--level", "--depth", dest="level", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1)
@@ -64,9 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    level = args.quantity if args.quantity is not None else args.level
-    if level is None:
-        level = _DEFAULT_LEVEL[args.command]
+    level = args.quantity if args.quantity is not None else _DEFAULT_LEVEL[args.command]
     return RunConfig(
         command=args.command,
         level=level,

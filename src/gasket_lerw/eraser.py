@@ -21,7 +21,6 @@ included the middle corner.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -187,22 +186,6 @@ def _check_grid_endpoints(path: Sequence[Vertex], level: int) -> None:
         raise ValueError("empty path")
     if not (on_grid(path[0], level) and on_grid(path[-1], level)):
         raise ValueError(f"path endpoints must lie on the level-{level} grid")
-
-
-def skeleton_to_json(sk: Skeleton) -> str:
-    records = [
-        {
-            "corner": list(e.triangle.corner),
-            "level": e.triangle.level,
-            "entry": list(e.entry),
-            "exit": list(e.exit),
-            "kind": e.kind,
-            "exit_index": e.exit_index,
-        }
-        for e in sk.entries
-    ]
-    body = ",\n ".join(json.dumps(r) for r in records)
-    return "[\n " + body + "\n]" if records else "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ Matrix2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 IntPoly = dict[tuple[int, int], int]
 
 PRECISION_DPS = 60
+COMPOSITION_CAP = 4  # highest level compose_level expands exactly
 
 
 class SingularSystem(RuntimeError):
@@ -59,7 +60,7 @@ class GeneratingFunctionMismatch(RuntimeError):
 
 
 class CompositionCapExceeded(ValueError):
-    """Exact composition was requested beyond the configured level cap."""
+    """Exact composition was requested beyond ``COMPOSITION_CAP``."""
 
 
 class IllConditionedSystem(RuntimeError):
@@ -136,9 +137,6 @@ class BivariatePoly:
         gx = sum((c * a for (a, b), c in self.coeffs.items()), Fraction(0))
         gy = sum((c * b for (a, b), c in self.coeffs.items()), Fraction(0))
         return gx, gy
-
-    def min_total_degree(self) -> int:
-        return min(a + b for a, b in self.coeffs)
 
 
 def _int_mul(left: IntPoly, right: IntPoly) -> IntPoly:
@@ -512,7 +510,7 @@ def build_phi_theta(table: ShapeTable) -> tuple[BivariatePoly, BivariatePoly]:
 
 
 def compose_level(
-    phi: BivariatePoly, theta: BivariatePoly, N: int, cap: int = 4
+    phi: BivariatePoly, theta: BivariatePoly, N: int
 ) -> tuple[BivariatePoly, BivariatePoly]:
     """Exact level-N generating functions by iterated substitution.
 
@@ -526,8 +524,8 @@ def compose_level(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N > cap:
-        raise CompositionCapExceeded(f"exact composition capped at level {cap}")
+    if N > COMPOSITION_CAP:
+        raise CompositionCapExceeded(f"exact composition capped at level {COMPOSITION_CAP}")
     phi_n, theta_n = phi, theta
     for _ in range(N - 1):
         phi_n, theta_n = _substitute((phi, theta), phi_n, theta_n)
@@ -581,11 +579,11 @@ def _to_mpf(q: Fraction) -> mpf:
     return mpf(q.numerator) / mpf(q.denominator)
 
 
-def eigen_data(m: Matrix2, dps: int = PRECISION_DPS) -> EigenData:
+def eigen_data(m: Matrix2) -> EigenData:
     """Closed-form spectral data of a strictly positive 2x2 rational matrix."""
     if any(entry <= 0 for row in m for entry in row):
         raise ValueError("mean matrix must be strictly positive")
-    with mpmath.workdps(dps):
+    with mpmath.workdps(PRECISION_DPS):
         tr = m[0][0] + m[1][1]
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         disc = tr * tr - 4 * det
@@ -677,7 +675,6 @@ def moment_table(
     eig: EigenData | None = None,
     phi: BivariatePoly | None = None,
     theta: BivariatePoly | None = None,
-    dps: int = PRECISION_DPS,
 ) -> MomentTable:
     """Solve for moments of the limits by Taylor matching in the fixed-point
     equations of their Laplace transforms.
@@ -694,7 +691,7 @@ def moment_table(
     if phi is None or theta is None:
         phi, theta = build_phi_theta(shape_table())
     m = eig.mean_matrix
-    with mpmath.workdps(dps):
+    with mpmath.workdps(PRECISION_DPS):
         lam = eig.lam
         mb = eig.mean_b
         # Taylor coefficients a_k = m_k / k!.

@@ -20,14 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, eraser, exact, lattice, limit, walker
-from .lattice import Vertex
+from . import __version__, eraser, exact, limit, walker
 from .walker import CrossingVariant
 
 REPLICA_CHUNK = 2000
 P_VALUE_FLOOR = 1e-3
 DIMENSION_TOLERANCE = 0.05
 RESIDUAL_TOLERANCE = 1e-9
+MIN_EXPECTED = 5.0  # chi-square cells expecting fewer counts are pooled
 MAX_MOMENT_ORDER = 12
 SKELETON_CHUNK = 4096  # skeleton records formatted per write
 
@@ -44,10 +44,9 @@ class DegenerateCells(ValueError):
 def chi_square(
     observed: dict[str, int] | list[int],
     expected: dict[str, float] | list[float],
-    min_expected: float = 5.0,
 ) -> tuple[float, float]:
     """Pearson statistic and p-value, pooling cells whose expected count is
-    below ``min_expected`` (smallest cells merge first)."""
+    below ``MIN_EXPECTED`` (smallest cells merge first)."""
     if isinstance(observed, dict):
         keys = sorted(set(observed) | set(expected))
         obs = [float(observed.get(k, 0)) for k in keys]
@@ -64,7 +63,7 @@ def chi_square(
     # Pooling must depend on the expected masses only (never on the data):
     # ties between equal-mass cells break on their original position.
     cells = sorted(((p, k, o) for k, (p, o) in enumerate(zip(probs, obs))))
-    while len(cells) > 1 and cells[0][0] * n < min_expected:
+    while len(cells) > 1 and cells[0][0] * n < MIN_EXPECTED:
         (p0, k0, o0), (p1, k1, o1) = cells[0], cells[1]
         cells = sorted([(p0 + p1, min(k0, k1), o0 + o1)] + cells[2:])
     if len(cells) < 2:
@@ -82,74 +81,47 @@ def chi_square(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SvgStyle:
-    width: int = 720
-    margin: float = 24.0
-    stroke_width: float = 1.4
-    palette: tuple[str, ...] = (
-        "#1f77b4",
-        "#d62728",
-        "#2ca02c",
-        "#9467bd",
-        "#ff7f0e",
-        "#17becf",
-    )
-    backdrop_level: int | None = None
-    backdrop_stroke: str = "#c8c8c8"
+SVG_WIDTH = 720
+SVG_MARGIN = 24.0
+SVG_STROKE_WIDTH = 1.4
+SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
 
-def _as_xy(obj) -> list[tuple[float, float]]:
-    if isinstance(obj, limit.RefinedPath):
-        return [(x, y) for _, x, y in obj.polyline()]
-    return [lattice.embed(v) for v in obj]
+def emit_svg(paths) -> str:
+    """Standalone SVG of one or more RefinedPaths in the Euclidean embedding.
 
-
-def emit_svg(paths, style: SvgStyle = SvgStyle()) -> str:
-    """Standalone SVG of one or more paths in the Euclidean embedding.
-
-    ``paths`` may be a lattice path, a RefinedPath, or a list of either;
-    each list entry gets the next palette color.  Output is deterministic.
+    ``paths`` may be a RefinedPath or a list of them; each list entry gets
+    the next palette color.  Output is deterministic.
     """
-    if isinstance(paths, limit.RefinedPath) or (paths and isinstance(paths[0], tuple)):
+    if isinstance(paths, limit.RefinedPath):
         paths = [paths]
     if not paths:
         raise ValueError("nothing to draw")
-    polys = [_as_xy(p) for p in paths]
+    polys = [[(x, y) for _, x, y in p.polyline()] for p in paths]
     pts = [pt for poly in polys for pt in poly]
-    backdrop: list[tuple[tuple[float, float], ...]] = []
-    if style.backdrop_level is not None:
-        for tri in lattice.triangles_of_generation(style.backdrop_level):
-            backdrop.append(tuple(lattice.embed(c) for c in tri.corners()))
-        pts = pts + [pt for tri in backdrop for pt in tri]
     x0 = min(p[0] for p in pts)
     x1 = max(p[0] for p in pts)
     y0 = min(p[1] for p in pts)
     y1 = max(p[1] for p in pts)
     span = max(x1 - x0, y1 - y0, 1e-9)
-    inner = style.width - 2 * style.margin
+    inner = SVG_WIDTH - 2 * SVG_MARGIN
     scale = inner / span
-    height = (y1 - y0) * scale + 2 * style.margin
+    height = (y1 - y0) * scale + 2 * SVG_MARGIN
 
     def here(p: tuple[float, float]) -> str:
-        x = style.margin + (p[0] - x0) * scale
-        y = height - (style.margin + (p[1] - y0) * scale)
+        x = SVG_MARGIN + (p[0] - x0) * scale
+        y = height - (SVG_MARGIN + (p[1] - y0) * scale)
         return f"{x:.3f},{y:.3f}"
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}" '
-        f'height="{height:.3f}" viewBox="0 0 {style.width} {height:.3f}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+        f'height="{height:.3f}" viewBox="0 0 {SVG_WIDTH} {height:.3f}">'
     ]
-    for tri in backdrop:
-        out.append(
-            f'<polygon points="{" ".join(here(p) for p in tri)}" fill="none" '
-            f'stroke="{style.backdrop_stroke}" stroke-width="0.6"/>'
-        )
     for k, poly in enumerate(polys):
-        color = style.palette[k % len(style.palette)]
+        color = SVG_PALETTE[k % len(SVG_PALETTE)]
         out.append(
             f'<polyline points="{" ".join(here(p) for p in poly)}" fill="none" '
-            f'stroke="{color}" stroke-width="{style.stroke_width}"/>'
+            f'stroke="{color}" stroke-width="{SVG_STROKE_WIDTH}"/>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -186,6 +158,8 @@ class RunConfig:
             raise ValueError("threads must be >= 1")
         if self.fmt not in ("json", "csv", "svg"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if self.fmt != "json" and self.command != "limit-path":
+            raise ValueError(f"{self.command} writes json only, not {self.fmt}")
         if self.command in ("exact", "moments") and not 1 <= self.level <= MAX_MOMENT_ORDER:
             raise ValueError(
                 f"{self.command} needs a moment order in 1..{MAX_MOMENT_ORDER}, got {self.level}"
@@ -510,26 +484,15 @@ def _write_artifacts(config: RunConfig, report: McReport) -> None:
     out = Path(config.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     family = report.payload.get("_family")
-    clean = McReport(
-        command=report.command,
-        config=report.config,
-        build=report.build,
-        payload={k: v for k, v in report.payload.items() if not k.startswith("_")},
-        passed=report.passed,
-    )
     if config.fmt == "json":
-        out.with_suffix(".json").write_text(clean.to_json())
+        out.with_suffix(".json").write_text(report.to_json())
         if family is not None:
             _write_skeleton(family[-1], out.with_suffix(".skeleton.json"))
     elif config.fmt == "csv":
-        if family is None:
-            raise ValueError(f"{config.command} has no csv artifact")
         rows = ["t,x,y"]
         rows += [f"{t:.15g},{x:.15g},{y:.15g}" for t, x, y in family[-1].polyline()]
         out.with_suffix(".csv").write_text("\n".join(rows) + "\n")
     elif config.fmt == "svg":
-        if family is None:
-            raise ValueError(f"{config.command} has no svg artifact")
         shown = [m for m in family if m.depth in (0, 2, 4, family[-1].depth)]
         out.with_suffix(".svg").write_text(emit_svg(shown))
 
@@ -537,9 +500,11 @@ def _write_artifacts(config: RunConfig, report: McReport) -> None:
 def _write_skeleton(path: limit.RefinedPath, target: Path) -> None:
     """The cells of ``path`` as a JSON list, one record per line.
 
-    The records are those of ``eraser.skeleton_to_json`` with each cell's
-    position in the chain as its exit index; they are formatted straight
-    from the cell array, a chunk at a time.
+    Each record is ``{"corner": [i, j], "level": 0, "entry": [i, j],
+    "exit": [i, j], "kind": k, "exit_index": n}``: the cell's lower-left
+    corner, entry and exit in depth-scale integer coordinates, its kind
+    (1 one-visit, 2 two-visit) and its position n in the chain.  Records
+    are formatted straight from the cell array, a chunk at a time.
     """
     cells = path.cell_array
     corners = np.minimum(np.minimum(cells[:, 0:2], cells[:, 2:4]), cells[:, 4:6])

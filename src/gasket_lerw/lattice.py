@@ -12,8 +12,7 @@ In this addressing a filled upward unit triangle with lower-left corner
 common 1-bit; a triangle of side 2**level scales that test by the side
 length.  Mirrored triangles are tested through the reflection
 (i, j) -> (-i - j - side, j).  All predicates below are pure functions of
-integer inputs; floating point appears only in the Euclidean embedding used
-for rendering.
+integer inputs.
 
 Paths are plain lists/tuples of integer coordinate pairs.  A path of n+1
 vertices has length n (the number of unit steps).
@@ -21,7 +20,6 @@ vertices has length n (the number of unit steps).
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple
 
 Vertex = tuple[int, int]
@@ -67,12 +65,6 @@ def apex(level: int) -> Vertex:
 def corner(level: int) -> Vertex:
     """The right corner b_N = (2**N, 0) of the level-N crossing frame."""
     return (1 << level, 0)
-
-
-def embed(v: Vertex) -> tuple[float, float]:
-    """Euclidean coordinates of a lattice vertex."""
-    i, j = v
-    return (i + 0.5 * j, j * (math.sqrt(3.0) / 2.0))
 
 
 def up_triangle_exists(corner: Vertex, level: int) -> bool:
@@ -201,23 +193,6 @@ def cell_of_step(u: Vertex, v: Vertex, level: int) -> TriangleId:
     raise NoCommonCell(f"{u} and {v} share no filled level-{level} cell")
 
 
-def count_up_triangles(level_span: int) -> int:
-    """Count unit upward triangles inside the doubled gasket of generation N.
-
-    Scans every candidate corner of the right half (i + j <= 2**N - 1) and
-    doubles the tally for the mirror half.  Equals 2 * 3**N.
-    """
-    if level_span < 0:
-        raise ValueError("level_span must be >= 0")
-    n = 1 << level_span
-    count = 0
-    for j in range(n):
-        for i in range(n - j):
-            if (i & j) == 0:
-                count += 1
-    return 2 * count
-
-
 def euclid_sq(u: Vertex, v: Vertex) -> int:
     """Squared Euclidean distance between two lattice vertices (an integer)."""
     di = u[0] - v[0]
@@ -226,7 +201,7 @@ def euclid_sq(u: Vertex, v: Vertex) -> int:
 
 
 def triangles_of_generation(level_span: int) -> list[TriangleId]:
-    """All filled unit triangles of the doubled generation-N gasket (for rendering)."""
+    """All filled unit triangles of the doubled generation-N gasket."""
     n = 1 << level_span
     out = []
     for j in range(n):

@@ -37,11 +37,12 @@ import numpy as np
 
 from . import eraser
 from .eraser import TYPE_ONE, TYPE_TWO
-from .exact import ShapeTable, moment_table, offspring_laws, shape_table, spectral_data
+from .exact import ShapeTable, offspring_laws, shape_table, spectral_data
 from .lattice import Vertex
 
 
 MIN_BOX_DEPTH = 6  # levels a box-counting fit needs
+BOX_MIN_LEVEL = 2  # coarsest level in the box-counting fit
 
 
 class InsufficientDepth(ValueError):
@@ -60,10 +61,6 @@ class SkeletonCell(NamedTuple):
     def corner(self) -> Vertex:
         pts = (self.entry, self.exit, self.third)
         return (min(p[0] for p in pts), min(p[1] for p in pts))
-
-    @property
-    def duration_units(self) -> int:
-        return 1 if self.kind == TYPE_ONE else 2
 
 
 ANCESTOR = SkeletonCell(entry=(0, 0), exit=(0, 1), third=(1, 0), kind=TYPE_ONE)
@@ -86,14 +83,6 @@ class RefinementKernels:
 
     def law(self, kind: int) -> tuple[tuple[Fraction, RefinementShape], ...]:
         return self.type_one if kind == TYPE_ONE else self.type_two
-
-    def mean_offspring(self, kind: int) -> tuple[Fraction, Fraction]:
-        s1 = Fraction(0)
-        s2 = Fraction(0)
-        for p, shape in self.law(kind):
-            s1 += p * sum(1 for c in shape.children if c.kind == TYPE_ONE)
-            s2 += p * sum(1 for c in shape.children if c.kind == TYPE_TWO)
-        return s1, s2
 
 
 def _shape_children(path: tuple[Vertex, ...]) -> tuple[SkeletonCell, ...]:
@@ -164,16 +153,6 @@ class RefinedPath:
     def scaled_length(self) -> float:
         s1, s2 = self.s_counts()
         return float(growth_rate() ** -self.depth * (s1 + 2 * s2))
-
-    def timestamps(self) -> list[float]:
-        """Exit times of the cells: increments are lambda**-M times 1 or 2."""
-        dt = float(growth_rate()) ** -self.depth
-        out = []
-        t = 0.0
-        for cell in self.cells:
-            t += dt * cell.duration_units
-            out.append(t)
-        return out
 
     def polyline(self) -> list[tuple[float, float, float]]:
         """(time, x, y) vertices of the time-parameterized path."""
@@ -371,65 +350,11 @@ def _collapse_group(group: list[SkeletonCell], corner_key: Vertex) -> SkeletonCe
 
 
 # ---------------------------------------------------------------------------
-# Statistics of samples
+# Box counting
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LengthSummary:
-    depth: int
-    n: int
-    mean: float
-    variance: float
-    mean_se: float
-    variance_se: float
-    predicted_mean: float
-    predicted_variance: float
-    histogram_counts: tuple[int, ...]
-    histogram_edges: tuple[float, ...]
-
-    @property
-    def mean_z(self) -> float:
-        return (self.mean - self.predicted_mean) / self.mean_se
-
-    @property
-    def variance_z(self) -> float:
-        return (self.variance - self.predicted_variance) / self.variance_se
-
-
-def length_statistics(samples: Sequence[RefinedPath], bins: int = 30) -> LengthSummary:
-    """Moments of the rescaled lengths lambda**-M (S1 + 2 S2) against the
-    branching-limit predictions."""
-    if not samples:
-        raise ValueError("no samples")
-    depth = samples[0].depth
-    if any(s.depth != depth for s in samples):
-        raise ValueError("samples must share one depth")
-    values = np.array([s.scaled_length() for s in samples])
-    n = len(values)
-    mean = float(values.mean())
-    var = float(values.var(ddof=1)) if n > 1 else 0.0
-    mean_se = sqrt(var / n) if n > 1 else float("inf")
-    centered = values - mean
-    m4 = float((centered**4).mean()) if n > 1 else 0.0
-    var_se = sqrt(max(m4 - var * var, 0.0) / n) if n > 1 else float("inf")
-    mt = moment_table(2)
-    counts, edges = np.histogram(values, bins=bins)
-    return LengthSummary(
-        depth=depth,
-        n=n,
-        mean=mean,
-        variance=var,
-        mean_se=mean_se,
-        variance_se=var_se,
-        predicted_mean=float(mt.w_prime_mean),
-        predicted_variance=float(mt.w_prime_variance),
-        histogram_counts=tuple(int(c) for c in counts),
-        histogram_edges=tuple(float(e) for e in edges),
-    )
-
-
-def box_count_dimension(path: RefinedPath, min_level: int = 2) -> float:
+def box_count_dimension(path: RefinedPath) -> float:
     """Least-squares slope of log cell count against log inverse mesh.
 
     Counts come from the coarse-grained skeletons recorded during
@@ -439,7 +364,7 @@ def box_count_dimension(path: RefinedPath, min_level: int = 2) -> float:
         raise InsufficientDepth(f"box counting needs depth >= {MIN_BOX_DEPTH}")
     xs = []
     ys = []
-    for m in range(min_level, path.depth + 1):
+    for m in range(BOX_MIN_LEVEL, path.depth + 1):
         s1, s2 = path.level_counts[m]
         xs.append(m * log(2.0))
         ys.append(log(s1 + s2))

@@ -21,7 +21,6 @@ from gasket_lerw.eraser import (
     is_self_avoiding,
     loop_erase,
     skeleton,
-    skeleton_to_json,
     stack_erase,
 )
 from gasket_lerw.lattice import ORIGIN, TriangleId, apex, corner, incident_cells, neighbors
@@ -103,11 +102,6 @@ class TestSkeleton:
     def test_requires_grid_endpoints(self):
         with pytest.raises(ValueError):
             skeleton([(0, 0), (1, 0)], 1)
-
-    def test_json_dump(self):
-        sk = skeleton([(0, 0), (1, 0), (0, 1), (0, 2)], 0)
-        text = skeleton_to_json(sk)
-        assert '"kind": 2' in text and '"corner": [0, 0]' in text
 
 
 class TestEraseScale:

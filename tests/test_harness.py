@@ -13,7 +13,6 @@ from gasket_lerw.harness import (
     DegenerateCells,
     McReport,
     RunConfig,
-    SvgStyle,
     chi_square,
     classify_top_shape,
     emit_svg,
@@ -67,16 +66,6 @@ class TestSvg:
         assert doc.count("<polyline") == 1
         points = doc.split('points="')[1].split('"')[0]
         assert len(points.split()) == 2
-
-    def test_backdrop_triangle_count(self):
-        doc = emit_svg(
-            [(0, 0), (0, 1), (0, 2)], SvgStyle(backdrop_level=3)
-        )
-        assert doc.count("<polygon") == 2 * 3**3
-
-    def test_lattice_path_rendering(self):
-        doc = emit_svg([(0, 0), (1, 0), (1, 1), (0, 2)])
-        assert doc.startswith("<svg") and doc.rstrip().endswith("</svg>")
 
 
 class TestRunCommands:
@@ -220,7 +209,8 @@ class TestArtifacts:
         assert json.loads((tmp_path / "p.skeleton.json").read_text())[0]["level"] == 0
 
     def test_skeleton_artifact_bytes(self, tmp_path):
-        # Digest of the artifact as first written through eraser.skeleton_to_json.
+        # One JSON record per cell, in chain order: {"corner", "level": 0,
+        # "entry", "exit", "kind", "exit_index"}.
         run(RunConfig(command="limit-path", level=12, seed=1, out=str(tmp_path / "s")))
         data = (tmp_path / "s.skeleton.json").read_bytes()
         assert len(data) == 1_625_927
@@ -228,6 +218,21 @@ class TestArtifacts:
             hashlib.sha256(data).hexdigest()
             == "386b42a07ca90b244e15ea48bce9fc6894b1d98f966af596d3aee3f379569180"
         )
+
+    @pytest.mark.parametrize(
+        "fmt,size,digest",
+        [
+            ("svg", 20_794, "9b8f01b2cb679445f776d079df6e901bbb33e7cf2508a3db1787031f8681a83a"),
+            ("csv", 60_575, "11971078e901cc3b8f004341740701f692e903d0f21e611c618513ad458b71bb"),
+        ],
+    )
+    def test_drawing_artifact_bytes(self, fmt, size, digest, tmp_path):
+        # The svg overlays depths 0, 2, 4 and 9 of one coupled family; the csv
+        # is the (t, x, y) polyline of depth 9.
+        run(RunConfig(command="limit-path", level=9, seed=5, out=str(tmp_path / "d"), fmt=fmt))
+        data = (tmp_path / f"d.{fmt}").read_bytes()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_family_never_leaks_into_json(self, tmp_path):
         run(RunConfig(command="limit-path", level=3, seed=2, out=str(tmp_path / "q")))
@@ -317,9 +322,27 @@ class TestCli:
         assert cli.main(["mc-length", "1", "--samples", "2", "--seed", "4"]) == 2
         assert "[mc-length] FAIL" in capsys.readouterr().out
 
-    def test_quantity_positional_overrides_flag(self):
-        args = cli.build_parser().parse_args(["mc-shapes", "2", "--level", "3"])
-        assert cli.config_from_args(args).level == 2
+    @pytest.mark.parametrize("flag", ["--level", "--depth"])
+    def test_no_level_option(self, flag, monkeypatch, capsys):
+        def never(config):
+            raise AssertionError(f"ran with {flag}")
+
+        monkeypatch.setattr(cli, "run", never)
+        assert cli.main(["mc-shapes", "2", flag, "3"]) == 1
+        assert cli.main(["mc-shapes", "--help"]) == 0
+        assert flag not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    @pytest.mark.parametrize("command", ["exact", "mc-shapes", "mc-length", "dimension", "moments"])
+    def test_drawing_formats_only_for_limit_path(self, command, fmt, monkeypatch, capsys, tmp_path):
+        def never(config):
+            raise AssertionError(f"ran {command} with --format {fmt}")
+
+        monkeypatch.setattr(cli, "run", never)
+        for extra in (["--out", str(tmp_path / "x")], []):
+            assert cli.main([command, "--format", fmt, *extra]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {command} writes json only, not {fmt}\n"
 
     def test_no_method_option(self, monkeypatch, capsys):
         def never(config):

@@ -20,7 +20,6 @@ from gasket_lerw.lattice import (
     apex,
     cell_of_step,
     corner,
-    count_up_triangles,
     euclid_sq,
     is_vertex,
     neighbors,
@@ -99,12 +98,11 @@ class TestMembership:
 class TestCounts:
     @pytest.mark.parametrize("n,expected", [(0, 2), (1, 6), (2, 18)])
     def test_small_generations(self, n, expected):
-        assert count_up_triangles(n) == expected
         assert len(doubled_corners(n)) == expected
 
     @pytest.mark.parametrize("n", range(9))
     def test_power_law(self, n):
-        assert count_up_triangles(n) == 2 * 3**n
+        assert len(doubled_corners(n)) == 2 * 3**n
 
 
 class TestNeighbors:
