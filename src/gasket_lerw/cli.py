@@ -1,18 +1,21 @@
 """Command-line entry point.
 
-Every command takes its level, depth or order as one positional argument.
+Every command takes its level, depth or order as one positional argument,
+and ``--out`` and ``--format``; beyond those, only the options it reads.
+``harness.COMMANDS`` lists them, with each level's default and range.
 Each Monte Carlo command has one sampler: ``mc-shapes`` runs the lockstep
 kernel ``walker.sample_patterns`` and ``mc-length`` the scalar
 ``walker.sample_crossing``, at every level.  ``--format csv`` and
-``--format svg`` draw the ``limit-path`` sample (the svg overlays depths
-0, 2, 4 and M); every other command writes JSON only.
+``--format svg`` draw the ``limit-path`` sample into ``--out`` (the svg
+overlays depths 0, 2, 4 and M); every other command writes JSON only.
 
 Exit codes: 0 on success, 2 when a statistical acceptance test fails,
-1 on usage or I/O errors, on a level, depth or order outside a command's
-range, on a format the command cannot write, and on a runtime failure of
-the samplers or the exact solver (a walk past its step budget, a singular
-linear system).  Every exit 1 prints one ``error: ...`` line on standard
-error.
+1 on usage or I/O errors (an option the command does not read among them),
+on a level, depth or order outside a command's range, on a format the
+command cannot write or a drawing without ``--out``, and on a runtime
+failure of the samplers or the exact solver (a walk past its step budget,
+a singular linear system).  Every exit 1 prints one ``error: ...`` line on
+standard error.
 """
 
 from __future__ import annotations
@@ -24,74 +27,57 @@ from .exact import SingularSystem
 from .harness import COMMANDS, RunConfig, run, summarize
 from .walker import CrossingVariant, StepBudgetExceeded
 
-_QUANTITY_HELP = {
-    "exact": ("order", "moment order for the exact report, 1..12 (default 8)"),
-    "mc-shapes": ("level", "crossing level N"),
-    "mc-length": ("level", "crossing level N"),
-    "limit-path": ("depth", "refinement depth M"),
-    "dimension": ("depth", "refinement depth M"),
-    "moments": ("order", "number of moments K, 1..12"),
+_OPTION_ARGS = {
+    "samples": {"type": int},
+    "seed": {"type": int},
+    "threads": {"type": int},
+    "variant": {"choices": [v.value for v in CrossingVariant]},
 }
 
-_DEFAULT_LEVEL = {
-    "exact": 8,
-    "mc-shapes": 1,
-    "mc-length": 3,
-    "limit-path": 8,
-    "dimension": 10,
-    "moments": 8,
-}
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # ``main`` prints it as the one ``error:`` line, without the usage block.
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gasket-lerw",
         description="Loop-erased random walks on the pre-Sierpinski gasket",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        name, help_text = _QUANTITY_HELP[command]
+    for command, row in COMMANDS.items():
         p = sub.add_parser(command)
-        p.add_argument("quantity", nargs="?", type=int, default=None, help=help_text)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument(
-            "--variant",
-            choices=[v.value for v in CrossingVariant],
-            default=CrossingVariant.DIRECT.value,
+            "quantity",
+            nargs="?",
+            type=int,
+            default=row.default,
+            help=f"{row.help}, {row.span()} (default {row.default})",
         )
+        for name in row.options:
+            # Left unset when not given: RunConfig holds the defaults.
+            p.add_argument(f"--{name}", default=argparse.SUPPRESS, **_OPTION_ARGS[name])
         p.add_argument("--out", default=None, help="output path prefix")
         p.add_argument("--format", dest="fmt", choices=["json", "csv", "svg"], default="json")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    level = args.quantity if args.quantity is not None else _DEFAULT_LEVEL[args.command]
+    options = {k: getattr(args, k) for k in COMMANDS[args.command].options if hasattr(args, k)}
+    if "variant" in options:
+        options["variant"] = CrossingVariant(options["variant"])
     return RunConfig(
-        command=args.command,
-        level=level,
-        samples=args.samples,
-        seed=args.seed,
-        threads=args.threads,
-        variant=CrossingVariant(args.variant),
-        out=args.out,
-        fmt=args.fmt,
+        command=args.command, level=args.quantity, out=args.out, fmt=args.fmt, **options
     )
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = config_from_args(args)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        report = run(config)
+        report = run(config_from_args(build_parser().parse_args(argv)))
+    except SystemExit:  # --help printed its text
+        return 0
     except (ValueError, OSError, StepBudgetExceeded, SingularSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -49,6 +49,7 @@ IntPoly = dict[tuple[int, int], int]
 
 PRECISION_DPS = 60
 COMPOSITION_CAP = 4  # highest level compose_level expands exactly
+MAX_MOMENT_ORDER = 12  # highest moment order K a report or table asks for
 
 
 class SingularSystem(RuntimeError):
@@ -114,13 +115,7 @@ class BivariatePoly:
         return den, {k: c.numerator * (den // c.denominator) for k, c in self.coeffs.items()}
 
     def __call__(self, x, y):
-        total = 0
-        for (a, b), c in self.coeffs.items():
-            if isinstance(x, Fraction) or isinstance(x, int):
-                total += c * x**a * y**b
-            else:
-                total = total + mpf(c.numerator) / mpf(c.denominator) * x**a * y**b
-        return total
+        return sum(c * x**a * y**b for (a, b), c in self.coeffs.items())
 
     def compose(self, px: "BivariatePoly", py: "BivariatePoly") -> "BivariatePoly":
         """Substitute x -> px, y -> py, exactly.
@@ -616,10 +611,12 @@ def spectral_data() -> EigenData:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Raw moments m_k = (E[B1^k], E[B2^k]) for k = 1..K."""
+    """Raw moments m_k = (E[B1^k], E[B2^k]) for k = 1..K, and m_(K+1) for
+    the remainder estimate of ``functional_equation_residual``."""
 
     K: int
     moments: tuple[tuple[mpf, mpf], ...]
+    next_moment: tuple[mpf, mpf]
     eig: EigenData
 
     def moment(self, k: int) -> tuple[mpf, mpf]:
@@ -682,10 +679,11 @@ def moment_table(
     Order k >= 2 gives the linear system (lambda^k I - M) m_k = r_k with r_k
     a polynomial in lower moments; it is solvable because lambda^k exceeds
     the spectral radius.  The first moment is the eigenvector normalization
-    u / (v . u).
+    u / (v . u).  Order K + 1 is solved too, as ``next_moment``: the cap
+    bounds the K asked for, not this extra order.
     """
-    if not 1 <= K <= 12:
-        raise ValueError("moment order must be in 1..12")
+    if not 1 <= K <= MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order must be in 1..{MAX_MOMENT_ORDER}")
     if eig is None:
         eig = spectral_data()
     if phi is None or theta is None:
@@ -699,7 +697,7 @@ def moment_table(
         g = [mpf(1), mb[1]]
         fact = mpf(1)
         moments: list[tuple[mpf, mpf]] = [(mb[0], mb[1])]
-        for k in range(2, K + 1):
+        for k in range(2, K + 2):
             fact *= k
             f.append(mpf(0))
             g.append(mpf(0))
@@ -718,7 +716,7 @@ def moment_table(
             f[k] = x1
             g[k] = x2
             moments.append((x1 * fact, x2 * fact))
-    return MomentTable(K=K, moments=tuple(moments), eig=eig)
+    return MomentTable(K=K, moments=tuple(moments[:K]), next_moment=moments[K], eig=eig)
 
 
 def functional_equation_residual(
@@ -752,9 +750,7 @@ def functional_equation_residual(
         rhs1 = sum(comp1[k] * t**k for k in range(K + 1))
         rhs2 = sum(comp2[k] * t**k for k in range(K + 1))
         # Remainder scale: the first dropped Taylor term of the larger argument.
-        ext = moment_table(min(K + 1, 12), table.eig, phi, theta)
-        a_next = ext.moments[min(K, 11)][0] / fact[min(K + 1, 12)]
-        remainder = abs(a_next * (lam * t) ** (min(K + 1, 12)))
+        remainder = abs(table.next_moment[0] / fact[K + 1] * (lam * t) ** (K + 1))
         return abs(lhs1 - rhs1), abs(lhs2 - rhs2), remainder
 
 

@@ -15,8 +15,10 @@ import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import sqrt
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +30,6 @@ P_VALUE_FLOOR = 1e-3
 DIMENSION_TOLERANCE = 0.05
 RESIDUAL_TOLERANCE = 1e-9
 MIN_EXPECTED = 5.0  # chi-square cells expecting fewer counts are pooled
-MAX_MOMENT_ORDER = 12
 SKELETON_CHUNK = 4096  # skeleton records formatted per write
 
 
@@ -131,9 +132,33 @@ def emit_svg(paths) -> str:
 # Configuration and reports
 # ---------------------------------------------------------------------------
 
-COMMANDS = ("exact", "mc-shapes", "mc-length", "limit-path", "dimension", "moments")
-# Smallest crossing level N or refinement depth M each sampler accepts.
-MIN_LEVEL = {"mc-shapes": 1, "mc-length": 1, "limit-path": 0, "dimension": limit.MIN_BOX_DEPTH}
+
+class Command(NamedTuple):
+    """What one command takes: its positional level (crossing level N,
+    depth M or moment order K) and the ``RunConfig`` options it reads."""
+
+    help: str
+    default: int
+    lo: int
+    hi: int | None  # no upper bound when None
+    options: tuple[str, ...] = ()  # the OPTIONS it reads
+
+    def span(self) -> str:
+        return f">= {self.lo}" if self.hi is None else f"in {self.lo}..{self.hi}"
+
+
+# RunConfig fields that only some commands read.
+OPTIONS = ("samples", "seed", "threads", "variant")
+COMMANDS = {
+    "exact": Command("moment order K for the exact report", 8, 1, exact.MAX_MOMENT_ORDER),
+    "mc-shapes": Command("crossing level N", 1, 1, None, OPTIONS),
+    "mc-length": Command("crossing level N", 3, 1, None, OPTIONS),
+    "limit-path": Command("refinement depth M", 8, 0, None, ("seed",)),
+    "dimension": Command(
+        "refinement depth M", 10, limit.MIN_BOX_DEPTH, None, ("samples", "seed", "threads")
+    ),
+    "moments": Command("number of moments K", 8, 1, exact.MAX_MOMENT_ORDER),
+}
 
 
 @dataclass(frozen=True)
@@ -150,6 +175,11 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        row = COMMANDS[self.command]
+        for f in dataclasses.fields(self):
+            unread = f.name in OPTIONS and f.name not in row.options
+            if unread and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.command} does not read {f.name}")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.command == "mc-length" and self.samples is not None and self.samples < 2:
@@ -160,25 +190,20 @@ class RunConfig:
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.fmt != "json" and self.command != "limit-path":
             raise ValueError(f"{self.command} writes json only, not {self.fmt}")
-        if self.command in ("exact", "moments") and not 1 <= self.level <= MAX_MOMENT_ORDER:
-            raise ValueError(
-                f"{self.command} needs a moment order in 1..{MAX_MOMENT_ORDER}, got {self.level}"
-            )
-        if self.level < MIN_LEVEL.get(self.command, self.level):
-            raise ValueError(
-                f"{self.command} needs a level >= {MIN_LEVEL[self.command]}, got {self.level}"
-            )
+        if self.fmt != "json" and self.out is None:
+            raise ValueError(f"--format {self.fmt} needs --out")
+        if self.level < row.lo or (row.hi is not None and self.level > row.hi):
+            raise ValueError(f"{self.command} needs a level {row.span()}, got {self.level}")
 
     def effective_samples(self) -> int:
+        """Samples of a command that reads ``samples``."""
         if self.samples is not None:
             return self.samples
         if self.command == "mc-shapes":
             return 100_000 if self.level == 1 else 10_000
         if self.command == "mc-length":
             return 10_000 if self.level <= 4 else 1_000
-        if self.command == "dimension":
-            return 100
-        return 1
+        return 100  # dimension
 
     def to_dict(self) -> dict:
         # Provenance keeps the fields that determine the numbers; thread
@@ -199,42 +224,35 @@ class McReport:
     passed: bool
     wall_clock_s: float = field(compare=False, default=0.0)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "command": self.command,
             "config": self.config,
             "build": self.build,
             "passed": self.passed,
             **{k: v for k, v in self.payload.items() if not k.startswith("_")},
         }
-        if include_timing:
-            d["wall_clock_s"] = self.wall_clock_s
-        return d
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-_BUILD_ID: list[str] = []
-
-
+@lru_cache(maxsize=None)
 def build_id() -> str:
-    if not _BUILD_ID:
-        label = f"gasket-lerw {__version__}"
-        try:
-            rev = subprocess.run(
-                ["git", "describe", "--always", "--dirty"],
-                cwd=Path(__file__).resolve().parent,
-                capture_output=True,
-                text=True,
-                timeout=5,
-            )
-            if rev.returncode == 0 and rev.stdout.strip():
-                label = f"{label} ({rev.stdout.strip()})"
-        except (OSError, subprocess.SubprocessError):
-            pass
-        _BUILD_ID.append(label)
-    return _BUILD_ID[0]
+    label = f"gasket-lerw {__version__}"
+    try:
+        rev = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        if rev.returncode == 0 and rev.stdout.strip():
+            label = f"{label} ({rev.stdout.strip()})"
+    except (OSError, subprocess.SubprocessError):
+        pass
+    return label
 
 
 # ---------------------------------------------------------------------------

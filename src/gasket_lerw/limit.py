@@ -174,14 +174,9 @@ class RefinedPath:
         return pts
 
 
-_GROWTH: list[object] = []
-
-
 def growth_rate():
-    """The Perron eigenvalue governing time scaling (cached mpf)."""
-    if not _GROWTH:
-        _GROWTH.append(spectral_data().lam)
-    return _GROWTH[0]
+    """The Perron eigenvalue governing time scaling (an mpf)."""
+    return spectral_data().lam
 
 
 class _LevelLaw(NamedTuple):

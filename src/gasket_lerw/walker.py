@@ -189,8 +189,8 @@ def _leg(dice: _Dice, reg: _Region, start: int, stop: int) -> list[int]:
 
 def sample_crossing(
     N: int,
-    variant: CrossingVariant = CrossingVariant.DIRECT,
-    rng: np.random.Generator | None = None,
+    variant: CrossingVariant,
+    rng: np.random.Generator,
     max_steps: int = DEFAULT_STEP_BUDGET,
 ) -> list[Vertex]:
     """Sample one conditioned crossing path at level N (starts at O, ends at a_N).
@@ -200,8 +200,6 @@ def sample_crossing(
     """
     if N < 1:
         raise ValueError("crossing level must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
     reg = _region(N, variant)
     dice = _Dice(rng, max_steps)
     if variant is CrossingVariant.DIRECT:

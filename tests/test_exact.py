@@ -284,6 +284,27 @@ class TestMoments:
             assert r1 < 1e-9 and r2 < 1e-9
             assert remainder >= 0
 
+    def test_remainder_is_the_first_dropped_term(self, eig, phi_theta):
+        # At the cap K = 12 too, the remainder is a_13 (lambda t)^13, where
+        # a_13 = m_13 / 13! solves the order-13 Taylor matching of
+        # phi1(lambda t) = Phi(phi1(t), phi2(t)) and of its twin for phi2.
+        phi, theta = phi_theta
+        t = -0.5
+        mt = moment_table(12, eig, phi, theta)
+        with mpmath.workdps(60):
+            raw = [mt.moment(k) for k in range(1, 13)] + [mt.next_moment]
+            f = [mpf(1)] + [m[0] / mpmath.factorial(k) for k, m in enumerate(raw, 1)]
+            g = [mpf(1)] + [m[1] / mpmath.factorial(k) for k, m in enumerate(raw, 1)]
+            lam13 = eig.lam**13
+            for poly, coeffs in ((phi, f), (theta, g)):
+                lhs = lam13 * coeffs[13]
+                assert abs(exact._series_compose(poly, f, g, 13)[13] - lhs) < 1e-30 * lhs
+            term = abs(f[13] * (eig.lam * t) ** 13)
+        rem12 = functional_equation_residual(mt, t, phi, theta)[2]
+        rem11 = functional_equation_residual(moment_table(11, eig, phi, theta), t, phi, theta)[2]
+        assert abs(rem12 - term) < 1e-30 * term
+        assert rem12 != rem11
+
     def test_w_prime_mean_value(self, eig):
         mt = moment_table(2, eig)
         v1, v2 = eig.v

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,17 @@ class TestRunCommands:
         doc = json.loads((out.with_suffix(".json")).read_text(), parse_constant=no_constant)
         assert doc["z_score"] is None and doc["passed"] is False
 
+    def test_config_rejects_unread_fields(self):
+        # A value the command never reads would only sit in the provenance.
+        with pytest.raises(ValueError, match="exact does not read samples"):
+            RunConfig(command="exact", samples=7)
+        with pytest.raises(ValueError, match="limit-path does not read threads"):
+            RunConfig(command="limit-path", threads=2)
+        with pytest.raises(ValueError, match="dimension does not read variant"):
+            RunConfig(command="dimension", variant=CrossingVariant.VIA_CORNER)
+        with pytest.raises(ValueError, match="--format svg needs --out"):
+            RunConfig(command="limit-path", fmt="svg")
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(command="nope")
@@ -352,3 +364,64 @@ class TestCli:
         assert cli.main(["mc-length", "6", "--method", "rejection"]) == 1
         assert cli.main(["mc-length", "--help"]) == 0
         assert "--method" not in capsys.readouterr().out
+
+
+# The options each command reads, besides its positional, --out and --format.
+READS = {
+    "exact": (),
+    "moments": (),
+    "limit-path": ("seed",),
+    "dimension": ("samples", "seed", "threads"),
+    "mc-shapes": ("samples", "seed", "threads", "variant"),
+    "mc-length": ("samples", "seed", "threads", "variant"),
+}
+OPTION_VALUES = {"samples": "5", "seed": "1", "threads": "1", "variant": "via-corner"}
+
+
+def _never(monkeypatch):
+    def never(config):
+        raise AssertionError("ran a command line that should have been refused")
+
+    monkeypatch.setattr(cli, "run", never)
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", list(READS))
+    def test_help_lists_the_table_row(self, command, capsys):
+        assert harness.COMMANDS[command].options == READS[command]
+        assert cli.main([command, "--help"]) == 0
+        shown = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+        assert shown == {"--help", "--out", "--format"} | {f"--{o}" for o in READS[command]}
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [(c, o) for c in READS for o in OPTION_VALUES if o not in READS[c]],
+    )
+    def test_unread_option_exits_one(self, command, option, monkeypatch, capsys):
+        _never(monkeypatch)
+        assert cli.main([command, "8", f"--{option}", OPTION_VALUES[option]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"--{option}" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_drawing_needs_out(self, fmt, monkeypatch, capsys):
+        _never(monkeypatch)
+        assert cli.main(["limit-path", "5", "--format", fmt]) == 1
+        assert capsys.readouterr().err == f"error: --format {fmt} needs --out\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc-length", "2", "--samples", "x"],
+            ["mc-shapes", "2", "--variant", "sideways"],
+            ["bogus-command"],
+            [],
+        ],
+    )
+    def test_usage_error_is_one_line(self, argv, monkeypatch, capsys):
+        _never(monkeypatch)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
