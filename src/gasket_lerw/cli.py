@@ -3,9 +3,10 @@
 Every command takes its level, depth or order as one positional argument,
 and ``--out`` and ``--format``; beyond those, only the options it reads.
 ``harness.COMMANDS`` lists them, with each level's default and range.
-Each Monte Carlo command has one sampler: ``mc-shapes`` runs the lockstep
-kernel ``walker.sample_patterns`` and ``mc-length`` the scalar
-``walker.sample_crossing``, at every level.  ``--format csv`` and
+Each Monte Carlo command has one sampler, at every level: ``mc-shapes``
+runs ``walker.sample_patterns`` (whole attempts, only their level-(N-1)
+visits recorded) and ``mc-length`` runs ``walker.sample_crossing`` (legs
+retried on their own).  ``--format csv`` and
 ``--format svg`` draw the ``limit-path`` sample into ``--out`` (the svg
 overlays depths 0, 2, 4 and M); every other command writes JSON only.
 

@@ -31,7 +31,7 @@ Carlo gate in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
@@ -618,6 +618,8 @@ class MomentTable:
     moments: tuple[tuple[mpf, mpf], ...]
     next_moment: tuple[mpf, mpf]
     eig: EigenData
+    # The t-free part of ``functional_equation_residual``, per (phi, theta).
+    _series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def moment(self, k: int) -> tuple[mpf, mpf]:
         return self.moments[k - 1]
@@ -730,28 +732,42 @@ def functional_equation_residual(
 
     The truncation matches coefficients, so the residual isolates numerical
     error in the moment solve; the estimate reports how far the degree-K
-    polynomials can sit from the true entire functions at this t.
+    polynomials can sit from the true entire functions at this t.  The
+    parts that do not depend on t are composed once per table.
     """
-    if phi is None or theta is None:
-        phi, theta = build_phi_theta(shape_table())
     K = table.K
     with mpmath.workdps(PRECISION_DPS):
+        series = table._series.get((phi, theta))
+        if series is None:
+            series = table._series[phi, theta] = _residual_series(table, phi, theta)
+        f, g, comp1, comp2, dropped = series
         t = mpf(t)
         lam = table.eig.lam
-        fact = [mpf(1)]
-        for k in range(1, K + 2):
-            fact.append(fact[-1] * k)
-        f = [mpf(1)] + [table.moments[k - 1][0] / fact[k] for k in range(1, K + 1)]
-        g = [mpf(1)] + [table.moments[k - 1][1] / fact[k] for k in range(1, K + 1)]
         lhs1 = sum(f[k] * (lam * t) ** k for k in range(K + 1))
         lhs2 = sum(g[k] * (lam * t) ** k for k in range(K + 1))
-        comp1 = _series_compose(phi, f, g, K)
-        comp2 = _series_compose(theta, f, g, K)
         rhs1 = sum(comp1[k] * t**k for k in range(K + 1))
         rhs2 = sum(comp2[k] * t**k for k in range(K + 1))
         # Remainder scale: the first dropped Taylor term of the larger argument.
-        remainder = abs(table.next_moment[0] / fact[K + 1] * (lam * t) ** (K + 1))
+        remainder = abs(dropped * (lam * t) ** (K + 1))
         return abs(lhs1 - rhs1), abs(lhs2 - rhs2), remainder
+
+
+def _residual_series(
+    table: MomentTable, phi: BivariatePoly | None, theta: BivariatePoly | None
+) -> tuple[list[mpf], list[mpf], list[mpf], list[mpf], mpf]:
+    """The Taylor coefficients of phi1 and phi2 through order K, of their
+    compositions by phi and theta, and a_(K+1) of phi1."""
+    if phi is None or theta is None:
+        phi, theta = build_phi_theta(shape_table())
+    K = table.K
+    fact = [mpf(1)]
+    for k in range(1, K + 2):
+        fact.append(fact[-1] * k)
+    f = [mpf(1)] + [table.moments[k - 1][0] / fact[k] for k in range(1, K + 1)]
+    g = [mpf(1)] + [table.moments[k - 1][1] / fact[k] for k in range(1, K + 1)]
+    comp1 = _series_compose(phi, f, g, K)
+    comp2 = _series_compose(theta, f, g, K)
+    return f, g, comp1, comp2, table.next_moment[0] / fact[K + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,16 @@ then retried until its next coarse visit is a_N.  By the strong Markov
 property at the b_N visit this is the law of retrying whole attempts
 (``attempt_crossing`` runs one whole attempt).  It is the ground truth.
 
-``sample_patterns`` is whole-attempt rejection run for many attempts at
-once: the attempts step in numpy lockstep and keep only their level-(N-1)
-visits, which is all that ``mc-shapes`` reads.  It has the law of
-``sample_crossing`` but consumes the stream in another order, so it is gated
-against it by law.
+``sample_patterns`` rejects whole attempts on one stream, as
+``attempt_crossing`` does, and keeps only each attempt's level-(N-1) visits,
+which is all that ``mc-shapes`` reads.  It has the law of ``sample_crossing``
+and is gated path for path against whole attempts of a tuple walk.
 
-Both walkers read one table per (N, variant): the vertices a level-N attempt
-can reach, with their neighbours by direction (``_region``).  The scalar
-walker steps through it one block of draws at a time and builds vertex
-tuples only for the legs it keeps.
+All walkers read one table per (N, variant): the vertices a level-N attempt
+can reach, with their neighbours by direction (``_region``), ordered so that
+one comparison of a row number tells a level-N or level-(N-1) vertex.  They
+step through it one block of draws at a time and build vertex tuples only
+for the paths they keep.
 
 Samplers draw from an explicit ``numpy.random.Generator``; independent
 replicas must use independently spawned streams (``replica_rng``).
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +46,7 @@ import numpy as np
 from .lattice import ORIGIN, Vertex, apex, corner, neighbors, on_grid
 
 DEFAULT_STEP_BUDGET = 10**9
-BLOCK = 4096  # direction draws per block of ``sample_crossing``
+BLOCK = 4096  # direction draws per block of ``sample_crossing`` and ``sample_patterns``
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -209,27 +208,23 @@ def sample_crossing(
 
 
 # ---------------------------------------------------------------------------
-# Lockstep rejection kernel
+# Region table and the pattern sampler
 # ---------------------------------------------------------------------------
 
 #: Exact probability of each conditioning event (``exact`` derives it too).
 ACCEPTANCE = {CrossingVariant.DIRECT: Fraction(1, 4), CrossingVariant.VIA_CORNER: Fraction(1, 16)}
 
-MAX_SLOTS = 1024  # attempts walked at once by ``sample_patterns``
-
 
 @dataclass(frozen=True)
 class _Region:
-    """The unit vertices a conditioned level-N attempt can reach, indexed
-    from 0 (the origin) with the level-N vertices first, their neighbour
-    table and grid flags."""
+    """The unit vertices a conditioned level-N attempt can reach and their
+    neighbour table.  Vertex 0 is the origin; the level-N vertices come
+    first, then the other level-(N-1) grid vertices, then the rest."""
 
     vertices: tuple[Vertex, ...]
-    table: np.ndarray  # int32, row-major (vertex, direction); -1 past a stop
-    rows: list[int]  # 4 * table: the row each (row + direction) steps to
+    rows: list[int]  # the row each (row + direction) steps to; row = 4 * vertex
     stops: int  # 4 * the number of level-N vertices
-    coarse: np.ndarray  # bool: on the level-(N-1) grid
-    top: np.ndarray  # bool: on the level-N grid
+    coarse: int  # 4 * the number of level-(N-1) grid vertices
     apex: int  # index of a_N
     corner: int  # index of b_N, or -1 when the attempt never stops there
 
@@ -262,25 +257,44 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
                     index[u] = len(vertices)
                     vertices.append(u)
                     queue.append(u)
-    # A stable sort: the origin stays first, and the level-N vertices lead.
-    vertices.sort(key=lambda v: ((v[0] | v[1]) & mask) != 0)
+
+    def rank(v: Vertex) -> int:  # 0 on the level-N grid, 1 on level N-1 only, else 2
+        bits = v[0] | v[1]
+        return 0 if bits & mask == 0 else 1 if bits & (mask >> 1) == 0 else 2
+
+    # A stable sort: the origin stays first.
+    vertices.sort(key=rank)
     index = {v: k for k, v in enumerate(vertices)}
-    table = np.array(
-        [[index.get(u, -1) for u in neighbors(v)] for v in vertices], dtype=np.int32
-    ).ravel()
-    coords = np.array(vertices, dtype=np.int64)
-    bits = coords[:, 0] | coords[:, 1]
-    top = (bits & mask) == 0
+    ranks = [rank(v) for v in vertices]
     return _Region(
         vertices=tuple(vertices),
-        table=table,
-        rows=(table * 4).tolist(),
-        stops=4 * int(top.sum()),
-        coarse=(bits & ((1 << (N - 1)) - 1)) == 0,
-        top=top,
+        rows=[4 * index.get(u, -1) for v in vertices for u in neighbors(v)],
+        stops=4 * ranks.count(0),
+        coarse=4 * (len(ranks) - ranks.count(2)),
         apex=index[apex(N)],
         corner=index.get(corner(N), -1),
     )
+
+
+def _coarse_walk(dice: _Dice, reg: _Region, start: int, pattern: list[int]) -> int:
+    """``_walk`` that appends only the once-in-a-row level-(N-1) visits
+    (``start`` is the last entry of ``pattern``).
+
+    A row below ``reg.coarse`` is a level-(N-1) vertex, and every stop is
+    one, so the stop test runs only on those rows.  A stop is never the
+    vertex recorded last, so it is always appended.
+    """
+    rows, stops, coarse = reg.rows, reg.stops, reg.coarse
+    cur = last = start
+    while True:
+        for d in dice.draws:
+            cur = rows[cur + d]
+            if cur < coarse and cur != last:
+                pattern.append(cur)
+                last = cur
+                if cur < stops and cur != start:
+                    return cur
+        dice.refill()
 
 
 def sample_patterns(
@@ -293,18 +307,13 @@ def sample_patterns(
 ) -> tuple[list, int]:
     """Level-(N-1) patterns of ``count`` conditioned level-N crossings.
 
-    The fine walk is conditioned by rejecting whole attempts, as in
-    ``attempt_crossing``, but up to ``MAX_SLOTS`` attempts step together, one
-    ``rng.integers(0, 4, n)`` per step over a neighbour table.  An attempt
-    records only its once-in-a-row visits to the level-(N-1) grid, which is
-    ``coarse_grain(path, N - 1)`` of the path it walks.  Attempts are
-    numbered in launch order and the first ``count`` accepted by number are
-    returned; attempts are i.i.d., so this choice leaves the law unchanged.
-    Each accepted pattern goes through ``keep`` as soon as it is accepted;
-    the few accepted past the final cutoff are dropped afterwards.
-
-    ``max_steps`` is a budget per sample, as in ``sample_crossing``: the
-    call may take ``max_steps * count`` slot-steps in all.
+    Whole attempts, as in ``attempt_crossing``, are run one after another on
+    one stream until ``count`` are accepted.  An attempt records only its
+    once-in-a-row visits to the level-(N-1) grid, which is
+    ``coarse_grain(path, N - 1)`` of the path it walks; each accepted
+    pattern goes through ``keep``.  Draws come ``BLOCK`` at a time, shared
+    by all attempts, and ``max_steps`` is a budget per sample, as in
+    ``sample_crossing``: the call may draw ``max_steps * count`` steps.
 
     Returns the kept values in attempt order and the number of attempts up
     to the ``count``-th acceptance.
@@ -314,68 +323,19 @@ def sample_patterns(
     if count < 1:
         raise ValueError("count must be >= 1")
     reg = _region(N, variant)
-    table, coarse, top, vertices = reg.table, reg.coarse, reg.top, reg.vertices
+    a_N, b_N = 4 * reg.apex, 4 * reg.corner
     via = variant is CrossingVariant.VIA_CORNER
-    n = min(MAX_SLOTS, ceil(count / ACCEPTANCE[variant]))
-    # Per slot: the vertex (0 is the origin), the start of the current leg,
-    # the last recorded grid vertex, the pattern length and attempt number.
-    cur = np.zeros(n, np.int64)
-    start = np.zeros(n, np.int64)
-    last = np.zeros(n, np.int64)
-    plen = np.ones(n, np.int64)
-    number = np.arange(n)
-    buf = np.zeros((n, 64), np.int32)
-    launched = n
-    kept: dict[int, object] = {}
-    cutoff = -1  # number of the count-th acceptance, once there are count
-    steps, budget = 0, max_steps * count
-    while n:
-        steps += n
-        if steps > budget:
-            raise StepBudgetExceeded(f"step budget {max_steps} x {count} samples exhausted")
-        cur = table[cur * 4 + rng.integers(0, 4, n)]
-        hit = np.flatnonzero(coarse[cur] & (cur != last))
-        if not hit.size:
-            continue
-        at = cur[hit]
-        pos = plen[hit]
-        if pos.max() >= buf.shape[1]:
-            buf = np.concatenate((buf, np.zeros_like(buf)), axis=1)
-        buf[hit, pos] = at
-        plen[hit] = pos + 1
-        last[hit] = at
-        # A leg ends at a level-N vertex other than its start; that visit is
-        # always a new grid visit, so the ends are among the hits.
-        end = top[at] & (at != start[hit])
-        if not end.any():
-            continue
-        ends, at = hit[end], at[end]
-        ok = at == reg.apex
-        done = ends
+    dice = _Dice(rng, max_steps * count)
+    kept: list = []
+    attempts = 0
+    while len(kept) < count:
+        attempts += 1
+        pattern = [0]
+        end = _coarse_walk(dice, reg, 0, pattern)
         if via:
-            first = start[ends] == 0
-            on = first & (at == reg.corner)  # b_N first: the second leg starts
-            start[ends[on]] = reg.corner
-            ok &= ~first
-            done = ends[~on]
-        for s in ends[ok].tolist():
-            kept[int(number[s])] = keep([vertices[v] for v in buf[s, : plen[s]].tolist()])
-        if len(kept) >= count:
-            order = sorted(kept)
-            cutoff = order[count - 1]
-            for k in order[count:]:
-                del kept[k]
-        if cutoff < 0:  # relaunch the finished slots as fresh attempts
-            number[done] = np.arange(launched, launched + len(done))
-            launched += len(done)
-            cur[done] = start[done] = last[done] = 0
-            plen[done] = 1
-            continue
-        # Only attempts numbered below the cutoff can still change the result.
-        alive = number < cutoff
-        alive[done] = False
-        if not alive.all():
-            cur, start, last, plen = cur[alive], start[alive], last[alive], plen[alive]
-            number, buf = number[alive], buf[alive]
-            n = len(cur)
-    return [kept[k] for k in sorted(kept)], cutoff + 1
+            if end != b_N:
+                continue
+            end = _coarse_walk(dice, reg, end, pattern)
+        if end == a_N:
+            kept.append(keep(reg.path(pattern)))
+    return kept, attempts

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from gasket_lerw import cli, harness, walker
+from gasket_lerw import cli, exact, harness, walker
 from gasket_lerw.exact import SingularSystem
 from gasket_lerw.harness import (
     DegenerateCells,
@@ -125,6 +125,15 @@ class TestRunCommands:
             max(v["phi1"], v["phi2"]) for v in report.payload["residuals"].values()
         )
         assert worst < 1e-9
+
+    def test_moments_composes_the_residual_series_once(self, monkeypatch):
+        # moment_table(K) composes Phi and Theta once per order 2..K+1; the
+        # residuals at the three values of t share one more of each.
+        calls = []
+        compose = exact._series_compose
+        monkeypatch.setattr(exact, "_series_compose", lambda *a: calls.append(a) or compose(*a))
+        run(RunConfig(command="moments", level=8))
+        assert len(calls) == 2 * 8 + 2
 
     def test_thread_count_never_changes_results(self):
         base = RunConfig(command="mc-shapes", level=1, samples=4500, seed=11, threads=1)

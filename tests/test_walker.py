@@ -22,6 +22,7 @@ from gasket_lerw.walker import (
     ACCEPTANCE,
     CrossingVariant,
     StepBudgetExceeded,
+    _region,
     attempt_crossing,
     coarse_grain,
     hitting_indices,
@@ -273,6 +274,64 @@ class TestRegionWalker:
         assert (outcomes[0] == "exceeded") is exceeded
 
 
+def _whole_attempt_patterns(N, variant, count, rng, max_steps=10**9):
+    """Reference for ``sample_patterns``: whole attempts of the tuple walk on
+    one stream, with the budget of the whole call, keeping the level-(N-1)
+    coarse view of each accepted attempt."""
+    walk = _TupleWalk(rng, max_steps=max_steps * count)
+    kept, attempts = [], 0
+    while len(kept) < count:
+        attempts += 1
+        path = walk.attempt(N, variant)
+        if path is not None:
+            kept.append(tuple(coarse_grain(path, N - 1)))
+    return kept, attempts
+
+
+class TestPatternSampler:
+    """``sample_patterns`` against whole attempts of the tuple walk: the same
+    draws give the same patterns and the same attempt count."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_region_rows_are_ordered_by_grid_level(self, n, variant):
+        # One comparison per step finds the level-(N-1) visits, and the
+        # level-N stops among them, only if the rows come in this order.
+        reg = _region(n, variant)
+        assert reg.vertices[0] == ORIGIN
+        rows = range(0, 4 * len(reg.vertices), 4)
+        assert [r < reg.stops for r in rows] == [on_grid(v, n) for v in reg.vertices]
+        assert [r < reg.coarse for r in rows] == [on_grid(v, n - 1) for v in reg.vertices]
+
+    @pytest.mark.parametrize(
+        "n,count,seeds", [(1, 40, 4), (2, 30, 4), (3, 20, 3), (4, 8, 3), (5, 3, 2)]
+    )
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_patterns_equal_whole_attempts(self, n, count, seeds, variant):
+        for seed in range(seeds):
+            r1, r2 = replica_rng(seed, 80 + n), replica_rng(seed, 80 + n)
+            for _ in range(2):
+                ref = _whole_attempt_patterns(n, variant, count, r2)
+                assert sample_patterns(n, variant, count, r1) == ref
+
+    @pytest.mark.parametrize(
+        "max_steps,exceeded", [(0, True), (1024, True), (3071, True), (3072, False)]
+    )
+    def test_budget_stops_at_the_same_refill(self, max_steps, exceeded):
+        # This call draws four blocks against a budget of 4 * max_steps.  A
+        # refill raises once the draws already taken exceed the budget:
+        # budget 0 stops it at the second refill, 4096 at the third, 12284
+        # at the fourth, and 12288 lets it finish.
+        outcomes = []
+        for sampler in (sample_patterns, _whole_attempt_patterns):
+            try:
+                outcomes.append(sampler(3, VIA, 4, replica_rng(3, 0), max_steps=max_steps))
+            except StepBudgetExceeded:
+                outcomes.append("exceeded")
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == "exceeded") is exceeded
+
+
 class TestLegwiseSampler:
     """``sample_crossing`` against whole-attempt rejection.  Direct crossings
     have one leg, so they keep the reference's stream path for path; the
@@ -316,9 +375,10 @@ def _shape_counts(shapes) -> dict[str, int]:
 
 
 class TestLockstepKernel:
-    """``sample_patterns`` against the scalar rejection sampler it replaces
-    in ``mc-shapes``.  The two consume the stream in different orders, so
-    the gates are on the law, not on paths."""
+    """``sample_patterns`` against the exact shape law and against
+    ``sample_crossing``.  The two samplers consume the stream in different
+    orders (whole attempts against legs retried on their own), so these
+    gates are on the law; ``TestPatternSampler`` gates the paths."""
 
     @pytest.mark.parametrize("n,samples", [(1, 3000), (2, 3000), (3, 2000), (4, 800)])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
@@ -334,8 +394,8 @@ class TestLockstepKernel:
 
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
     def test_small_batches_keep_the_law(self, variant, table):
-        # Few samples per call leave most slots in flight at the end, where
-        # taking the first attempts to finish would favour short walks.
+        # Few samples per call: a sampler that kept the first attempts to
+        # finish, not the first to start, would favour short walks here.
         shapes = []
         for r in range(300):
             part, _ = sample_patterns(
@@ -387,7 +447,7 @@ class TestLockstepKernel:
             sample_patterns(4, DIRECT, 10, replica_rng(0, 0), max_steps=1000)
 
     def test_step_budget_is_per_sample(self):
-        # About 520 slot-steps per sample at N = 3, so 1M for the whole call.
+        # About 520 draws per sample at N = 3, so 1M for the whole call.
         patterns, _ = sample_patterns(3, DIRECT, 2000, replica_rng(1, 0), max_steps=10**4)
         assert len(patterns) == 2000
 
