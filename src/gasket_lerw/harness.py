@@ -98,7 +98,7 @@ def emit_svg(paths) -> str:
         paths = [paths]
     if not paths:
         raise ValueError("nothing to draw")
-    polys = [[(x, y) for _, x, y in p.polyline()] for p in paths]
+    polys = [p.polyline()[:, 1:].tolist() for p in paths]
     pts = [pt for poly in polys for pt in poly]
     x0 = min(p[0] for p in pts)
     x1 = max(p[0] for p in pts)
@@ -264,13 +264,14 @@ def _scale_path(path, shift: int):
     return [(i >> shift, j >> shift) for i, j in path]
 
 
-def classify_top_shape(path, level: int, table=None) -> str:
+def classify_top_shape(pattern, level: int, table=None) -> str:
     """Shape id of the loop-free coarse view one level below the apex.
 
-    The coarse walk pattern is chronologically erased and rescaled to the
-    unit frame; its law is exactly the level-1 loop-erased crossing law.
+    The level-(N-1) walk pattern, as ``sample_patterns`` records it, is
+    chronologically erased and rescaled to the unit frame; its law is
+    exactly the level-1 loop-erased crossing law.
     """
-    coarse = eraser.chronological_erase(walker.coarse_grain(path, level - 1))
+    coarse = eraser.chronological_erase(pattern)
     return eraser.classify_shape(_scale_path(coarse, level - 1), table)
 
 
@@ -441,9 +442,10 @@ def _run_limit_path(config: RunConfig) -> tuple[dict, bool]:
         "cells": len(path.cell_array),
         "counts": {"one_visit": s1, "two_visit": s2},
         "scaled_length": path.scaled_length(),
+        "repeated_junctions": path.repeated_junctions(),
         "_family": family,  # consumed by the artifact writer, stripped from JSON
     }
-    return payload, True
+    return payload, payload["repeated_junctions"] == 0
 
 
 def _run_dimension(config: RunConfig) -> tuple[dict, bool]:
@@ -508,7 +510,7 @@ def _write_artifacts(config: RunConfig, report: McReport) -> None:
             _write_skeleton(family[-1], out.with_suffix(".skeleton.json"))
     elif config.fmt == "csv":
         rows = ["t,x,y"]
-        rows += [f"{t:.15g},{x:.15g},{y:.15g}" for t, x, y in family[-1].polyline()]
+        rows += [f"{t:.15g},{x:.15g},{y:.15g}" for t, x, y in family[-1].polyline().tolist()]
         out.with_suffix(".csv").write_text("\n".join(rows) + "\n")
     elif config.fmt == "svg":
         shown = [m for m in family if m.depth in (0, 2, 4, family[-1].depth)]
@@ -525,7 +527,7 @@ def _write_skeleton(path: limit.RefinedPath, target: Path) -> None:
     are formatted straight from the cell array, a chunk at a time.
     """
     cells = path.cell_array
-    corners = np.minimum(np.minimum(cells[:, 0:2], cells[:, 2:4]), cells[:, 4:6])
+    corners = limit.cell_corners(cells)
     rows = np.column_stack((corners, cells[:, [0, 1, 2, 3, 6]], np.arange(len(cells))))
     with target.open("w") as fh:
         fh.write("[\n ")

@@ -21,8 +21,8 @@ third corner as integer pairs, then the kind) and refined all at once: the
 level draws one uniform per parent, in skeleton order, picks each parent's
 shape from the cumulative law of its kind and places every child by one
 affine map.  The uniforms are taken level by level in skeleton order, so a
-seed determines the path; ``RefinedPath.cells`` turns the array into
-``SkeletonCell`` tuples only when a caller asks for them.
+seed determines the path.  Coarse-graining and the junction chain read the
+same arrays; ``RefinedPath.cells`` is a tuple view for outside readers only.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ class SkeletonCell(NamedTuple):
     exit: Vertex
     third: Vertex
     kind: int
-
-    @property
-    def corner(self) -> Vertex:
-        pts = (self.entry, self.exit, self.third)
-        return (min(p[0] for p in pts), min(p[1] for p in pts))
 
 
 ANCESTOR = SkeletonCell(entry=(0, 0), exit=(0, 1), third=(1, 0), kind=TYPE_ONE)
@@ -123,6 +118,19 @@ def _cell_array(cells: Sequence[SkeletonCell]) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), 7)
 
 
+def cell_corners(cells: np.ndarray) -> np.ndarray:
+    """Lower-left corner (i, j) of each row of a cell array."""
+    return np.minimum(np.minimum(cells[:, 0:2], cells[:, 2:4]), cells[:, 4:6])
+
+
+def _junction_chain(cells: np.ndarray) -> np.ndarray:
+    """The vertices the chain passes, in order: the first entry, then for
+    each cell its third corner when it is two-visit, followed by its exit."""
+    steps = np.stack((cells[:, 4:6], cells[:, 2:4]), axis=1).reshape(-1, 2)
+    used = np.stack((cells[:, 6] == TYPE_TWO, np.ones(len(cells), dtype=bool)), axis=1)
+    return np.concatenate((cells[:1, 0:2], steps[used.ravel()]))
+
+
 @dataclass(frozen=True, eq=False)
 class RefinedPath:
     """A depth-M skeleton chain with lambda-scaled traversal times."""
@@ -154,24 +162,23 @@ class RefinedPath:
         s1, s2 = self.s_counts()
         return float(growth_rate() ** -self.depth * (s1 + 2 * s2))
 
-    def polyline(self) -> list[tuple[float, float, float]]:
-        """(time, x, y) vertices of the time-parameterized path."""
+    def polyline(self) -> np.ndarray:
+        """(time, x, y) rows of the time-parameterized path, one per junction."""
         dt = float(growth_rate()) ** -self.depth
         scale = 0.5**self.depth
         root3_half = sqrt(3.0) / 2.0
+        points = _junction_chain(self.cell_array)
+        t = np.concatenate(([0.0], np.cumsum(np.full(len(points) - 1, dt))))
+        x = (points[:, 0] + 0.5 * points[:, 1]) * scale
+        y = points[:, 1] * root3_half * scale
+        return np.column_stack((t, x, y))
 
-        def emb(p: Vertex) -> tuple[float, float]:
-            return ((p[0] + 0.5 * p[1]) * scale, p[1] * root3_half * scale)
-
-        pts = [(0.0, *emb(self.cells[0].entry))]
-        t = 0.0
-        for cell in self.cells:
-            if cell.kind == TYPE_TWO:
-                t += dt
-                pts.append((t, *emb(cell.third)))
-            t += dt
-            pts.append((t, *emb(cell.exit)))
-        return pts
+    def repeated_junctions(self) -> int:
+        """Junctions the chain passes more than once (0 for a self-avoiding
+        path), counted as adjacent equal keys after one sort."""
+        points = _junction_chain(self.cell_array)
+        keys = np.sort((points[:, 0] << 32) | points[:, 1])
+        return int(np.count_nonzero(keys[1:] == keys[:-1]))
 
 
 def growth_rate():
@@ -288,25 +295,27 @@ def coarse_grain_refined(path: RefinedPath) -> RefinedPath:
     """
     if path.depth == 0:
         raise ValueError("depth-0 paths have no coarser level")
-    parents: list[SkeletonCell] = []
-    group: list[SkeletonCell] = []
-    key: Vertex | None = None
-    for cell in path.cells:
-        q = cell.corner
-        k = (2 * (q[0] >> 1), 2 * (q[1] >> 1))
-        if key is None or k == key:
-            group.append(cell)
-        else:
-            parents.append(_collapse_group(group, key))
-            group = [cell]
-        key = k
-    parents.append(_collapse_group(group, key))
-    s1 = sum(1 for c in parents if c.kind == TYPE_ONE)
-    s2 = len(parents) - s1
+    cells = path.cell_array
+    key = cell_corners(cells) >> 1  # the parent's corner, one level up
+    new_group = np.concatenate(([True], np.any(key[1:] != key[:-1], axis=1)))
+    starts = np.flatnonzero(new_group)
+    entry = cells[starts, 0:2]
+    exit_ = cells[np.append(starts[1:], len(cells)) - 1, 2:4]
+    # The parent's corners 2 key, 2 key + (2, 0) and 2 key + (0, 2) sum to
+    # 3 * 2 key + (2, 2); the third is what entry and exit leave of them.
+    third = 3 * 2 * key[starts] + 2 - entry - exit_
+    # Only one child holds the parent's third corner, so the chain can pass
+    # that corner only as the third corner of a two-visit child.
+    own = third[np.cumsum(new_group) - 1]
+    visits = (cells[:, 6] == TYPE_TWO) & np.all(cells[:, 4:6] == own, axis=1)
+    two = np.add.reduceat(visits, starts) > 0
+    kinds = np.where(two, TYPE_TWO, TYPE_ONE)
+    parents = np.column_stack((entry >> 1, exit_ >> 1, third >> 1, kinds))
+    s2 = int(np.count_nonzero(two))
     return RefinedPath(
         depth=path.depth - 1,
-        cell_array=_cell_array(parents),
-        level_counts=path.level_counts[:-2] + ((s1, s2),),
+        cell_array=parents,
+        level_counts=path.level_counts[:-2] + ((len(parents) - s2, s2),),
     )
 
 
@@ -318,30 +327,12 @@ def projects_onto(fine: RefinedPath, coarse: RefinedPath) -> bool:
     """
     if fine.depth != coarse.depth + 1:
         raise ValueError("projects_onto compares adjacent depths")
-    collapsed = coarse_grain_refined(fine)
-    if len(collapsed.cells) != len(coarse.cells):
+    got = coarse_grain_refined(fine).cell_array
+    want = coarse.cell_array
+    if got.shape != want.shape:
         return False
-    for got, want in zip(collapsed.cells, coarse.cells):
-        if (got.entry, got.exit, got.third) != (want.entry, want.exit, want.third):
-            return False
-        if got.kind == TYPE_TWO and want.kind == TYPE_ONE:
-            return False
-    return True
-
-
-def _collapse_group(group: list[SkeletonCell], corner_key: Vertex) -> SkeletonCell:
-    entry = group[0].entry
-    exit_ = group[-1].exit
-    corners = {
-        corner_key,
-        (corner_key[0] + 2, corner_key[1]),
-        (corner_key[0], corner_key[1] + 2),
-    }
-    (third,) = corners - {entry, exit_}
-    junctions = {c.entry for c in group} | {c.exit for c in group}
-    kind = TYPE_TWO if third in junctions else TYPE_ONE
-    half = lambda p: (p[0] >> 1, p[1] >> 1)  # noqa: E731
-    return SkeletonCell(entry=half(entry), exit=half(exit_), third=half(third), kind=kind)
+    upgraded = (got[:, 6] == TYPE_TWO) & (want[:, 6] == TYPE_ONE)
+    return bool(np.array_equal(got[:, :6], want[:, :6]) and not upgraded.any())
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_a5_recursion_consistency(table):
     svals = np.empty((n, 2))
     for k in range(n):
         path = sample_crossing(2, DIRECT, rng)
-        sid = classify_top_shape(path, 2, table)
+        sid = classify_top_shape(walker.coarse_grain(path, 1), 2, table)
         counts[sid] = counts.get(sid, 0) + 1
         svals[k] = skeleton(loop_erase(path), 0).s_counts()
     expected = {k: float(v) for k, v in table.column(DIRECT).items()}
@@ -217,12 +217,17 @@ def test_a9_limit_path_properties(eig):
         for m in range(1, depth + 1):
             assert limit.projects_onto(family[m], family[m - 1])
         for member in family:
-            corners = [c.corner for c in member.cells]
-            assert len(set(corners)) == len(corners)
+            corners = limit.cell_corners(member.cell_array)
+            keys = np.sort((corners[:, 0] << 32) | corners[:, 1])
+            assert np.all(keys[1:] != keys[:-1])
+            assert member.repeated_junctions() == 0
         slopes.append(limit.box_count_dimension(family[-1]))
     mean_slope = float(np.mean(slopes))
     assert abs(mean_slope - 1.1939) < 0.05
-    print(f"A9 PASS: 100 coupled depth-10 families projective + distinct, slope {mean_slope:.4f}")
+    print(
+        "A9 PASS: 100 coupled depth-10 families projective, distinct cells, no repeated"
+        f" junction, slope {mean_slope:.4f}"
+    )
 
 
 def test_a10_operator_laws():

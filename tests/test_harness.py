@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from gasket_lerw import cli, exact, harness, walker
+from gasket_lerw import cli, exact, harness, limit, walker
 from gasket_lerw.exact import SingularSystem
 from gasket_lerw.harness import (
     DegenerateCells,
@@ -113,6 +113,17 @@ class TestRunCommands:
         from gasket_lerw.exact import length_mean
 
         assert report.payload["exact_mean"] == pytest.approx(float(length_mean(3, (0, 1))))
+
+    def test_limit_path_counts_repeated_junctions(self, monkeypatch):
+        report = run(RunConfig(command="limit-path", level=6, seed=4))
+        assert report.passed and report.payload["repeated_junctions"] == 0
+        # A chain whose first and last cells both pass the third corner
+        # (0, 1) repeats that junction, and the run fails.
+        cells = np.array([[0, 0, 1, 0, 0, 1, 2], [1, 0, 1, 1, 2, 0, 1], [1, 1, 0, 2, 0, 1, 2]])
+        looped = limit.RefinedPath(depth=1, cell_array=cells, level_counts=((1, 0), (1, 2)))
+        monkeypatch.setattr(limit, "sample_refined_family", lambda depth, rng: [looped])
+        report = run(RunConfig(command="limit-path", level=1, seed=4))
+        assert not report.passed and report.payload["repeated_junctions"] == 1
 
     def test_dimension_small(self):
         report = run(RunConfig(command="dimension", level=8, samples=25, seed=6))
@@ -268,6 +279,7 @@ class TestClassify:
         rng = replica_rng(33, 0)
         for _ in range(300):
             p = sample_crossing(1, CrossingVariant.VIA_CORNER, rng)
+            # At level 1 the level-0 pattern is the path itself.
             assert classify_top_shape(p, 1, table) == classify_shape(loop_erase(p), table)
 
 

@@ -13,8 +13,10 @@ from gasket_lerw.limit import (
     ANCESTOR,
     InsufficientDepth,
     RefinementKernels,
+    RefinedPath,
     SkeletonCell,
     box_count_dimension,
+    cell_corners,
     coarse_grain_refined,
     projects_onto,
     refinement_table,
@@ -81,6 +83,82 @@ def _reference_family(depth, rng, kernels):
     return family
 
 
+# Per-cell references for the array checks: coarse-graining one cell at a
+# time, the projective check on the tuples it returns, and the polyline
+# accumulated junction by junction.
+def _corner(cell):
+    pts = (cell.entry, cell.exit, cell.third)
+    return (min(p[0] for p in pts), min(p[1] for p in pts))
+
+
+def _collapse_group(group, corner_key):
+    entry = group[0].entry
+    exit_ = group[-1].exit
+    corners = {
+        corner_key,
+        (corner_key[0] + 2, corner_key[1]),
+        (corner_key[0], corner_key[1] + 2),
+    }
+    (third,) = corners - {entry, exit_}
+    junctions = {c.entry for c in group} | {c.exit for c in group}
+    junctions |= {c.third for c in group if c.kind == 2}
+    kind = 2 if third in junctions else 1
+    half = lambda p: (p[0] >> 1, p[1] >> 1)  # noqa: E731
+    return SkeletonCell(entry=half(entry), exit=half(exit_), third=half(third), kind=kind)
+
+
+def _reference_coarse_grain(path):
+    """(cells, level_counts) of ``coarse_grain_refined(path)``."""
+    parents = []
+    group = []
+    key = None
+    for cell in path.cells:
+        q = _corner(cell)
+        k = (2 * (q[0] >> 1), 2 * (q[1] >> 1))
+        if key is None or k == key:
+            group.append(cell)
+        else:
+            parents.append(_collapse_group(group, key))
+            group = [cell]
+        key = k
+    parents.append(_collapse_group(group, key))
+    s1 = sum(1 for c in parents if c.kind == 1)
+    return tuple(parents), path.level_counts[:-2] + ((s1, len(parents) - s1),)
+
+
+def _reference_projects_onto(fine, coarse):
+    if fine.depth != coarse.depth + 1:
+        raise ValueError("projects_onto compares adjacent depths")
+    collapsed, _ = _reference_coarse_grain(fine)
+    if len(collapsed) != len(coarse.cells):
+        return False
+    for got, want in zip(collapsed, coarse.cells):
+        if (got.entry, got.exit, got.third) != (want.entry, want.exit, want.third):
+            return False
+        if got.kind == 2 and want.kind == 1:
+            return False
+    return True
+
+
+def _reference_polyline(path):
+    dt = float(limit.growth_rate()) ** -path.depth
+    scale = 0.5**path.depth
+    root3_half = sqrt(3.0) / 2.0
+
+    def emb(p):
+        return ((p[0] + 0.5 * p[1]) * scale, p[1] * root3_half * scale)
+
+    pts = [(0.0, *emb(path.cells[0].entry))]
+    t = 0.0
+    for cell in path.cells:
+        if cell.kind == 2:
+            t += dt
+            pts.append((t, *emb(cell.third)))
+        t += dt
+        pts.append((t, *emb(cell.exit)))
+    return pts
+
+
 class TestRefinementTable:
     def test_kernel_sizes(self, kernels):
         assert len(kernels.type_one) == 7
@@ -124,8 +202,8 @@ class TestSampling:
         path = sample_limit_path(0, replica_rng(0, 0))
         assert path.cells == (ANCESTOR,)
         assert path.level_counts == ((1, 0),)
-        poly = path.polyline()
-        assert poly[0] == (0.0, 0.0, 0.0)
+        poly = path.polyline().tolist()
+        assert poly[0] == [0.0, 0.0, 0.0]
         assert poly[-1][0] == pytest.approx(1.0)
         assert (poly[-1][1], poly[-1][2]) == (pytest.approx(0.5), pytest.approx(sqrt(3) / 2))
 
@@ -137,8 +215,9 @@ class TestSampling:
     def test_triangles_distinct_and_chained(self):
         fam = sample_refined_family(8, replica_rng(43, 0))
         for member in fam:
-            corners = [c.corner for c in member.cells]
+            corners = [_corner(c) for c in member.cells]
             assert len(set(corners)) == len(corners)
+            assert member.repeated_junctions() == 0
             assert all(a.exit == b.entry for a, b in zip(member.cells, member.cells[1:]))
             assert member.cells[0].entry == (0, 0)
             assert member.cells[-1].exit == (0, 1 << member.depth)
@@ -149,19 +228,99 @@ class TestSampling:
         assert a == b
 
     def test_coarse_grain_rereads_kinds_monotonically(self):
+        # A two-visit parent keeps its kind when its children pass its third
+        # corner and rereads as one-visit when they avoid it; both happen.
         fam = sample_refined_family(7, replica_rng(11, 0))
-        changed = 0
+        changed = kept = 0
         for m in range(1, 8):
             got = coarse_grain_refined(fam[m])
             for a, b in zip(got.cells, fam[m - 1].cells):
                 assert (a.entry, a.exit, a.third) == (b.entry, b.exit, b.third)
                 assert a.kind == b.kind or (b.kind, a.kind) == (2, 1)
                 changed += a.kind != b.kind
-        assert changed > 0
+                kept += a.kind == b.kind == 2
+        assert changed > 0 and kept > 0
 
     def test_coarse_grain_depth_zero_rejected(self):
         with pytest.raises(ValueError):
             coarse_grain_refined(sample_limit_path(0, replica_rng(0, 0)))
+
+
+def _with_cells(member, cells):
+    return RefinedPath(depth=member.depth, cell_array=cells, level_counts=member.level_counts)
+
+
+class TestArrayChecks:
+    """The array coarse-graining, projective check and polyline against the
+    per-cell references above, path for path."""
+
+    @pytest.mark.parametrize("seed", [12094959, 1, 2, 3, 41])
+    def test_match_per_cell_reference(self, kernels, seed):
+        for law in (kernels, _deterministic_kernels(kernels)):
+            fam = sample_refined_family(10, replica_rng(seed, 0), law)
+            for m in range(1, 11):
+                got = coarse_grain_refined(fam[m])
+                assert (got.cells, got.level_counts) == _reference_coarse_grain(fam[m])
+                assert projects_onto(fam[m], fam[m - 1])
+                assert _reference_projects_onto(fam[m], fam[m - 1])
+            for member in fam:
+                assert member.polyline().tolist() == [list(p) for p in _reference_polyline(member)]
+
+    @pytest.fixture
+    def pair(self):
+        fam = sample_refined_family(7, replica_rng(11, 0))
+        return fam[7], fam[6]
+
+    @staticmethod
+    def _both(fine, coarse):
+        got = projects_onto(fine, coarse)
+        assert got == _reference_projects_onto(fine, coarse)
+        return got
+
+    def test_moved_exit_fails(self, pair):
+        fine, coarse = pair
+        cells = coarse.cell_array.copy()
+        cells[3, 2:4], cells[3, 4:6] = coarse.cell_array[3, 4:6], coarse.cell_array[3, 2:4]
+        assert not self._both(fine, _with_cells(coarse, cells))
+
+    def test_kind_upgrade_fails(self, pair):
+        # The fine chain passes the third corner of a cell the coarse member
+        # records as one-visit: kinds may not go from one- to two-visit.
+        fine, coarse = pair
+        reread = coarse_grain_refined(fine).cell_array[:, 6]
+        k = int(np.flatnonzero(reread == 2)[0])
+        cells = coarse.cell_array.copy()
+        cells[k, 6] = 1
+        assert not self._both(fine, _with_cells(coarse, cells))
+
+    def test_two_visit_reread_as_one_visit_passes(self, pair):
+        fine, coarse = pair
+        reread = coarse_grain_refined(fine).cell_array[:, 6]
+        k = int(np.flatnonzero(reread == 1)[0])
+        cells = coarse.cell_array.copy()
+        cells[k, 6] = 2
+        assert self._both(fine, _with_cells(coarse, cells))
+
+    def test_cell_count_mismatch_fails(self, pair):
+        fine, coarse = pair
+        assert not self._both(fine, _with_cells(coarse, coarse.cell_array[:-1]))
+
+    def test_non_adjacent_depths_rejected(self):
+        fam = sample_refined_family(3, replica_rng(11, 0))
+        for check in (projects_onto, _reference_projects_onto):
+            with pytest.raises(ValueError):
+                check(fam[3], fam[1])
+
+    def test_repeated_junction_counted(self):
+        # Depth 1, the shape (0,0) (1,0) (1,1) (0,2) with its first and last
+        # cells both passing their common third corner (0, 1).
+        cells = np.array(
+            [[0, 0, 1, 0, 0, 1, 2], [1, 0, 1, 1, 2, 0, 1], [1, 1, 0, 2, 0, 1, 2]]
+        )
+        path = RefinedPath(depth=1, cell_array=cells, level_counts=((1, 0), (1, 2)))
+        assert path.repeated_junctions() == 1
+        cells[2, 6] = 1
+        assert path.repeated_junctions() == 0
 
 
 class TestBranchingStatistics:
@@ -264,6 +423,6 @@ class TestBoxCounting:
         assert abs(np.mean(slopes) - target) < 0.05
 
 
-def test_skeleton_cell_helpers():
-    cell = SkeletonCell(entry=(0, 0), exit=(0, 1), third=(1, 0), kind=2)
-    assert cell.corner == (0, 0)
+def test_cell_corners():
+    member = sample_limit_path(6, replica_rng(3, 0))
+    assert cell_corners(member.cell_array).tolist() == [list(_corner(c)) for c in member.cells]

@@ -355,10 +355,11 @@ class TestLegwiseSampler:
     def test_via_corner_shape_law_matches(self, n, samples, table):
         r1, r2 = replica_rng(680 + n, 0), replica_rng(690 + n, 0)
         legwise = [
-            classify_top_shape(sample_crossing(n, VIA, r1), n, table) for _ in range(samples)
+            classify_top_shape(coarse_grain(sample_crossing(n, VIA, r1), n - 1), n, table)
+            for _ in range(samples)
         ]
         whole = [
-            classify_top_shape(_whole_attempt_crossing(n, VIA, r2), n, table)
+            classify_top_shape(coarse_grain(_whole_attempt_crossing(n, VIA, r2), n - 1), n, table)
             for _ in range(samples)
         ]
         ids = sorted(table.column(VIA))
@@ -416,7 +417,7 @@ class TestLockstepKernel:
         )
         rng = replica_rng(630 + n, 0)
         scalar = [
-            classify_top_shape(sample_crossing(n, variant, rng), n, table)
+            classify_top_shape(coarse_grain(sample_crossing(n, variant, rng), n - 1), n, table)
             for _ in range(samples)
         ]
         ids = sorted(table.column(variant))
