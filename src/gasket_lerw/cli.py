@@ -5,8 +5,9 @@ and ``--out`` and ``--format``; beyond those, only the options it reads.
 ``harness.COMMANDS`` lists them, with each level's default and range.
 Each Monte Carlo command has one sampler, at every level: ``mc-shapes``
 runs ``walker.sample_patterns`` (whole attempts, only their level-(N-1)
-visits recorded) and ``mc-length`` runs ``walker.sample_crossing`` (legs
-retried on their own).  ``--format csv`` and
+visits recorded) and ``mc-length`` runs ``walker.sample_crossing`` (each
+leg walked once and mapped onto its target by a symmetry of the two cells
+at its start).  ``--format csv`` and
 ``--format svg`` draw the ``limit-path`` sample into ``--out`` (the svg
 overlays depths 0, 2, 4 and M); every other command writes JSON only.
 

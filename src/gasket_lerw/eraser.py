@@ -231,7 +231,9 @@ def _stage_visits(path: Sequence[Vertex], level: int) -> tuple[list[int], list[i
     return fine, top
 
 
-def erase_scale(path: Sequence[Vertex], level: int, check: bool = True) -> list[Vertex]:
+def erase_scale(
+    path: Sequence[Vertex], level: int, check: bool = True, *, _crossing: bool = False
+) -> list[Vertex]:
     """Remove every 2**(level-1)-scale loop from a path whose coarser views
     are already loop-free.
 
@@ -240,7 +242,8 @@ def erase_scale(path: Sequence[Vertex], level: int, check: bool = True) -> list[
     the fine sub-segments under the surviving coarse steps are spliced.
     One scan of the path finds the grid visits of both levels; a triangle's
     level-(M-1) visits are a slice of them, and the kept pieces are slices
-    of the path.
+    of the path.  ``erase_to_scale`` runs its top stage with ``_crossing``,
+    which checks the crossing pattern on the level-M visits of that scan.
     """
     if level < 1:
         raise ValueError("erasure stage level must be >= 1")
@@ -249,6 +252,8 @@ def erase_scale(path: Sequence[Vertex], level: int, check: bool = True) -> list[
     _check_grid_endpoints(path, level)
     fine, top = _stage_visits(path, level)
     ht = [fine[k] for k in top]
+    if _crossing:
+        _crossing_variant([path[t] for t in ht], level)
     out: list[Vertex] = [path[0]]
     for _, n, j in _crossed_cells(path, ht, level):
         hs = fine[top[n] : top[j] + 1]
@@ -261,33 +266,46 @@ def erase_scale(path: Sequence[Vertex], level: int, check: bool = True) -> list[
     return out
 
 
-def crossing_level(path: Sequence[Vertex]) -> tuple[int, CrossingVariant]:
-    """Validate the hitting structure of a crossing path and read off its level."""
+def _apex_level(path: Sequence[Vertex]) -> int:
+    """The level n of a path that starts at the origin and ends at an apex a_n."""
     if not path or path[0] != ORIGIN:
         raise NotACrossing("crossing paths start at the origin")
     i, j = path[-1]
     if i != 0 or j <= 0 or (j & (j - 1)) != 0:
         raise NotACrossing(f"endpoint {path[-1]} is not an apex vertex")
-    n = j.bit_length() - 1
-    hits = [path[t] for t in hitting_indices(path, n)]
+    return j.bit_length() - 1
+
+
+def _crossing_variant(hits: list[Vertex], n: int) -> CrossingVariant:
+    """The crossing whose level-n visit sequence is ``hits``."""
     if hits == [ORIGIN, apex(n)]:
-        return n, CrossingVariant.DIRECT
+        return CrossingVariant.DIRECT
     if hits == [ORIGIN, corner(n), apex(n)]:
-        return n, CrossingVariant.VIA_CORNER
+        return CrossingVariant.VIA_CORNER
     raise NotACrossing(f"level-{n} visit sequence {hits} is not a crossing pattern")
+
+
+def crossing_level(path: Sequence[Vertex]) -> tuple[int, CrossingVariant]:
+    """Validate the hitting structure of a crossing path and read off its level."""
+    n = _apex_level(path)
+    return n, _crossing_variant([path[t] for t in hitting_indices(path, n)], n)
 
 
 def erase_to_scale(path: Sequence[Vertex], down_to: int) -> list[Vertex]:
     """Run erasure stages from the top scale down to (and excluding) 2**down_to.
 
     The output has no loops of scale 2**down_to or larger; with down_to = 0
-    the output is the fully loop-erased path.
+    the output is the fully loop-erased path.  The top stage validates the
+    crossing pattern (``crossing_level``) from the visits it scans anyway.
     """
-    n, _ = crossing_level(path)
+    n = _apex_level(path)
     if not 0 <= down_to <= n:
         raise ValueError(f"down_to must be in 0..{n}")
-    out = list(path)
-    for m in range(n, down_to, -1):
+    if down_to == n:
+        crossing_level(path)
+        return list(path)
+    out = erase_scale(path, n, check=False, _crossing=True)
+    for m in range(n - 1, down_to, -1):
         out = erase_scale(out, m, check=False)
     return out
 

@@ -290,18 +290,22 @@ def _shapes_worker(args) -> tuple[dict[str, int], int]:
     return counts, attempts
 
 
-def _length_worker(args) -> tuple[int, float, float]:
+def _length_worker(args) -> tuple[int, float, float, int]:
+    """Sample count, sum and sum of squares of the erased lengths of one
+    replica, and the raw walk steps behind them."""
     level, variant_value, seed, replica, count = args
     variant = CrossingVariant(variant_value)
     rng = walker.replica_rng(seed, replica)
     total = 0.0
     total_sq = 0.0
+    raw_steps = 0
     for _ in range(count):
         path = walker.sample_crossing(level, variant, rng)
+        raw_steps += len(path) - 1
         ell = float(len(eraser.loop_erase(path)) - 1)
         total += ell
         total_sq += ell * ell
-    return count, total, total_sq
+    return count, total, total_sq, raw_steps
 
 
 def _dimension_worker(args) -> list[float]:
@@ -428,6 +432,7 @@ def _run_mc_length(config: RunConfig) -> tuple[dict, bool]:
         "exact_mean": exact_mean,
         "z_score": z,
         "growth_rate": lam,
+        "raw_steps": sum(r[3] for r in results),
     }
     return payload, z is not None and abs(z) <= 3.0
 

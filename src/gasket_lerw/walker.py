@@ -11,12 +11,18 @@ over the four neighbors:
 Coarse visits are counted with the once-in-a-row rule: consecutive returns to
 the vertex counted last do not register again.
 
-``sample_crossing`` simulates the fine walk and conditions it by rejection,
-one leg at a time: the walk from O is retried until its first coarse visit
-is a_N (direct) or b_N (via-corner), and for via-corner the walk from b_N is
-then retried until its next coarse visit is a_N.  By the strong Markov
-property at the b_N visit this is the law of retrying whole attempts
-(``attempt_crossing`` runs one whole attempt).  It is the ground truth.
+``sample_crossing`` rejects nothing.  A leg starts at a level-N vertex s
+(O, or b_N for the via-corner second leg) and walks inside the two level-N
+cells at s until its first level-N vertex w other than s.  Every step is
+uniform over four neighbours, so a leg of length n has probability 4**-n,
+and an automorphism of the two cells that fixes s and sends w to the
+leg's target t maps the legs that stop at w one to one, length for length,
+onto the legs that stop at t.  Each of the four stops is reached with
+probability 1/4, so the image of one leg under the automorphism for its
+own stop has the law of a leg conditioned to stop at t: the law of
+retrying the leg until it stops there.  By the strong Markov property at
+the b_N visit this is also the law of retrying whole attempts
+(``attempt_crossing`` runs one whole attempt).
 
 ``sample_patterns`` rejects whole attempts on one stream, as
 ``attempt_crossing`` does, and keeps only each attempt's level-(N-1) visits,
@@ -25,9 +31,10 @@ and is gated path for path against whole attempts of a tuple walk.
 
 All walkers read one table per (N, variant): the vertices a level-N attempt
 can reach, with their neighbours by direction (``_region``), ordered so that
-one comparison of a row number tells a level-N or level-(N-1) vertex.  They
-step through it one block of draws at a time and build vertex tuples only
-for the paths they keep.
+one comparison of a row number tells a level-N or level-(N-1) vertex, and
+each leg's automorphisms as the image vertex of every row.  They step
+through it one block of draws at a time and build vertex tuples only for
+the paths they keep.
 
 Samplers draw from an explicit ``numpy.random.Generator``; independent
 replicas must use independently spawned streams (``replica_rng``).
@@ -43,10 +50,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import ORIGIN, Vertex, apex, corner, neighbors, on_grid
+from .lattice import ORIGIN, Vertex, apex, corner, incident_cells, neighbors, on_grid
 
 DEFAULT_STEP_BUDGET = 10**9
-BLOCK = 4096  # direction draws per block of ``sample_crossing`` and ``sample_patterns``
+BLOCK = 4096  # direction draws per block, at most
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -132,9 +139,9 @@ def coarse_grain(path: Sequence[Vertex], level: int, validate: bool = True) -> l
 
 
 def _walk(dice: _Dice, reg: _Region, start: int, path: list[int]) -> int:
-    """Step from row ``start`` of the region table (the last entry of
-    ``path``) to the first level-N vertex other than the start, appending
-    each row reached to ``path``; return the row it stops at.
+    """Step from row ``start`` of the region table to the first level-N
+    vertex other than the start, appending each row reached to ``path``;
+    return the row it stops at.
 
     Rows are 4 * vertex index and the level-N vertices come first, so a row
     below ``reg.stops`` is a level-N vertex.
@@ -151,6 +158,12 @@ def _walk(dice: _Dice, reg: _Region, start: int, path: list[int]) -> int:
         dice.refill()
 
 
+def _block(N: int) -> int:
+    """Draws per block of the whole-walk samplers: 64 * 5**(N-1), scaled with
+    the mean walk length (about 5**N steps), up to ``BLOCK``."""
+    return min(BLOCK, 64 * 5 ** (N - 1))
+
+
 def attempt_crossing(
     N: int,
     variant: CrossingVariant,
@@ -159,15 +172,12 @@ def attempt_crossing(
 ) -> list[Vertex] | None:
     """Run one whole conditioning trial of the fine walk; None if the event fails.
 
-    Draws come in blocks of 64 * 5**(N-1), scaled with the mean trial
-    length (about 5**N steps) up to ``BLOCK``, so a trial at a low level
-    does not draw a whole ``BLOCK``; from N = 4 on the block is the full
-    ``BLOCK``, as in ``sample_crossing``.
+    Draws come ``_block(N)`` at a time, as in ``sample_crossing``.
     """
     if N < 1:
         raise ValueError("crossing level must be >= 1")
     reg = _region(N, variant)
-    dice = _Dice(rng, max_steps, min(BLOCK, 64 * 5 ** (N - 1)))
+    dice = _Dice(rng, max_steps, _block(N))
     path = [0]
     end = _walk(dice, reg, 0, path)
     if variant is CrossingVariant.VIA_CORNER:
@@ -175,15 +185,6 @@ def attempt_crossing(
             return None
         end = _walk(dice, reg, end, path)
     return reg.path(path) if end == 4 * reg.apex else None
-
-
-def _leg(dice: _Dice, reg: _Region, start: int, stop: int) -> list[int]:
-    """The walk from row ``start`` to its next level-N vertex, retried until
-    that vertex is row ``stop``."""
-    while True:
-        path = [start]
-        if _walk(dice, reg, start, path) == stop:
-            return path
 
 
 def sample_crossing(
@@ -194,17 +195,21 @@ def sample_crossing(
 ) -> list[Vertex]:
     """Sample one conditioned crossing path at level N (starts at O, ends at a_N).
 
-    Each leg is retried on its own (module docstring); ``max_steps`` caps
-    the raw steps of the whole call, checked each ``BLOCK`` draws.
+    Each leg is walked once and mapped onto its target by the automorphism
+    for the stop it reached (module docstring).  Draws come ``_block(N)``
+    at a time; ``max_steps`` caps the raw steps of the whole call, checked
+    at each refill.
     """
     if N < 1:
         raise ValueError("crossing level must be >= 1")
     reg = _region(N, variant)
-    dice = _Dice(rng, max_steps)
-    if variant is CrossingVariant.DIRECT:
-        return reg.path(_leg(dice, reg, 0, 4 * reg.apex))
-    b_N = 4 * reg.corner
-    return reg.path(_leg(dice, reg, 0, b_N) + _leg(dice, reg, b_N, 4 * reg.apex)[1:])
+    dice = _Dice(rng, max_steps, _block(N))
+    path = [ORIGIN]
+    for start, images in reg.legs:
+        rows: list[int] = []
+        image = images[_walk(dice, reg, start, rows)]
+        path += [image[r >> 2] for r in rows]
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +232,9 @@ class _Region:
     coarse: int  # 4 * the number of level-(N-1) grid vertices
     apex: int  # index of a_N
     corner: int  # index of b_N, or -1 when the attempt never stops there
+    # Per leg of ``sample_crossing``: its start row, and for each row it can
+    # stop at, the vertex of every row after the leg is mapped onto its target.
+    legs: tuple[tuple[int, dict[int, tuple[Vertex, ...]]], ...]
 
     def path(self, rows: list[int]) -> list[Vertex]:
         """The vertices of a walk given as rows."""
@@ -239,10 +247,11 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     """Breadth-first closure from O (and b_N for via-corner) that stops at
     every level-N vertex other than the leg's start: the level-N cells at O,
     plus those at b_N.  Directions follow ``lattice.neighbors``."""
+    via = variant is CrossingVariant.VIA_CORNER
     mask = (1 << N) - 1
     index: dict[Vertex, int] = {}
     vertices: list[Vertex] = []
-    starts = (ORIGIN, corner(N)) if variant is CrossingVariant.VIA_CORNER else (ORIGIN,)
+    starts = (ORIGIN, corner(N)) if via else (ORIGIN,)
     for start in starts:
         if start not in index:
             index[start] = len(vertices)
@@ -266,6 +275,10 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     vertices.sort(key=rank)
     index = {v: k for k, v in enumerate(vertices)}
     ranks = [rank(v) for v in vertices]
+    targets = (corner(N), apex(N)) if via else (apex(N),)
+    legs = tuple(
+        (4 * index[s], _leg_images(vertices, index, s, t, N)) for s, t in zip(starts, targets)
+    )
     return _Region(
         vertices=tuple(vertices),
         rows=[4 * index.get(u, -1) for v in vertices for u in neighbors(v)],
@@ -273,7 +286,47 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
         coarse=4 * (len(ranks) - ranks.count(2)),
         apex=index[apex(N)],
         corner=index.get(corner(N), -1),
+        legs=legs,
     )
+
+
+def _leg_images(
+    vertices: list[Vertex], index: dict[Vertex, int], s: Vertex, t: Vertex, N: int
+) -> dict[int, tuple[Vertex, ...]]:
+    """For the row of each level-N stop w of the leg from s to t: the image
+    of every vertex under an automorphism of the two level-N cells at s that
+    fixes s and sends w to t.
+
+    If w shares a cell with t, the map swaps them inside it and fixes the
+    other cell; otherwise it exchanges the two cells.  Each cell goes onto
+    its image by the integer affine map that sends its corners to their
+    images.  Vertices outside both cells keep themselves.
+    """
+    home, away = sorted(incident_cells(s, N), key=lambda cell: t not in cell.corners())
+    (u,) = set(home.corners()) - {s, t}
+    x, y = (c for c in away.corners() if c != s)
+    swaps = {t: {}, u: {u: t, t: u}, x: {x: t, t: x, y: u, u: y}, y: {y: t, t: y, x: u, u: x}}
+    cells = (home, away)
+    where = [next((cell for cell in cells if cell.contains(v)), None) for v in vertices]
+    out = {}
+    for w, swap in swaps.items():
+        maps = {}
+        for cell in cells:
+            p0, p1, p2 = cell.corners()
+            q0, q1, q2 = (swap.get(p, p) for p in (p0, p1, p2))
+            # The cell's edge vectors are side * (1, 0) and side * (0, 1).
+            e1 = ((q1[0] - q0[0]) >> N, (q1[1] - q0[1]) >> N)
+            e2 = ((q2[0] - q0[0]) >> N, (q2[1] - q0[1]) >> N)
+            maps[cell] = (p0, q0, e1, e2)
+        image = list(vertices)
+        for k, (v, cell) in enumerate(zip(vertices, where)):
+            if cell is not None:
+                p0, q0, e1, e2 = maps[cell]
+                di, dj = v[0] - p0[0], v[1] - p0[1]
+                g = (q0[0] + di * e1[0] + dj * e2[0], q0[1] + di * e1[1] + dj * e2[1])
+                image[k] = vertices[index[g]]
+        out[4 * index[w]] = tuple(image)
+    return out
 
 
 def _coarse_walk(dice: _Dice, reg: _Region, start: int, pattern: list[int]) -> int:

@@ -34,6 +34,9 @@ from gasket_lerw.walker import (
 
 DIRECT = CrossingVariant.DIRECT
 VIA = CrossingVariant.VIA_CORNER
+# Origin to apex, but back at the origin after the right corner: the
+# level-1 visits O, b_1, O, a_1 are no crossing pattern.
+_BACK_TO_ORIGIN = [(0, 0), (1, 0), (2, 0), (1, 0), (0, 0), (0, 1), (0, 2)]
 
 
 def walk_from_dirs(dirs):
@@ -165,6 +168,19 @@ class TestLoopErase:
             crossing_level([(1, 0), (0, 1)])
         with pytest.raises(NotACrossing):
             crossing_level([(0, 0), (1, 0), (2, 0)])
+        with pytest.raises(NotACrossing):
+            crossing_level(_BACK_TO_ORIGIN)
+
+    @pytest.mark.parametrize(
+        "path", [[(1, 0), (0, 1)], [(0, 0), (1, 0), (2, 0)], _BACK_TO_ORIGIN]
+    )
+    def test_erasure_rejects_what_crossing_level_rejects(self, path):
+        # The top stage checks the pattern; down_to = 1 runs no stage.
+        with pytest.raises(NotACrossing):
+            loop_erase(path)
+        for down_to in (0, 1):
+            with pytest.raises(NotACrossing):
+                erase_to_scale(path, down_to)
 
     def test_skeleton_invariance_across_stages(self):
         # Once a scale is erased its skeleton never changes: triangles and

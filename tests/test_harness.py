@@ -23,6 +23,11 @@ from gasket_lerw.limit import sample_limit_path
 from gasket_lerw.walker import CrossingVariant, StepBudgetExceeded, replica_rng, sample_crossing
 
 
+def _straight_crossing(*args, **kwargs):
+    """The level-1 crossing straight up the left edge, erased length 2."""
+    return [(0, 0), (0, 1), (0, 2)]
+
+
 class TestChiSquare:
     def test_exact_match_gives_zero_statistic(self):
         stat, p = chi_square([25, 25, 25, 25], [0.25] * 4)
@@ -173,20 +178,31 @@ class TestRunCommands:
         assert abs(report.payload["acceptance_z"]) < 3
 
     def test_mc_length_payload_is_pinned(self):
-        # The payload at this seed since the tuple walk and the two-scan
-        # eraser: faster kernels must leave every sampled path unchanged.
+        # The payload at this seed since legs are mapped onto their targets
+        # by symmetry: faster kernels must leave every sampled path unchanged.
         cfg = dict(
             command="mc-length", level=4, samples=240, seed=12094959,
             variant=CrossingVariant.VIA_CORNER,
         )
         payload = run(RunConfig(**cfg)).payload
-        assert payload["mean_length"] == 38.30416666666667
-        assert payload["stderr"] == 0.5615963349225308
+        assert payload["mean_length"] == 39.03333333333333
+        assert payload["stderr"] == 0.5630679889716312
+        assert payload["raw_steps"] == 321280
         assert run(RunConfig(**cfg, threads=2)).payload == payload
 
-    def test_mc_length_without_spread_fails(self, tmp_path):
-        # Both level-1 crossings erase to length 2 at this seed, against an
-        # exact mean of 13/5: no standard error, so no z-score and no pass.
+    def test_mc_length_counts_raw_steps(self):
+        # 2500 samples are two replicas; the steps add up over both.
+        report = run(RunConfig(command="mc-length", level=2, samples=2500, seed=3))
+        steps = 0
+        for r, c in ((0, 2000), (1, 500)):
+            rng = replica_rng(3, r)
+            steps += sum(len(sample_crossing(2, CrossingVariant.DIRECT, rng)) - 1 for _ in range(c))
+        assert report.payload["raw_steps"] == steps
+
+    def test_mc_length_without_spread_fails(self, tmp_path, monkeypatch):
+        # Every crossing erases to length 2, against an exact mean of 13/5:
+        # no standard error, so no z-score and no pass.
+        monkeypatch.setattr(walker, "sample_crossing", _straight_crossing)
         out = tmp_path / "flat"
         report = run(RunConfig(command="mc-length", level=1, samples=2, seed=4, out=str(out)))
         assert report.payload["stderr"] == 0.0
@@ -351,7 +367,8 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "at least 2 samples" in err
 
-    def test_exit_two_without_spread(self, capsys):
+    def test_exit_two_without_spread(self, capsys, monkeypatch):
+        monkeypatch.setattr(walker, "sample_crossing", _straight_crossing)
         assert cli.main(["mc-length", "1", "--samples", "2", "--seed", "4"]) == 2
         assert "[mc-length] FAIL" in capsys.readouterr().out
 

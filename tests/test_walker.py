@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+from collections import Counter
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, ks_2samp
 
-from gasket_lerw.eraser import chronological_erase
+from gasket_lerw.eraser import chronological_erase, loop_erase
 from gasket_lerw.exact import solve_shape_distribution
 from gasket_lerw.lattice import (
     ORIGIN,
     apex,
     corner,
     euclid_sq,
+    incident_cells,
     neighbors,
     neighbors_on_grid,
     on_grid,
@@ -169,8 +173,61 @@ class TestConditioning:
             sample_crossing(0, DIRECT, replica_rng(0, 0))
 
     def test_step_budget(self):
+        # This level-6 leg walks past its first block of 4096 draws, so the
+        # second refill raises, in the sampler as in the reference.
         with pytest.raises(StepBudgetExceeded):
-            sample_crossing(4, DIRECT, replica_rng(0, 0), max_steps=10)
+            sample_crossing(6, DIRECT, replica_rng(0, 0), max_steps=10)
+        with pytest.raises(StepBudgetExceeded):
+            _TupleWalk(replica_rng(0, 0), max_steps=10).symmetric(6, DIRECT)
+
+
+def _xy(p):
+    """The point (i, j) sits at (2i + j, j sqrt 3) / 2, so in these
+    coordinates the Euclidean inner product is x x' + 3 y y' (over 4)."""
+    return 2 * p[0] + p[1], p[1]
+
+
+def _reflect(v, a, b):
+    """The mirror image of the point v in the perpendicular bisector of a
+    and b, by Euclidean geometry in the coordinates ``_xy``."""
+    (x, y), (ax, ay), (bx, by) = _xy(v), _xy(a), _xy(b)
+    nx, ny = bx - ax, by - ay
+    k = (2 * x - ax - bx) * nx + 3 * (2 * y - ay - by) * ny
+    d = nx * nx + 3 * ny * ny
+    x, rx = divmod(x * d - k * nx, d)
+    y, ry = divmod(y * d - k * ny, d)
+    assert rx == ry == 0 and (x - y) % 2 == 0, "not a lattice symmetry"
+    return ((x - y) // 2, y)
+
+
+def _leg_symmetry(s, w, t):
+    """A symmetry of the two level-N cells at s that fixes s and swaps the
+    stop w with the target t.
+
+    The two cells are mirror images in the vertical line through s, one on
+    each side of it.  If w and t lie on the same side, reflect that side in
+    the bisector of w and t.  Otherwise exchange the sides by the vertical
+    mirror V, followed on t's side by the swap S of V(w) with t (and
+    preceded by S on the way back), so the map is its own inverse.
+    """
+
+    def side(v):
+        return (_xy(v)[0] > _xy(s)[0]) - (_xy(v)[0] < _xy(s)[0])
+
+    if w == t:
+        return lambda v: v
+    if side(w) == side(t):
+        return lambda v: _reflect(v, w, t) if side(v) == side(t) else v
+
+    def mirror(v):
+        return _reflect(v, (s[0] - 1, s[1]), (s[0] + 1, s[1]))
+
+    vw = mirror(w)
+
+    def swap(v):
+        return v if vw == t else _reflect(v, vw, t)
+
+    return lambda v: swap(mirror(v)) if side(v) != side(t) else mirror(swap(v))
 
 
 class _TupleWalk:
@@ -178,7 +235,7 @@ class _TupleWalk:
     ``lattice.neighbors`` of the current vertex, and the direction draws
     come ``block`` at a time from one buffer per call, the budget checked
     at each refill against the draws already used up.  It shares no code
-    with the walker's region table."""
+    with the walker's region table or its leg images."""
 
     def __init__(self, rng, block=4096, max_steps=10**9):
         self.rng, self.block, self.max_steps = rng, block, max_steps
@@ -207,10 +264,23 @@ class _TupleWalk:
                 return path
 
     def crossing(self, N, variant):
+        """Rejection: each leg retried until it stops at its target."""
         mask = (1 << N) - 1
         if variant is DIRECT:
             return self.leg(ORIGIN, apex(N), mask)
         return self.leg(ORIGIN, corner(N), mask) + self.leg(corner(N), apex(N), mask)[1:]
+
+    def symmetric(self, N, variant):
+        """One walk per leg, mapped onto the leg's target by ``_leg_symmetry``."""
+        mask = (1 << N) - 1
+        legs = [(ORIGIN, apex(N))] if variant is DIRECT else [
+            (ORIGIN, corner(N)), (corner(N), apex(N))]
+        path = [ORIGIN]
+        for s, t in legs:
+            walk = self.walk(s, mask)
+            g = cache(_leg_symmetry(s, walk[-1], t))
+            path += [g(v) for v in walk[1:]]
+        return path
 
     def attempt(self, N, variant):
         mask = (1 << N) - 1
@@ -222,36 +292,66 @@ class _TupleWalk:
         return path if path[-1] == apex(N) else None
 
 
-def _whole_attempt_crossing(N, variant, rng):
+def _whole_attempt_crossing(N, variant, rng, block=4096):
     """Reference sampler: whole attempts of the tuple walk, retried on one
     stream until the event holds."""
-    walk = _TupleWalk(rng)
+    walk = _TupleWalk(rng, block=block)
     while (path := walk.attempt(N, variant)) is None:
         pass
     return path
 
 
+def _block(n):
+    """Draws per refill of the whole-walk samplers: 64 at level 1, five
+    times more per level, at most 4096."""
+    return min(4096, 64 * 5 ** (n - 1))
+
+
 class TestRegionWalker:
-    """The region-table walker against the tuple walk it replaced: the same
-    draws give the same paths, call after call on one stream."""
+    """The region-table walker against the tuple walk: the same draws give
+    the same paths, call after call on one stream."""
 
     @pytest.mark.parametrize("n,seeds", [(1, 12), (2, 12), (3, 8), (4, 6), (5, 4), (6, 3)])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
     def test_sample_crossing_equals_tuple_walk(self, n, seeds, variant):
+        # One tuple walk per leg, mapped by the symmetry the test computes.
         for seed in range(seeds):
             r1, r2 = replica_rng(seed, 40 + n), replica_rng(seed, 40 + n)
             for _ in range(2):
-                ref = _TupleWalk(r2).crossing(n, variant)
+                ref = _TupleWalk(r2, block=_block(n)).symmetric(n, variant)
                 assert sample_crossing(n, variant, r1) == ref
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_leg_images_are_cell_automorphisms(self, n, variant):
+        # Each image tuple maps the two level-n cells at the leg's start
+        # onto themselves, one to one, keeping every edge between their
+        # vertices; it fixes the start and sends its stop to the target.
+        reg = _region(n, variant)
+        targets = [apex(n)] if variant is DIRECT else [corner(n), apex(n)]
+        assert len(reg.legs) == len(targets)
+        for (start, images), t in zip(reg.legs, targets):
+            s = reg.vertices[start >> 2]
+            cells = incident_cells(s, n)
+            stops = {c for cell in cells for c in cell.corners()} - {s}
+            assert {reg.vertices[r >> 2] for r in images} == stops
+            inside = [k for k, v in enumerate(reg.vertices) if any(c.contains(v) for c in cells)]
+            members = {reg.vertices[k] for k in inside}
+            for r, image in images.items():
+                g = {reg.vertices[k]: image[k] for k in inside}
+                assert set(g.values()) == members
+                assert g[s] == s and g[reg.vertices[r >> 2]] == t
+                for v in members:
+                    for u in neighbors(v):
+                        if u in members:
+                            assert g[u] in neighbors(g[v])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
     def test_attempt_crossing_equals_tuple_walk(self, n, variant):
-        # Trials draw blocks sized to the trial: 64 draws at level 1, five
-        # times more per level, at most 4096.
         r1, r2 = replica_rng(70 + n, 0), replica_rng(70 + n, 0)
         for _ in range(200 if n < 4 else 40):
-            ref = _TupleWalk(r2, block=min(4096, 64 * 5 ** (n - 1))).attempt(n, variant)
+            ref = _TupleWalk(r2, block=_block(n)).attempt(n, variant)
             assert attempt_crossing(n, variant, r1) == ref
 
     @pytest.mark.parametrize(
@@ -263,11 +363,11 @@ class TestRegionWalker:
         # refill, 4096 and 8191 at the third, and 8192 lets it finish.
         outcomes = []
         for sampler in (
-            lambda rng: sample_crossing(4, VIA, rng, max_steps),
-            lambda rng: _TupleWalk(rng, max_steps=max_steps).crossing(4, VIA),
+            lambda rng: sample_crossing(5, VIA, rng, max_steps),
+            lambda rng: _TupleWalk(rng, max_steps=max_steps).symmetric(5, VIA),
         ):
             try:
-                outcomes.append(sampler(replica_rng(3, 0)))
+                outcomes.append(sampler(replica_rng(5, 0)))
             except StepBudgetExceeded:
                 outcomes.append("exceeded")
         assert outcomes[0] == outcomes[1]
@@ -333,16 +433,35 @@ class TestPatternSampler:
 
 
 class TestLegwiseSampler:
-    """``sample_crossing`` against whole-attempt rejection.  Direct crossings
-    have one leg, so they keep the reference's stream path for path; the
-    via-corner legs are retried separately, so that law is gated by law."""
+    """``sample_crossing`` against rejection.  A direct crossing is the first
+    whole attempt of the reference's stream, mapped onto the apex, so it
+    equals the reference wherever that attempt succeeds; beyond that the
+    two are gated by law."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_direct_keeps_the_whole_attempt_stream(self, n):
+        kept = 0
         for seed in range(20):
-            assert sample_crossing(n, DIRECT, replica_rng(seed, n)) == _whole_attempt_crossing(
-                n, DIRECT, replica_rng(seed, n)
-            )
+            path = sample_crossing(n, DIRECT, replica_rng(seed, n))
+            first = _TupleWalk(replica_rng(seed, n), block=_block(n)).walk(ORIGIN, (1 << n) - 1)
+            assert path == [_leg_symmetry(ORIGIN, first[-1], apex(n))(v) for v in first]
+            if first[-1] == apex(n):
+                kept += 1
+                ref = _whole_attempt_crossing(n, DIRECT, replica_rng(seed, n), _block(n))
+                assert path == ref
+        assert kept > 0
+
+    @pytest.mark.parametrize("n,samples", [(1, 4000), (2, 3000), (3, 1200), (4, 400)])
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_law_matches_legwise_rejection(self, n, samples, variant):
+        # Erased lengths by a two-sample chi-square, raw lengths by KS.
+        r1, r2 = replica_rng(700 + n, 0), replica_rng(710 + n, 0)
+        ours = [sample_crossing(n, variant, r1) for _ in range(samples)]
+        ref = _TupleWalk(r2)
+        theirs = [ref.crossing(n, variant) for _ in range(samples)]
+        erased = [[len(loop_erase(p)) - 1 for p in paths] for paths in (ours, theirs)]
+        assert chi2_contingency(_pooled_rows(*erased)).pvalue > 1e-3
+        assert ks_2samp([len(p) for p in ours], [len(p) for p in theirs]).pvalue > 1e-3
 
     @pytest.mark.parametrize("n,samples", [(2, 3000), (3, 1500)])
     def test_via_corner_length_law_matches(self, n, samples):
@@ -368,6 +487,22 @@ class TestLegwiseSampler:
         assert chi2_contingency(rows).pvalue > 1e-3
 
 
+def _pooled_rows(a, b, least=10):
+    """Two samples as the rows of a contingency table over their values,
+    neighbouring values pooled until each column counts ``least``."""
+    ca, cb = Counter(a), Counter(b)
+    rows, col = [[], []], [0, 0]
+    for v in sorted(set(ca) | set(cb)):
+        col = [col[0] + ca[v], col[1] + cb[v]]
+        if sum(col) >= least:
+            rows[0].append(col[0])
+            rows[1].append(col[1])
+            col = [0, 0]
+    rows[0][-1] += col[0]
+    rows[1][-1] += col[1]
+    return rows
+
+
 def _shape_counts(shapes) -> dict[str, int]:
     counts: dict[str, int] = {}
     for sid in shapes:
@@ -378,7 +513,7 @@ def _shape_counts(shapes) -> dict[str, int]:
 class TestLockstepKernel:
     """``sample_patterns`` against the exact shape law and against
     ``sample_crossing``.  The two samplers consume the stream in different
-    orders (whole attempts against legs retried on their own), so these
+    orders (whole attempts against legs mapped onto their targets), so these
     gates are on the law; ``TestPatternSampler`` gates the paths."""
 
     @pytest.mark.parametrize("n,samples", [(1, 3000), (2, 3000), (3, 2000), (4, 800)])
