@@ -31,6 +31,10 @@ DIMENSION_TOLERANCE = 0.05
 RESIDUAL_TOLERANCE = 1e-9
 MIN_EXPECTED = 5.0  # chi-square cells expecting fewer counts are pooled
 SKELETON_CHUNK = 4096  # skeleton records formatted per write
+SKELETON_RECORD = (  # one skeleton record and its separator, eight integer slots
+    '{{"corner": [{}, {}], "level": 0, "entry": [{}, {}], "exit": [{}, {}], '
+    '"kind": {}, "exit_index": {}}},\n '
+)
 
 
 class DegenerateCells(ValueError):
@@ -313,7 +317,7 @@ def _dimension_worker(args) -> list[float]:
     slopes = []
     for k in range(count):
         rng = walker.replica_rng(seed, replica * 100_003 + k)
-        slopes.append(limit.box_count_dimension(limit.sample_limit_path(depth, rng)))
+        slopes.append(limit.box_count_dimension(limit.sample_level_counts(depth, rng)))
     return slopes
 
 
@@ -529,25 +533,40 @@ def _write_skeleton(path: limit.RefinedPath, target: Path) -> None:
     "exit": [i, j], "kind": k, "exit_index": n}``: the cell's lower-left
     corner, entry and exit in depth-scale integer coordinates, its kind
     (1 one-visit, 2 two-visit) and its position n in the chain.  Records
-    are formatted straight from the cell array, a chunk at a time.
+    are laid out as bytes a chunk at a time: a fixed-width record with a
+    slot of NUL bytes for each integer, the digits filled in column by
+    column, and the NULs of leading zeros dropped by one mask.
     """
     cells = path.cell_array
     corners = limit.cell_corners(cells)
     rows = np.column_stack((corners, cells[:, [0, 1, 2, 3, 6]], np.arange(len(cells))))
-    with target.open("w") as fh:
-        fh.write("[\n ")
+    # Coordinates are at most 2**depth and positions fewer than the cells:
+    # far below 2**32 at any depth that fits in memory, and uint32 divides fast.
+    rows = rows.astype(np.uint32)
+    width = len(str(rows.max()))
+    record = np.frombuffer(SKELETON_RECORD.format(*["\0" * width] * 8).encode(), np.uint8)
+    slots = np.flatnonzero(record == 0).reshape(8, width)  # each integer's slot bytes
+    # A digit is a leading zero when the integer is below its place value;
+    # the units digit always shows.
+    lead = 10 ** np.arange(width - 1, -1, -1, dtype=np.uint32)
+    lead[-1] = 0
+    with target.open("wb") as fh:
+        fh.write(b"[\n ")
         for start in range(0, len(rows), SKELETON_CHUNK):
-            if start:
-                fh.write(",\n ")
-            chunk = rows[start : start + SKELETON_CHUNK].tolist()
-            fh.write(
-                ",\n ".join(
-                    f'{{"corner": [{ci}, {cj}], "level": 0, "entry": [{ei}, {ej}], '
-                    f'"exit": [{xi}, {xj}], "kind": {kind}, "exit_index": {k}}}'
-                    for ci, cj, ei, ej, xi, xj, kind, k in chunk
-                )
-            )
-        fh.write("\n]\n")
+            chunk = rows[start : start + SKELETON_CHUNK]
+            values = chunk.ravel()
+            digits = np.empty((width, len(values)), np.uint8)  # most significant first
+            q = values
+            for k in range(width - 1, -1, -1):
+                q, digits[k] = np.divmod(q, 10)
+            digits += ord("0")
+            digits *= values >= lead[:, None]
+            text = np.tile(record, (len(chunk), 1))
+            for k in range(width):
+                text[:, slots[:, k]] = digits[k].reshape(chunk.shape)
+            fh.write(text[text != 0].tobytes())
+        fh.seek(-len(",\n "), 1)  # the last record takes no separator
+        fh.write(b"\n]\n")
 
 
 def summarize(report: McReport) -> str:

@@ -23,13 +23,19 @@ shape from the cumulative law of its kind and places every child by one
 affine map.  The uniforms are taken level by level in skeleton order, so a
 seed determines the path.  Coarse-graining and the junction chain read the
 same arrays; ``RefinedPath.cells`` is a tuple view for outside readers only.
+
+A child's kind depends only on its parent's kind and the drawn shape, so the
+branching counts need no geometry: ``sample_level_counts`` runs the draw
+step alone on a 1-D kind array, with the same uniforms, and gives the
+level counts of ``sample_refined_family`` without placing a cell.  Box
+counting, and with it the ``dimension`` command, reads only these counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import log, sqrt
 from typing import NamedTuple, Sequence
 
@@ -89,8 +95,10 @@ def _shape_children(path: tuple[Vertex, ...]) -> tuple[SkeletonCell, ...]:
     return tuple(cells)
 
 
+@lru_cache(maxsize=None)
 def refinement_table(table: ShapeTable | None = None) -> RefinementKernels:
-    """Kernel of the refinement: each shape's mass and child skeleton.
+    """Kernel of the refinement: each shape's mass and child skeleton, built
+    once per table.
 
     All children stay inside the closed parent triangle; this is asserted at
     build time rather than assumed.
@@ -219,23 +227,27 @@ class _LevelLaw(NamedTuple):
         bounds = np.array(first, dtype=np.int64)
         return cls(cums[0], cums[1], bounds[:-1], np.diff(bounds), _cell_array(children))
 
-    def refine(self, parents: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Children of every parent row, in skeleton order.
+    def draw(self, kinds: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Frame rows of the children of every parent, in skeleton order, and
+        each parent's number of children.
 
         Parent k takes the first shape of its kind's law whose cumulative
-        mass is at least r[k].  Each child point (a, b) of the shape frame
-        lands at 2 entry + a (third - entry) + b (exit - entry), doubling
-        the parent's coordinates.
+        mass is at least r[k].
         """
         shape = np.searchsorted(self.cum_one, r)
-        two = parents[:, 6] == TYPE_TWO
+        two = kinds == TYPE_TWO
         shape[two] = len(self.cum_one) + np.searchsorted(self.cum_two, r[two])
         sizes = self.count[shape]
-        owner = np.repeat(np.arange(len(parents)), sizes)
         offsets = np.cumsum(sizes) - sizes
-        rows = np.repeat(self.first[shape] - offsets, sizes) + np.arange(len(owner))
+        rows = np.repeat(self.first[shape] - offsets, sizes) + np.arange(sizes.sum())
+        return rows, sizes
+
+    def place(self, parents: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """The drawn children as cell rows.  Each child point (a, b) of the
+        shape frame lands at 2 entry + a (third - entry) + b (exit - entry),
+        doubling the parent's coordinates."""
         frame = self.frames[rows]
-        parent = parents[owner]
+        parent = np.repeat(parents, sizes, axis=0)
         entry = parent[:, 0:2]
         to_exit = parent[:, 2:4] - entry
         to_third = parent[:, 4:6] - entry
@@ -245,6 +257,20 @@ class _LevelLaw(NamedTuple):
             out[:, col : col + 2] = 2 * entry + a * to_third + b * to_exit
         out[:, 6] = frame[:, 6]
         return out
+
+
+@lru_cache(maxsize=None)
+def _default_law() -> _LevelLaw:
+    return _LevelLaw.of(refinement_table())
+
+
+def _law(kernels: RefinementKernels | None) -> _LevelLaw:
+    return _default_law() if kernels is None else _LevelLaw.of(kernels)
+
+
+def _kind_counts(kinds: np.ndarray) -> tuple[int, int]:
+    s2 = int(np.count_nonzero(kinds == TYPE_TWO))
+    return len(kinds) - s2, s2
 
 
 def sample_refined_family(
@@ -261,16 +287,37 @@ def sample_refined_family(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    law = _LevelLaw.of(refinement_table() if kernels is None else kernels)
+    law = _law(kernels)
     cells = _cell_array((ANCESTOR,))
     counts = [(1, 0)]
     family = [RefinedPath(depth=0, cell_array=cells, level_counts=tuple(counts))]
     for m in range(1, depth + 1):
-        cells = law.refine(cells, rng.random(len(cells)))
-        s2 = int(np.count_nonzero(cells[:, 6] == TYPE_TWO))
-        counts.append((len(cells) - s2, s2))
+        cells = law.place(cells, *law.draw(cells[:, 6], rng.random(len(cells))))
+        counts.append(_kind_counts(cells[:, 6]))
         family.append(RefinedPath(depth=m, cell_array=cells, level_counts=tuple(counts)))
     return family
+
+
+def sample_level_counts(
+    depth: int,
+    rng: np.random.Generator,
+    kernels: RefinementKernels | None = None,
+) -> tuple[tuple[int, int], ...]:
+    """(one-visit, two-visit) counts at levels 0..depth, without geometry.
+
+    Draws the uniforms ``sample_refined_family`` draws, in the same order,
+    and carries only the kinds, so the counts equal its ``level_counts``.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    law = _law(kernels)
+    kinds = np.array([TYPE_ONE])
+    counts = [(1, 0)]
+    for _ in range(depth):
+        rows, _ = law.draw(kinds, rng.random(len(kinds)))
+        kinds = law.frames[rows, 6]
+        counts.append(_kind_counts(kinds))
+    return tuple(counts)
 
 
 def sample_limit_path(
@@ -340,18 +387,19 @@ def projects_onto(fine: RefinedPath, coarse: RefinedPath) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def box_count_dimension(path: RefinedPath) -> float:
+def box_count_dimension(level_counts: Sequence[tuple[int, int]]) -> float:
     """Least-squares slope of log cell count against log inverse mesh.
 
-    Counts come from the coarse-grained skeletons recorded during
-    refinement: K_m cells of side 2**-m at level m.
+    ``level_counts`` are the (one-visit, two-visit) counts per level 0..M
+    recorded during refinement: K_m cells of side 2**-m at level m.
     """
-    if path.depth < MIN_BOX_DEPTH:
+    depth = len(level_counts) - 1
+    if depth < MIN_BOX_DEPTH:
         raise InsufficientDepth(f"box counting needs depth >= {MIN_BOX_DEPTH}")
     xs = []
     ys = []
-    for m in range(BOX_MIN_LEVEL, path.depth + 1):
-        s1, s2 = path.level_counts[m]
+    for m in range(BOX_MIN_LEVEL, depth + 1):
+        s1, s2 = level_counts[m]
         xs.append(m * log(2.0))
         ys.append(log(s1 + s2))
     xbar = sum(xs) / len(xs)

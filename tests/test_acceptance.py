@@ -221,7 +221,7 @@ def test_a9_limit_path_properties(eig):
             keys = np.sort((corners[:, 0] << 32) | corners[:, 1])
             assert np.all(keys[1:] != keys[:-1])
             assert member.repeated_junctions() == 0
-        slopes.append(limit.box_count_dimension(family[-1]))
+        slopes.append(limit.box_count_dimension(family[-1].level_counts))
     mean_slope = float(np.mean(slopes))
     assert abs(mean_slope - 1.1939) < 0.05
     print(

@@ -190,6 +190,16 @@ class TestRunCommands:
         assert payload["raw_steps"] == 321280
         assert run(RunConfig(**cfg, threads=2)).payload == payload
 
+    def test_dimension_payload_is_pinned(self):
+        # The payload at this seed when every sample refined the full
+        # geometry: the kind-only refinement must give the same numbers, at
+        # any thread count.
+        cfg = dict(command="dimension", level=8, samples=25, seed=6)
+        payload = run(RunConfig(**cfg)).payload
+        assert payload["mean_slope"] == 1.1974869250518472
+        assert payload["sd_slope"] == 0.019043842524301847
+        assert run(RunConfig(**cfg, threads=2)).payload == payload
+
     def test_mc_length_counts_raw_steps(self):
         # 2500 samples are two replicas; the steps add up over both.
         report = run(RunConfig(command="mc-length", level=2, samples=2500, seed=3))
@@ -233,6 +243,48 @@ class TestRunCommands:
             RunConfig(command="exact", samples=0)
         with pytest.raises(ValueError):
             RunConfig(command="exact", fmt="pdf")
+
+
+def _reference_write_skeleton(path, target):
+    """The skeleton writer with one f-string per record, kept as the
+    reference for the byte-level one."""
+    cells = path.cell_array
+    corners = limit.cell_corners(cells)
+    rows = np.column_stack((corners, cells[:, [0, 1, 2, 3, 6]], np.arange(len(cells))))
+    with target.open("w") as fh:
+        fh.write("[\n ")
+        for start in range(0, len(rows), 4096):
+            if start:
+                fh.write(",\n ")
+            chunk = rows[start : start + 4096].tolist()
+            fh.write(
+                ",\n ".join(
+                    f'{{"corner": [{ci}, {cj}], "level": 0, "entry": [{ei}, {ej}], '
+                    f'"exit": [{xi}, {xj}], "kind": {kind}, "exit_index": {k}}}'
+                    for ci, cj, ei, ej, xi, xj, kind, k in chunk
+                )
+            )
+        fh.write("\n]\n")
+
+
+class TestSkeletonWriter:
+    @pytest.mark.parametrize("depth", [0, 1, 5, 12, 15])
+    def test_matches_reference(self, depth, tmp_path):
+        path = sample_limit_path(depth, replica_rng(12094959, 0))
+        harness._write_skeleton(path, tmp_path / "new.json")
+        _reference_write_skeleton(path, tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 100])
+    def test_chunk_edges(self, chunk, tmp_path, monkeypatch):
+        # At depth 6 the integers grow from one digit to three within the
+        # file, so small chunks split records of every width.
+        monkeypatch.setattr(harness, "SKELETON_CHUNK", chunk)
+        path = sample_limit_path(6, replica_rng(4, 0))
+        assert len(path.cell_array) > 2 * chunk
+        harness._write_skeleton(path, tmp_path / "new.json")
+        _reference_write_skeleton(path, tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 class TestArtifacts:

@@ -21,6 +21,7 @@ from gasket_lerw.limit import (
     projects_onto,
     refinement_table,
     sample_branching_counts,
+    sample_level_counts,
     sample_limit_path,
     sample_refined_family,
 )
@@ -197,6 +198,28 @@ class TestSampling:
             for depth in (0, 3, 7):
                 shallow = sample_refined_family(depth, replica_rng(seed, 0), law)
                 assert shallow == got[: depth + 1]
+
+    def test_level_counts_use_the_family_draws(self, kernels):
+        # The kind-only refinement reads the family's uniforms: equal counts
+        # at every depth, and both generators left in the same state.
+        for law in (kernels, _deterministic_kernels(kernels)):
+            for seed in range(20):
+                for depth in range(13):
+                    a, b = replica_rng(seed, 0), replica_rng(seed, 0)
+                    counts = sample_level_counts(depth, a, law)
+                    assert counts == sample_refined_family(depth, b, law)[-1].level_counts
+                    assert a.bit_generator.state == b.bit_generator.state
+
+    def test_default_law_is_built_once(self, kernels, monkeypatch):
+        sample_refined_family(1, replica_rng(0, 0))
+        built = []
+        real = limit._LevelLaw.of
+        monkeypatch.setattr(limit._LevelLaw, "of", lambda k: built.append(k) or real(k))
+        sample_refined_family(4, replica_rng(0, 0))
+        sample_level_counts(4, replica_rng(0, 0))
+        assert built == []
+        sample_refined_family(4, replica_rng(0, 0), kernels)
+        assert built == [kernels]
 
     def test_depth_zero_is_the_ancestor(self):
         path = sample_limit_path(0, replica_rng(0, 0))
@@ -408,17 +431,18 @@ class TestLengthStatistics:
 class TestBoxCounting:
     def test_deterministic_two_child_refinement_has_slope_one(self, kernels):
         path = sample_limit_path(8, replica_rng(0, 0), _deterministic_kernels(kernels))
-        assert box_count_dimension(path) == pytest.approx(1.0)
+        assert box_count_dimension(path.level_counts) == pytest.approx(1.0)
         assert path.level_counts[-1] == (2**8, 0)
 
     def test_insufficient_depth(self):
         with pytest.raises(InsufficientDepth):
-            box_count_dimension(sample_limit_path(3, replica_rng(0, 0)))
+            box_count_dimension(sample_limit_path(3, replica_rng(0, 0)).level_counts)
 
     def test_average_slope_near_dimension(self):
         target = float(spectral_data().dim)
         slopes = [
-            box_count_dimension(sample_limit_path(10, replica_rng(50, k))) for k in range(60)
+            box_count_dimension(sample_limit_path(10, replica_rng(50, k)).level_counts)
+            for k in range(60)
         ]
         assert abs(np.mean(slopes) - target) < 0.05
 
