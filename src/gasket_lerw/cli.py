@@ -3,13 +3,14 @@
 Every command takes its level, depth or order as one positional argument,
 and ``--out`` and ``--format``; beyond those, only the options it reads.
 ``harness.COMMANDS`` lists them, with each level's default and range.
-Each Monte Carlo command has one sampler, at every level: ``mc-shapes``
-runs ``walker.sample_patterns`` (whole attempts, only their level-(N-1)
-visits recorded) and ``mc-length`` runs ``walker.sample_crossing`` (each
-leg walked once and mapped onto its target by a symmetry of the two cells
-at its start).  ``--format csv`` and
-``--format svg`` draw the ``limit-path`` sample into ``--out`` (the svg
-overlays depths 0, 2, 4 and M); every other command writes JSON only.
+Each Monte Carlo command has one sampler, at every level, and both
+condition a crossing one way: each leg is walked once and mapped onto its
+target by a symmetry of the two cells at its start.  ``mc-length`` runs
+``walker.sample_crossing``, which keeps every step, and ``mc-shapes`` runs
+``walker.sample_patterns``, which keeps only the level-(N-1) visits.
+``--format csv`` and ``--format svg`` draw the ``limit-path`` sample into
+``--out`` (the svg overlays depths 0, 2, 4 and M); every other command
+writes JSON only.
 
 Exit codes: 0 on success, 2 when a statistical acceptance test fails,
 1 on usage or I/O errors (an option the command does not read among them),

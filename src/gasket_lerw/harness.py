@@ -155,8 +155,8 @@ class Command(NamedTuple):
 OPTIONS = ("samples", "seed", "threads", "variant")
 COMMANDS = {
     "exact": Command("moment order K for the exact report", 8, 1, exact.MAX_MOMENT_ORDER),
-    "mc-shapes": Command("crossing level N", 1, 1, None, OPTIONS),
-    "mc-length": Command("crossing level N", 3, 1, None, OPTIONS),
+    "mc-shapes": Command("crossing level N", 1, 1, walker.MAX_LEVEL, OPTIONS),
+    "mc-length": Command("crossing level N", 3, 1, walker.MAX_LEVEL, OPTIONS),
     "limit-path": Command("refinement depth M", 8, 0, None, ("seed",)),
     "dimension": Command(
         "refinement depth M", 10, limit.MIN_BOX_DEPTH, None, ("samples", "seed", "threads")
@@ -280,18 +280,18 @@ def classify_top_shape(pattern, level: int, table=None) -> str:
 
 
 def _shapes_worker(args) -> tuple[dict[str, int], int]:
-    """Shape counts of one replica, and its conditioning attempts."""
+    """Shape counts of one replica, and the raw walk steps behind them."""
     level, variant_value, seed, replica, count = args
     variant = CrossingVariant(variant_value)
     rng = walker.replica_rng(seed, replica)
     table = exact.shape_table()
-    shapes, attempts = walker.sample_patterns(
+    shapes, raw_steps = walker.sample_patterns(
         level, variant, count, rng, keep=lambda p: classify_top_shape(p, level, table)
     )
     counts: dict[str, int] = {}
     for sid in shapes:
         counts[sid] = counts.get(sid, 0) + 1
-    return counts, attempts
+    return counts, raw_steps
 
 
 def _length_worker(args) -> tuple[int, float, float, int]:
@@ -390,10 +390,6 @@ def _run_mc_shapes(config: RunConfig) -> tuple[dict, bool]:
         for k, v in sorted(part.items()):
             counts[k] = counts.get(k, 0) + v
     stat, p_value = chi_square(counts, expected)
-    # Observed acceptance against the exact one; informative only, the
-    # verdict stays the chi-square's.
-    attempts = sum(a for _, a in results)
-    p = float(walker.ACCEPTANCE[config.variant])
     payload = {
         "samples": n,
         "counts": dict(sorted(counts.items())),
@@ -401,8 +397,7 @@ def _run_mc_shapes(config: RunConfig) -> tuple[dict, bool]:
         "statistic": stat,
         "p_value": p_value,
         "threshold": P_VALUE_FLOOR,
-        "attempts": attempts,
-        "acceptance_z": (n - p * attempts) / sqrt(attempts * p * (1 - p)),
+        "raw_steps": sum(steps for _, steps in results),
     }
     return payload, p_value > P_VALUE_FLOOR
 
@@ -572,7 +567,7 @@ def _write_skeleton(path: limit.RefinedPath, target: Path) -> None:
 def summarize(report: McReport) -> str:
     """One console line per run; the only place timing appears."""
     verdict = "pass" if report.passed else "FAIL"
-    keys = ("p_value", "acceptance_z", "z_score", "mean_slope", "scaled_mean", "w_prime_mean")
+    keys = ("p_value", "z_score", "mean_slope", "scaled_mean", "w_prime_mean")
     bits = [f"{k}={report.payload[k]:.6g}" for k in keys if report.payload.get(k) is not None]
     return (
         f"[{report.command}] {verdict} "

@@ -11,7 +11,7 @@ over the four neighbors:
 Coarse visits are counted with the once-in-a-row rule: consecutive returns to
 the vertex counted last do not register again.
 
-``sample_crossing`` rejects nothing.  A leg starts at a level-N vertex s
+Neither sampler rejects.  A leg starts at a level-N vertex s
 (O, or b_N for the via-corner second leg) and walks inside the two level-N
 cells at s until its first level-N vertex w other than s.  Every step is
 uniform over four neighbours, so a leg of length n has probability 4**-n,
@@ -22,12 +22,14 @@ probability 1/4, so the image of one leg under the automorphism for its
 own stop has the law of a leg conditioned to stop at t: the law of
 retrying the leg until it stops there.  By the strong Markov property at
 the b_N visit this is also the law of retrying whole attempts
-(``attempt_crossing`` runs one whole attempt).
+(``attempt_crossing`` runs one whole attempt; it is the ground truth the
+samplers are gated against, and the only code that rejects).
 
-``sample_patterns`` rejects whole attempts on one stream, as
-``attempt_crossing`` does, and keeps only each attempt's level-(N-1) visits,
-which is all that ``mc-shapes`` reads.  It has the law of ``sample_crossing``
-and is gated path for path against whole attempts of a tuple walk.
+``sample_crossing`` keeps every step of the legs; ``sample_patterns`` walks
+the same legs but records only their level-(N-1) visits, which is all that
+``mc-shapes`` reads.  The automorphisms map the level-(N-1) grid onto
+itself, so mapping those visits gives the level-(N-1) coarse view of the
+mapped crossing.  Both run one leg loop (``_legs``).
 
 All walkers read one table per (N, variant): the vertices a level-N attempt
 can reach, with their neighbours by direction (``_region``), ordered so that
@@ -44,8 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
+from operator import length_hint
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +55,7 @@ import numpy as np
 from .lattice import ORIGIN, Vertex, apex, corner, incident_cells, neighbors, on_grid
 
 DEFAULT_STEP_BUDGET = 10**9
+MAX_LEVEL = 12  # the mean walk, 5**N steps, stays within the default budget
 BLOCK = 4096  # direction draws per block, at most
 
 
@@ -96,6 +99,11 @@ class _Dice:
         # Bytes iterate as small ints, with no conversion per draw.
         self.draws = iter(self._rng.integers(0, 4, size=self._size).astype(np.uint8).tobytes())
         self._drawn += self._size
+
+    @property
+    def steps(self) -> int:
+        """Draws handed out so far: the steps walked on them."""
+        return self._drawn - length_hint(self.draws)
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
@@ -202,12 +210,17 @@ def sample_crossing(
     """
     if N < 1:
         raise ValueError("crossing level must be >= 1")
-    reg = _region(N, variant)
-    dice = _Dice(rng, max_steps, _block(N))
+    return _legs(_Dice(rng, max_steps, _block(N)), _region(N, variant), _walk)
+
+
+def _legs(dice: _Dice, reg: _Region, walk: Callable[..., int]) -> list[Vertex]:
+    """One crossing from O to a_N: each leg walked once by ``walk``, which
+    appends the rows it records and returns its stop, and the recorded rows
+    mapped onto the leg's target by the automorphism for that stop."""
     path = [ORIGIN]
     for start, images in reg.legs:
         rows: list[int] = []
-        image = images[_walk(dice, reg, start, rows)]
+        image = images[walk(dice, reg, start, rows)]
         path += [image[r >> 2] for r in rows]
     return path
 
@@ -215,10 +228,6 @@ def sample_crossing(
 # ---------------------------------------------------------------------------
 # Region table and the pattern sampler
 # ---------------------------------------------------------------------------
-
-#: Exact probability of each conditioning event (``exact`` derives it too).
-ACCEPTANCE = {CrossingVariant.DIRECT: Fraction(1, 4), CrossingVariant.VIA_CORNER: Fraction(1, 16)}
-
 
 @dataclass(frozen=True)
 class _Region:
@@ -331,7 +340,7 @@ def _leg_images(
 
 def _coarse_walk(dice: _Dice, reg: _Region, start: int, pattern: list[int]) -> int:
     """``_walk`` that appends only the once-in-a-row level-(N-1) visits
-    (``start`` is the last entry of ``pattern``).
+    after ``start``.
 
     A row below ``reg.coarse`` is a level-(N-1) vertex, and every stop is
     one, so the stop test runs only on those rows.  A stop is never the
@@ -360,35 +369,20 @@ def sample_patterns(
 ) -> tuple[list, int]:
     """Level-(N-1) patterns of ``count`` conditioned level-N crossings.
 
-    Whole attempts, as in ``attempt_crossing``, are run one after another on
-    one stream until ``count`` are accepted.  An attempt records only its
-    once-in-a-row visits to the level-(N-1) grid, which is
-    ``coarse_grain(path, N - 1)`` of the path it walks; each accepted
-    pattern goes through ``keep``.  Draws come ``BLOCK`` at a time, shared
-    by all attempts, and ``max_steps`` is a budget per sample, as in
+    Crossings are sampled as in ``sample_crossing``, one after another on
+    one stream, with each leg recording only its level-(N-1) visits, so a
+    pattern is ``coarse_grain(path, N - 1)`` of its crossing; each goes
+    through ``keep``.  Draws come ``BLOCK`` at a time, shared by all
+    samples, and ``max_steps`` is a budget per sample, as in
     ``sample_crossing``: the call may draw ``max_steps * count`` steps.
 
-    Returns the kept values in attempt order and the number of attempts up
-    to the ``count``-th acceptance.
+    Returns the kept values in order and the raw steps walked for them.
     """
     if N < 1:
         raise ValueError("crossing level must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
     reg = _region(N, variant)
-    a_N, b_N = 4 * reg.apex, 4 * reg.corner
-    via = variant is CrossingVariant.VIA_CORNER
     dice = _Dice(rng, max_steps * count)
-    kept: list = []
-    attempts = 0
-    while len(kept) < count:
-        attempts += 1
-        pattern = [0]
-        end = _coarse_walk(dice, reg, 0, pattern)
-        if via:
-            if end != b_N:
-                continue
-            end = _coarse_walk(dice, reg, end, pattern)
-        if end == a_N:
-            kept.append(keep(reg.path(pattern)))
-    return kept, attempts
+    kept = [keep(_legs(dice, reg, _coarse_walk)) for _ in range(count)]
+    return kept, dice.steps

@@ -156,26 +156,41 @@ class TestRunCommands:
         multi = RunConfig(command="mc-shapes", level=1, samples=4500, seed=11, threads=3)
         assert run(base).payload["counts"] == run(multi).payload["counts"]
 
-    def test_mc_shapes_reports_acceptance(self, table):
-        # 2500 samples are two replicas; attempts add up over both.
-        report = run(RunConfig(command="mc-shapes", level=2, samples=2500, seed=13))
-        payload = report.payload
+    def test_mc_shapes_counts_raw_steps(self):
+        # 2500 samples are two replicas; the steps add up over both, at any
+        # thread count.  tests/test_walker.py gates each replica's count
+        # against the lengths of the reference walks.
+        cfg = dict(command="mc-shapes", level=2, samples=2500, seed=13)
+        report = run(RunConfig(**cfg))
         replicas = [
             walker.sample_patterns(2, CrossingVariant.DIRECT, c, replica_rng(13, r))[1]
             for r, c in ((0, 2000), (1, 500))
         ]
-        assert payload["attempts"] == sum(replicas)
-        p = 0.25
-        z = (2500 - p * payload["attempts"]) / (payload["attempts"] * p * (1 - p)) ** 0.5
-        assert payload["acceptance_z"] == pytest.approx(z)
-        assert abs(payload["acceptance_z"]) < 3
+        assert report.payload["raw_steps"] == sum(replicas)
+        assert run(RunConfig(**cfg, threads=2)).payload["raw_steps"] == sum(replicas)
         assert "method" not in report.config
 
     def test_mc_shapes_level_five_runs_the_kernel(self):
+        # A crossing walks 5**N steps on average.
         report = run(RunConfig(command="mc-shapes", level=5, samples=200, seed=17))
         assert report.passed
-        assert report.payload["attempts"] >= 200
-        assert abs(report.payload["acceptance_z"]) < 3
+        assert abs(report.payload["raw_steps"] / (200 * 5**5) - 1) < 0.25
+
+    def test_mc_shapes_payload_is_pinned(self):
+        # The payload at this seed since each leg is walked once and mapped
+        # onto its target: faster kernels must leave every pattern unchanged.
+        cfg = dict(
+            command="mc-shapes", level=3, samples=2500, seed=31,
+            variant=CrossingVariant.VIA_CORNER,
+        )
+        payload = run(RunConfig(**cfg)).payload
+        assert payload["counts"] == {
+            "w1": 269, "w10": 138, "w2": 294, "w3": 338, "w4": 110,
+            "w5": 112, "w6": 105, "w7": 453, "w8": 555, "w9": 126,
+        }
+        assert payload["statistic"] == 5.880759090909092
+        assert payload["raw_steps"] == 620865
+        assert run(RunConfig(**cfg, threads=2)).payload == payload
 
     def test_mc_length_payload_is_pinned(self):
         # The payload at this seed since legs are mapped onto their targets
@@ -399,15 +414,24 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize(
-        "argv", [["mc-shapes", "0"], ["mc-length", "0"], ["dimension", "5"], ["limit-path", "-1"]]
+        "argv,span",
+        [
+            (["mc-shapes", "0"], "in 1..12"),
+            (["mc-shapes", "13"], "in 1..12"),
+            (["mc-length", "0"], "in 1..12"),
+            (["mc-length", "13"], "in 1..12"),
+            (["dimension", "5"], ">= "),
+            (["limit-path", "-1"], ">= "),
+        ],
     )
-    def test_exit_one_on_level_out_of_range(self, argv, monkeypatch, capsys):
+    def test_exit_one_on_level_out_of_range(self, argv, span, monkeypatch, capsys):
         def never(config):
             raise AssertionError("ran a command outside its range")
 
         monkeypatch.setattr(cli, "run", never)
         assert cli.main(argv) == 1
-        assert "needs a level >= " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"needs a level {span}" in err and err.count("\n") == 1
 
     def test_mc_length_needs_two_samples(self, monkeypatch, capsys):
         def never(config):
