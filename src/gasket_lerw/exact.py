@@ -12,9 +12,15 @@ shape distributions.  Nothing is transcribed from a drawing: the shapes are
 whatever the chain produces, and an independent path enumeration pins the
 supports.
 
-From the shape table everything else is derived: the bivariate generating
-functions of the one-visit/two-visit cell counts, their composition across
-levels, the 2x2 mean matrix with its Perron eigenvalue
+The shape table is the one home of the two offspring laws: each row holds a
+shape's two masses and its level-0 skeleton cells, and ``ShapeTable.law``
+gives the direct law (refining a one-visit cell) or the via-corner law
+(refining a two-visit cell) as (mass, shape) pairs.  Every consumer reads
+the laws there: the refinement sampler and the branching counts in
+``limit.py``, and here the bivariate generating functions of the
+one-visit/two-visit cell counts, their composition across levels, the
+finite-depth count moments, and the 2x2 mean matrix with its Perron
+eigenvalue
 
    lambda = (20 + sqrt(205)) / 15 = 2.28785...,
 
@@ -31,10 +37,10 @@ Carlo gate in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import mpmath
 from mpmath import mpf
@@ -50,6 +56,8 @@ IntPoly = dict[tuple[int, int], int]
 PRECISION_DPS = 60
 COMPOSITION_CAP = 4  # highest level compose_level expands exactly
 MAX_MOMENT_ORDER = 12  # highest moment order K a report or table asks for
+# The offspring law of a one-visit parent cell, then of a two-visit one.
+PARENT_LAWS = (CrossingVariant.DIRECT, CrossingVariant.VIA_CORNER)
 
 
 class SingularSystem(RuntimeError):
@@ -365,6 +373,10 @@ def _solve_sparse(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[
 # ---------------------------------------------------------------------------
 
 
+# One child cell of a shape in its side-2 frame: entry, exit, third corner, kind.
+Child = tuple[Vertex, Vertex, Vertex, int]
+
+
 @dataclass(frozen=True)
 class ShapeInfo:
     shape_id: str
@@ -373,6 +385,7 @@ class ShapeInfo:
     s2: int
     p_direct: Fraction
     p_via: Fraction
+    children: tuple[Child, ...]  # the level-0 skeleton, in path order
 
 
 @dataclass(frozen=True)
@@ -388,10 +401,16 @@ class ShapeTable:
     def by_id(self) -> dict[str, ShapeInfo]:
         return {s.shape_id: s for s in self.shapes}
 
+    def law(self, variant: CrossingVariant) -> tuple[tuple[Fraction, ShapeInfo], ...]:
+        """The shapes with nonzero mass under one crossing law, as (mass,
+        shape) pairs in table order: the offspring law of a one-visit cell
+        (direct) or of a two-visit cell (via-corner)."""
+        direct = variant is CrossingVariant.DIRECT
+        masses = ((s.p_direct if direct else s.p_via, s) for s in self.shapes)
+        return tuple((p, s) for p, s in masses if p)
+
     def column(self, variant: CrossingVariant) -> dict[str, Fraction]:
-        if variant is CrossingVariant.DIRECT:
-            return {s.shape_id: s.p_direct for s in self.shapes if s.p_direct}
-        return {s.shape_id: s.p_via for s in self.shapes if s.p_via}
+        return {s.shape_id: p for p, s in self.law(variant)}
 
 
 def _shape_rank(path: tuple[Vertex, ...], s: tuple[int, int]) -> tuple:
@@ -403,20 +422,42 @@ def _shape_rank(path: tuple[Vertex, ...], s: tuple[int, int]) -> tuple:
     return (via, rank, path)
 
 
+def _children(path: tuple[Vertex, ...]) -> tuple[Child, ...]:
+    """The cells of a shape's level-0 skeleton.
+
+    Every cell is one- or two-visit and stays inside the closed side-2
+    frame; both are asserted here rather than assumed by the refinement.
+    """
+    cells = []
+    for e in eraser.skeleton(path, 0).entries:
+        if e.kind is None:
+            raise AssertionError("crossing shapes have one- or two-visit cells only")
+        cell = (e.entry, e.exit, e.third_corner, e.kind)
+        for p in cell[:3]:
+            if not (p[0] >= 0 and p[1] >= 0 and p[0] + p[1] <= 2):
+                raise AssertionError(f"shape {path} leaves its frame at {p}")
+        cells.append(cell)
+    return tuple(cells)
+
+
 @lru_cache(maxsize=None)
 def shape_table() -> ShapeTable:
     """The 17-row table of loop-erased crossing shapes and their two laws.
 
     Seven shapes avoid b_1 and carry the direct law; all ten carry the
     via-corner law (erasure can remove the b_1 visit together with a loop).
+    Each shape's skeleton is read once, here, and gives its (s1, s2).
     """
     direct = solve_shape_distribution(CrossingVariant.DIRECT)
     via = solve_shape_distribution(CrossingVariant.VIA_CORNER)
-    paths = sorted(set(direct.masses) | set(via.masses), key=lambda p: _shape_rank(p, _s_counts(p)))
-    shapes = []
-    for k, path in enumerate(paths, start=1):
-        s1, s2 = _s_counts(path)
-        shapes.append(
+    rows = []
+    for path in set(direct.masses) | set(via.masses):
+        children = _children(path)
+        kinds = [kind for *_, kind in children]
+        rows.append((path, kinds.count(eraser.TYPE_ONE), kinds.count(eraser.TYPE_TWO), children))
+    rows.sort(key=lambda row: _shape_rank(row[0], row[1:3]))
+    return ShapeTable(
+        shapes=tuple(
             ShapeInfo(
                 shape_id=f"w{k}",
                 path=path,
@@ -424,13 +465,11 @@ def shape_table() -> ShapeTable:
                 s2=s2,
                 p_direct=direct.masses.get(path, Fraction(0)),
                 p_via=via.masses.get(path, Fraction(0)),
+                children=children,
             )
+            for k, (path, s1, s2, children) in enumerate(rows, start=1)
         )
-    return ShapeTable(shapes=tuple(shapes))
-
-
-def _s_counts(path: tuple[Vertex, ...]) -> tuple[int, int]:
-    return eraser.skeleton(path, 0).s_counts()
+    )
 
 
 def enumerate_self_avoiding_crossings(allow_corner: bool) -> set[tuple[Vertex, ...]]:
@@ -489,14 +528,10 @@ THETA_REFERENCE = BivariatePoly(
 def build_phi_theta(table: ShapeTable) -> tuple[BivariatePoly, BivariatePoly]:
     """Generating functions of (s1, s2) under the two laws, checked against
     their reference closed forms (a mismatch is a fatal error, not a fallback)."""
-    phi = BivariatePoly({})
-    theta = BivariatePoly({})
-    for s in table.shapes:
-        key = (s.s1, s.s2)
-        if s.p_direct:
-            phi = phi + BivariatePoly({key: s.p_direct})
-        if s.p_via:
-            theta = theta + BivariatePoly({key: s.p_via})
+    phi, theta = (
+        sum((BivariatePoly({(s.s1, s.s2): p}) for p, s in table.law(v)), BivariatePoly({}))
+        for v in PARENT_LAWS
+    )
     if phi != PHI_REFERENCE:
         raise GeneratingFunctionMismatch(f"direct generating function {phi!r}")
     if theta != THETA_REFERENCE:
@@ -618,8 +653,6 @@ class MomentTable:
     moments: tuple[tuple[mpf, mpf], ...]
     next_moment: tuple[mpf, mpf]
     eig: EigenData
-    # The t-free part of ``functional_equation_residual``, per (phi, theta).
-    _series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def moment(self, k: int) -> tuple[mpf, mpf]:
         return self.moments[k - 1]
@@ -635,6 +668,22 @@ class MomentTable:
         v1, v2 = self.eig.v
         m1, m2 = self.moments[0][0], self.moments[1][0]
         return (v1 + 2 * v2) ** 2 * (m2 - m1 * m1)
+
+    @cached_property
+    def residual_series(self) -> tuple[list[mpf], list[mpf], list[mpf], list[mpf], mpf]:
+        """The t-free part of ``functional_equation_residual``: the Taylor
+        coefficients of phi1 and phi2 through order K, of their compositions
+        by Phi and Theta, and a_(K+1) of phi1."""
+        phi, theta = build_phi_theta(shape_table())
+        K = self.K
+        fact = [mpf(1)]
+        for k in range(1, K + 2):
+            fact.append(fact[-1] * k)
+        f = [mpf(1)] + [self.moments[k - 1][0] / fact[k] for k in range(1, K + 1)]
+        g = [mpf(1)] + [self.moments[k - 1][1] / fact[k] for k in range(1, K + 1)]
+        comp1 = _series_compose(phi, f, g, K)
+        comp2 = _series_compose(theta, f, g, K)
+        return f, g, comp1, comp2, self.next_moment[0] / fact[K + 1]
 
 
 def _series_mul(a: list[mpf], b: list[mpf], K: int) -> list[mpf]:
@@ -669,12 +718,7 @@ def _series_compose(poly: BivariatePoly, f: list[mpf], g: list[mpf], K: int) -> 
     return out
 
 
-def moment_table(
-    K: int,
-    eig: EigenData | None = None,
-    phi: BivariatePoly | None = None,
-    theta: BivariatePoly | None = None,
-) -> MomentTable:
+def moment_table(K: int) -> MomentTable:
     """Solve for moments of the limits by Taylor matching in the fixed-point
     equations of their Laplace transforms.
 
@@ -686,10 +730,8 @@ def moment_table(
     """
     if not 1 <= K <= MAX_MOMENT_ORDER:
         raise ValueError(f"moment order must be in 1..{MAX_MOMENT_ORDER}")
-    if eig is None:
-        eig = spectral_data()
-    if phi is None or theta is None:
-        phi, theta = build_phi_theta(shape_table())
+    eig = spectral_data()
+    phi, theta = build_phi_theta(shape_table())
     m = eig.mean_matrix
     with mpmath.workdps(PRECISION_DPS):
         lam = eig.lam
@@ -721,12 +763,7 @@ def moment_table(
     return MomentTable(K=K, moments=tuple(moments[:K]), next_moment=moments[K], eig=eig)
 
 
-def functional_equation_residual(
-    table: MomentTable,
-    t: float | mpf,
-    phi: BivariatePoly | None = None,
-    theta: BivariatePoly | None = None,
-) -> tuple[mpf, mpf, mpf]:
+def functional_equation_residual(table: MomentTable, t: float | mpf) -> tuple[mpf, mpf, mpf]:
     """|phi_i(lambda t) - composition(phi1(t), phi2(t))| with both sides
     truncated at the table's order, plus a one-extra-term remainder estimate.
 
@@ -737,10 +774,7 @@ def functional_equation_residual(
     """
     K = table.K
     with mpmath.workdps(PRECISION_DPS):
-        series = table._series.get((phi, theta))
-        if series is None:
-            series = table._series[phi, theta] = _residual_series(table, phi, theta)
-        f, g, comp1, comp2, dropped = series
+        f, g, comp1, comp2, dropped = table.residual_series
         t = mpf(t)
         lam = table.eig.lam
         lhs1 = sum(f[k] * (lam * t) ** k for k in range(K + 1))
@@ -752,36 +786,9 @@ def functional_equation_residual(
         return abs(lhs1 - rhs1), abs(lhs2 - rhs2), remainder
 
 
-def _residual_series(
-    table: MomentTable, phi: BivariatePoly | None, theta: BivariatePoly | None
-) -> tuple[list[mpf], list[mpf], list[mpf], list[mpf], mpf]:
-    """The Taylor coefficients of phi1 and phi2 through order K, of their
-    compositions by phi and theta, and a_(K+1) of phi1."""
-    if phi is None or theta is None:
-        phi, theta = build_phi_theta(shape_table())
-    K = table.K
-    fact = [mpf(1)]
-    for k in range(1, K + 2):
-        fact.append(fact[-1] * k)
-    f = [mpf(1)] + [table.moments[k - 1][0] / fact[k] for k in range(1, K + 1)]
-    g = [mpf(1)] + [table.moments[k - 1][1] / fact[k] for k in range(1, K + 1)]
-    comp1 = _series_compose(phi, f, g, K)
-    comp2 = _series_compose(theta, f, g, K)
-    return f, g, comp1, comp2, table.next_moment[0] / fact[K + 1]
-
-
 # ---------------------------------------------------------------------------
 # Exact finite-depth count moments (rational cross-checks for Monte Carlo)
 # ---------------------------------------------------------------------------
-
-
-def offspring_laws(table: ShapeTable | None = None) -> tuple[list, list]:
-    """[(probability, (s1, s2))] per parent type (one-visit, two-visit)."""
-    if table is None:
-        table = shape_table()
-    t1 = [(s.p_direct, (s.s1, s.s2)) for s in table.shapes if s.p_direct]
-    t2 = [(s.p_via, (s.s1, s.s2)) for s in table.shapes if s.p_via]
-    return t1, t2
 
 
 def type_count_mean(depth: int, ancestor: tuple[int, int] = (1, 0)) -> tuple[Fraction, Fraction]:
@@ -800,30 +807,20 @@ def length_mean(depth: int, ancestor: tuple[int, int] = (1, 0)) -> Fraction:
     return s1 + 2 * s2
 
 
-def _offspring_raw_second(law) -> Matrix2:
-    out = [[Fraction(0)] * 2 for _ in range(2)]
-    for p, (s1, s2) in law:
-        vec = (Fraction(s1), Fraction(s2))
-        for i in range(2):
-            for j in range(2):
-                out[i][j] += p * vec[i] * vec[j]
-    return tuple(tuple(row) for row in out)  # type: ignore[return-value]
-
-
 def type_count_second_moment(depth: int, ancestor: tuple[int, int] = (1, 0)) -> Matrix2:
     """Exact E[(S1,S2)^T (S1,S2)] after ``depth`` refinements (rational)."""
     table = shape_table()
-    phi, theta = build_phi_theta(table)
-    m = mean_matrix(phi, theta)
-    laws = offspring_laws(table)
-    raw = [_offspring_raw_second(law) for law in laws]
+    m = mean_matrix(*build_phi_theta(table))
     # Centered per-parent fluctuation matrices D_i = E[xi^T xi] - M_i^T M_i.
     d = []
-    for i in range(2):
-        mi = m[i]
-        d.append(
-            tuple(tuple(raw[i][a][b] - mi[a] * mi[b] for b in range(2)) for a in range(2))
-        )
+    for mi, variant in zip(m, PARENT_LAWS):
+        raw = [[Fraction(0)] * 2 for _ in range(2)]
+        for p, s in table.law(variant):
+            xi = (s.s1, s.s2)
+            for a in range(2):
+                for b in range(2):
+                    raw[a][b] += p * xi[a] * xi[b]
+        d.append(tuple(tuple(raw[a][b] - mi[a] * mi[b] for b in range(2)) for a in range(2)))
     mean = (Fraction(ancestor[0]), Fraction(ancestor[1]))
     second: list[list[Fraction]] = [
         [mean[0] * mean[0], mean[0] * mean[1]],
@@ -877,7 +874,7 @@ def exact_report(moment_order: int = 8) -> dict:
     table = shape_table()
     phi, theta = build_phi_theta(table)
     eig = spectral_data()
-    moments = moment_table(moment_order, eig, phi, theta)
+    moments = moment_table(moment_order)
     with mpmath.workdps(PRECISION_DPS):
         report = {
             "shapes": [

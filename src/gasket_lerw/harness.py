@@ -144,11 +144,11 @@ class Command(NamedTuple):
     help: str
     default: int
     lo: int
-    hi: int | None  # no upper bound when None
+    hi: int
     options: tuple[str, ...] = ()  # the OPTIONS it reads
 
     def span(self) -> str:
-        return f">= {self.lo}" if self.hi is None else f"in {self.lo}..{self.hi}"
+        return f"in {self.lo}..{self.hi}"
 
 
 # RunConfig fields that only some commands read.
@@ -157,9 +157,13 @@ COMMANDS = {
     "exact": Command("moment order K for the exact report", 8, 1, exact.MAX_MOMENT_ORDER),
     "mc-shapes": Command("crossing level N", 1, 1, walker.MAX_LEVEL, OPTIONS),
     "mc-length": Command("crossing level N", 3, 1, walker.MAX_LEVEL, OPTIONS),
-    "limit-path": Command("refinement depth M", 8, 0, None, ("seed",)),
+    "limit-path": Command("refinement depth M", 8, 0, limit.MAX_DEPTH, ("seed",)),
     "dimension": Command(
-        "refinement depth M", 10, limit.MIN_BOX_DEPTH, None, ("samples", "seed", "threads")
+        "refinement depth M",
+        10,
+        limit.MIN_BOX_DEPTH,
+        limit.MAX_DEPTH,
+        ("samples", "seed", "threads"),
     ),
     "moments": Command("number of moments K", 8, 1, exact.MAX_MOMENT_ORDER),
 }
@@ -196,7 +200,7 @@ class RunConfig:
             raise ValueError(f"{self.command} writes json only, not {self.fmt}")
         if self.fmt != "json" and self.out is None:
             raise ValueError(f"--format {self.fmt} needs --out")
-        if self.level < row.lo or (row.hi is not None and self.level > row.hi):
+        if not row.lo <= self.level <= row.hi:
             raise ValueError(f"{self.command} needs a level {row.span()}, got {self.level}")
 
     def effective_samples(self) -> int:

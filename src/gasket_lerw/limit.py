@@ -5,11 +5,12 @@ upward triangles, each crossed either corner-to-corner (one time unit) or
 through its third corner (two time units), with every time unit worth
 lambda**-M.  Refinement replaces one triangle by the skeleton of a random
 crossing shape: a one-visit triangle draws from the direct shape law, a
-two-visit triangle from the via-corner law, and the children are placed by
-the affine identification sending the shape frame's origin, apex and right
-corner to the parent's entry, exit and third corner.  A parent whose draw
-happens to avoid the third corner simply produces that shape's children;
-its own recorded kind is not rewritten.
+two-visit triangle from the via-corner law, both read from
+``exact.ShapeTable.law`` with each shape's skeleton cells (``children``).
+The children are placed by the affine identification sending the shape
+frame's origin, apex and right corner to the parent's entry, exit and third
+corner.  A parent whose draw happens to avoid the third corner simply
+produces that shape's children; its own recorded kind is not rewritten.
 
 Cell geometry is kept in integer coordinates at the working depth (the
 triangle side is the unit), so doubling at each refinement is exact and the
@@ -20,9 +21,11 @@ Each level is stored as one int64 array with a row per cell (entry, exit and
 third corner as integer pairs, then the kind) and refined all at once: the
 level draws one uniform per parent, in skeleton order, picks each parent's
 shape from the cumulative law of its kind and places every child by one
-affine map.  The uniforms are taken level by level in skeleton order, so a
-seed determines the path.  Coarse-graining and the junction chain read the
-same arrays; ``RefinedPath.cells`` is a tuple view for outside readers only.
+affine map.  ``refinement_table()`` holds the two laws as these arrays,
+built once from the shape table.  The uniforms are taken level by level in
+skeleton order, so a seed determines the path.  Coarse-graining and the
+junction chain read the same arrays; ``RefinedPath.cells`` is a tuple view
+for outside readers only.
 
 A child's kind depends only on its parent's kind and the drawn shape, so the
 branching counts need no geometry: ``sample_level_counts`` runs the draw
@@ -34,20 +37,19 @@ counting, and with it the ``dimension`` command, reads only these counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import log, sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import eraser
 from .eraser import TYPE_ONE, TYPE_TWO
-from .exact import ShapeTable, offspring_laws, shape_table, spectral_data
+from .exact import PARENT_LAWS, Child, ShapeTable, shape_table, spectral_data
 from .lattice import Vertex
 
 
 MIN_BOX_DEPTH = 6  # levels a box-counting fit needs
+MAX_DEPTH = 18  # deepest limit-path or dimension run: memory grows as lambda**M
 BOX_MIN_LEVEL = 2  # coarsest level in the box-counting fit
 
 
@@ -67,62 +69,10 @@ class SkeletonCell(NamedTuple):
 ANCESTOR = SkeletonCell(entry=(0, 0), exit=(0, 1), third=(1, 0), kind=TYPE_ONE)
 
 
-@dataclass(frozen=True)
-class RefinementShape:
-    """A crossing shape expressed as children placed inside a unit parent."""
-
-    shape_id: str
-    children: tuple[SkeletonCell, ...]  # in the side-2 shape frame
-
-
-@dataclass(frozen=True)
-class RefinementKernels:
-    """Offspring laws of the branching refinement, per parent kind."""
-
-    type_one: tuple[tuple[Fraction, RefinementShape], ...]
-    type_two: tuple[tuple[Fraction, RefinementShape], ...]
-
-    def law(self, kind: int) -> tuple[tuple[Fraction, RefinementShape], ...]:
-        return self.type_one if kind == TYPE_ONE else self.type_two
-
-
-def _shape_children(path: tuple[Vertex, ...]) -> tuple[SkeletonCell, ...]:
-    cells = []
-    for e in eraser.skeleton(path, 0).entries:
-        if e.kind is None:
-            raise AssertionError("crossing shapes have one- or two-visit cells only")
-        cells.append(SkeletonCell(entry=e.entry, exit=e.exit, third=e.third_corner, kind=e.kind))
-    return tuple(cells)
-
-
-@lru_cache(maxsize=None)
-def refinement_table(table: ShapeTable | None = None) -> RefinementKernels:
-    """Kernel of the refinement: each shape's mass and child skeleton, built
-    once per table.
-
-    All children stay inside the closed parent triangle; this is asserted at
-    build time rather than assumed.
-    """
-    if table is None:
-        table = shape_table()
-    type_one = []
-    type_two = []
-    for s in table.shapes:
-        shape = RefinementShape(shape_id=s.shape_id, children=_shape_children(s.path))
-        for cell in shape.children:
-            for p in (cell.entry, cell.exit, cell.third):
-                if not (p[0] >= 0 and p[1] >= 0 and p[0] + p[1] <= 2):
-                    raise AssertionError(f"shape {s.shape_id} leaves its frame at {p}")
-        if s.p_direct:
-            type_one.append((s.p_direct, shape))
-        if s.p_via:
-            type_two.append((s.p_via, shape))
-    return RefinementKernels(type_one=tuple(type_one), type_two=tuple(type_two))
-
-
-def _cell_array(cells: Sequence[SkeletonCell]) -> np.ndarray:
-    """Rows (entry i, j, exit i, j, third i, j, kind) of a cell sequence."""
-    rows = [(*c.entry, *c.exit, *c.third, c.kind) for c in cells]
+def _cell_array(cells: Sequence[Child]) -> np.ndarray:
+    """Rows (entry i, j, exit i, j, third i, j, kind) of a sequence of
+    (entry, exit, third, kind) cells."""
+    rows = [(*entry, *exit_, *third, kind) for entry, exit_, third, kind in cells]
     return np.array(rows, dtype=np.int64).reshape(len(rows), 7)
 
 
@@ -195,11 +145,12 @@ def growth_rate():
 
 
 class _LevelLaw(NamedTuple):
-    """Refinement kernels as arrays, for refining a whole level at once.
+    """The two offspring laws of a shape table as arrays, for refining a
+    whole level at once.
 
-    Shapes are numbered over both laws, the type-one law first; ``frames``
-    holds every shape's children in the side-2 shape frame, shape after
-    shape, as ``_cell_array`` rows.
+    Shapes are numbered over both laws, the type-one (direct) law first;
+    ``frames`` holds every shape's children in the side-2 shape frame, shape
+    after shape, as ``_cell_array`` rows.
     """
 
     cum_one: np.ndarray  # cumulative type-one law, last entry forced to 1.0
@@ -209,14 +160,14 @@ class _LevelLaw(NamedTuple):
     frames: np.ndarray
 
     @classmethod
-    def of(cls, kernels: RefinementKernels) -> _LevelLaw:
+    def of(cls, table: ShapeTable) -> _LevelLaw:
         cums = []
         first = []
-        children: list[SkeletonCell] = []
-        for kind in (TYPE_ONE, TYPE_TWO):
+        children: list[Child] = []
+        for variant in PARENT_LAWS:
             cum = []
             acc = 0.0
-            for p, shape in kernels.law(kind):
+            for p, shape in table.law(variant):
                 acc += float(p)
                 cum.append(acc)
                 first.append(len(children))
@@ -260,12 +211,9 @@ class _LevelLaw(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _default_law() -> _LevelLaw:
-    return _LevelLaw.of(refinement_table())
-
-
-def _law(kernels: RefinementKernels | None) -> _LevelLaw:
-    return _default_law() if kernels is None else _LevelLaw.of(kernels)
+def refinement_table() -> _LevelLaw:
+    """The refinement kernels of the shape table, as arrays, built once."""
+    return _LevelLaw.of(shape_table())
 
 
 def _kind_counts(kinds: np.ndarray) -> tuple[int, int]:
@@ -273,11 +221,7 @@ def _kind_counts(kinds: np.ndarray) -> tuple[int, int]:
     return len(kinds) - s2, s2
 
 
-def sample_refined_family(
-    depth: int,
-    rng: np.random.Generator,
-    kernels: RefinementKernels | None = None,
-) -> list[RefinedPath]:
+def sample_refined_family(depth: int, rng: np.random.Generator) -> list[RefinedPath]:
     """The coupled chain of approximations at depths 0..depth.
 
     One kernel draw is consumed per cell per level, in skeleton order, so
@@ -287,7 +231,7 @@ def sample_refined_family(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    law = _law(kernels)
+    law = refinement_table()
     cells = _cell_array((ANCESTOR,))
     counts = [(1, 0)]
     family = [RefinedPath(depth=0, cell_array=cells, level_counts=tuple(counts))]
@@ -298,11 +242,7 @@ def sample_refined_family(
     return family
 
 
-def sample_level_counts(
-    depth: int,
-    rng: np.random.Generator,
-    kernels: RefinementKernels | None = None,
-) -> tuple[tuple[int, int], ...]:
+def sample_level_counts(depth: int, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
     """(one-visit, two-visit) counts at levels 0..depth, without geometry.
 
     Draws the uniforms ``sample_refined_family`` draws, in the same order,
@@ -310,7 +250,7 @@ def sample_level_counts(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    law = _law(kernels)
+    law = refinement_table()
     kinds = np.array([TYPE_ONE])
     counts = [(1, 0)]
     for _ in range(depth):
@@ -320,13 +260,9 @@ def sample_level_counts(
     return tuple(counts)
 
 
-def sample_limit_path(
-    depth: int,
-    rng: np.random.Generator,
-    kernels: RefinementKernels | None = None,
-) -> RefinedPath:
+def sample_limit_path(depth: int, rng: np.random.Generator) -> RefinedPath:
     """Sample one depth-M approximation from the single one-visit ancestor."""
-    return sample_refined_family(depth, rng, kernels)[-1]
+    return sample_refined_family(depth, rng)[-1]
 
 
 def coarse_grain_refined(path: RefinedPath) -> RefinedPath:
@@ -426,11 +362,11 @@ def sample_branching_counts(
     laws); dropping the geometry lets each generation be drawn with two
     multinomials across all runs.
     """
-    law1, law2 = offspring_laws()
+    law1, law2 = (shape_table().law(v) for v in PARENT_LAWS)
     p1 = np.array([float(p) for p, _ in law1])
     p2 = np.array([float(p) for p, _ in law2])
-    off1 = np.array([s for _, s in law1], dtype=np.int64)
-    off2 = np.array([s for _, s in law2], dtype=np.int64)
+    off1 = np.array([(s.s1, s.s2) for _, s in law1], dtype=np.int64)
+    off2 = np.array([(s.s1, s.s2) for _, s in law2], dtype=np.int64)
     p1 /= p1.sum()
     p2 /= p2.sum()
     state = np.tile(np.array(ancestor, dtype=np.int64), (runs, 1))

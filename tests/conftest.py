@@ -3,7 +3,7 @@ from __future__ import annotations
 import hypothesis
 import pytest
 
-from gasket_lerw import exact, limit
+from gasket_lerw import exact
 
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=80)
 hypothesis.settings.load_profile("suite")
@@ -22,8 +22,3 @@ def phi_theta(table):
 @pytest.fixture(scope="session")
 def eig():
     return exact.spectral_data()
-
-
-@pytest.fixture(scope="session")
-def kernels(table):
-    return limit.refinement_table(table)

@@ -171,7 +171,7 @@ def test_a7_branching_limit(eig):
     lam = float(eig.lam)
     vals = (counts[:, 0] + 2 * counts[:, 1]) * lam**-depth
 
-    mt = exact.moment_table(2, eig)
+    mt = exact.moment_table(2)
     want_mean = float(mt.w_prime_mean)  # (v1 + 2 v2) u1 / (v . u)
     want_var = float(mt.w_prime_variance)
 
@@ -190,14 +190,13 @@ def test_a7_branching_limit(eig):
     )
 
 
-def test_a8_moment_functional_equation(eig, phi_theta):
+def test_a8_moment_functional_equation(eig):
     started = time.perf_counter()
-    phi, theta = phi_theta
-    mt = exact.moment_table(8, eig, phi, theta)
+    mt = exact.moment_table(8)
     worst = 0.0
     remainders = []
     for t in (-0.5, -0.1, 0.1):
-        r1, r2, rem = exact.functional_equation_residual(mt, t, phi, theta)
+        r1, r2, rem = exact.functional_equation_residual(mt, t)
         worst = max(worst, float(r1), float(r2))
         remainders.append(float(rem))
     assert worst < 1e-9

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from gasket_lerw import exact
+from gasket_lerw import eraser, exact
 from gasket_lerw.exact import (
     PHI_REFERENCE,
     THETA_REFERENCE,
@@ -80,6 +80,22 @@ class TestShapeLaws:
             assert is_self_avoiding(s.path)
             assert s.path[0] == (0, 0) and s.path[-1] == (0, 2)
             assert len(s.path) - 1 == s.s1 + 2 * s.s2
+
+    def test_column_is_the_law(self, table):
+        for variant in CrossingVariant:
+            law = table.law(variant)
+            assert table.column(variant) == {s.shape_id: p for p, s in law}
+            positions = [table.shapes.index(s) for _, s in law]
+            assert positions == sorted(positions)
+
+    def test_children_are_the_level_zero_skeleton(self, table):
+        for s in table.shapes:
+            kinds = [kind for *_, kind in s.children]
+            assert (kinds.count(1), kinds.count(2)) == (s.s1, s.s2)
+            assert s.children[0][0] == (0, 0) and s.children[-1][1] == (0, 2)
+            assert all(a[1] == b[0] for a, b in zip(s.children, s.children[1:]))
+            entries = eraser.skeleton(s.path, 0).entries
+            assert s.children == tuple((e.entry, e.exit, e.third_corner, e.kind) for e in entries)
 
 
 def _plain_substitute(outer, px, py):
@@ -259,26 +275,26 @@ class TestEigenData:
 
 class TestMoments:
     def test_first_moment_is_normalized_eigenvector(self, eig):
-        mt = moment_table(3, eig)
+        mt = moment_table(3)
         m1 = mt.moment(1)
         with mpmath.workdps(60):
             assert abs(m1[0] - eig.u[0] / eig.c) < mpf(10) ** -30
             assert abs(m1[1] - eig.u[1] / eig.c) < mpf(10) ** -30
 
-    def test_moments_positive(self, eig):
-        mt = moment_table(8, eig)
+    def test_moments_positive(self):
+        mt = moment_table(8)
         for k in range(1, 9):
             a, b = mt.moment(k)
             assert a > 0 and b > 0
 
-    def test_order_validation(self, eig):
+    def test_order_validation(self):
         with pytest.raises(ValueError):
-            moment_table(0, eig)
+            moment_table(0)
         with pytest.raises(ValueError):
-            moment_table(13, eig)
+            moment_table(13)
 
-    def test_residuals_tiny_under_truncation(self, eig):
-        mt = moment_table(8, eig)
+    def test_residuals_tiny_under_truncation(self):
+        mt = moment_table(8)
         for t in (-0.5, -0.1, 0.1):
             r1, r2, remainder = functional_equation_residual(mt, t)
             assert r1 < 1e-9 and r2 < 1e-9
@@ -290,7 +306,7 @@ class TestMoments:
         # phi1(lambda t) = Phi(phi1(t), phi2(t)) and of its twin for phi2.
         phi, theta = phi_theta
         t = -0.5
-        mt = moment_table(12, eig, phi, theta)
+        mt = moment_table(12)
         with mpmath.workdps(60):
             raw = [mt.moment(k) for k in range(1, 13)] + [mt.next_moment]
             f = [mpf(1)] + [m[0] / mpmath.factorial(k) for k, m in enumerate(raw, 1)]
@@ -300,13 +316,13 @@ class TestMoments:
                 lhs = lam13 * coeffs[13]
                 assert abs(exact._series_compose(poly, f, g, 13)[13] - lhs) < 1e-30 * lhs
             term = abs(f[13] * (eig.lam * t) ** 13)
-        rem12 = functional_equation_residual(mt, t, phi, theta)[2]
-        rem11 = functional_equation_residual(moment_table(11, eig, phi, theta), t, phi, theta)[2]
+        rem12 = functional_equation_residual(mt, t)[2]
+        rem11 = functional_equation_residual(moment_table(11), t)[2]
         assert abs(rem12 - term) < 1e-30 * term
         assert rem12 != rem11
 
     def test_w_prime_mean_value(self, eig):
-        mt = moment_table(2, eig)
+        mt = moment_table(2)
         v1, v2 = eig.v
         with mpmath.workdps(60):
             assert abs(mt.w_prime_mean - (v1 + 2 * v2) * eig.u[0] / eig.c) < mpf(10) ** -30
@@ -320,6 +336,11 @@ class TestRationalCountMoments:
         assert length_mean(1) == mean_ell == F(13, 5)
         assert length_variance(1) == sq - mean_ell * mean_ell
 
+    def test_length_variance_is_pinned(self):
+        # Values at depth 5 since the count moments were first computed.
+        assert length_variance(5) == F(97182608453, 307546875)
+        assert length_variance(5, ancestor=(0, 1)) == F(138891638912, 307546875)
+
     def test_mean_is_matrix_power_row(self, phi_theta):
         m = mean_matrix(*phi_theta)
         assert type_count_mean(2) == (
@@ -330,7 +351,7 @@ class TestRationalCountMoments:
     def test_rescaled_moments_converge_to_limit_engine(self, eig):
         # Exact rational finite-depth moments against the functional-equation
         # moments: two independent routes to the same limit.
-        mt = moment_table(2, eig)
+        mt = moment_table(2)
         with mpmath.workdps(60):
             lam = eig.lam
             for depth in (16, 20):

@@ -420,8 +420,10 @@ class TestCli:
             (["mc-shapes", "13"], "in 1..12"),
             (["mc-length", "0"], "in 1..12"),
             (["mc-length", "13"], "in 1..12"),
-            (["dimension", "5"], ">= "),
-            (["limit-path", "-1"], ">= "),
+            (["dimension", "5"], "in 6..18"),
+            (["limit-path", "-1"], "in 0..18"),
+            (["dimension", "19"], "in 6..18"),
+            (["limit-path", "19"], "in 0..18"),
         ],
     )
     def test_exit_one_on_level_out_of_range(self, argv, span, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from math import sqrt
 
@@ -12,7 +13,6 @@ from gasket_lerw.harness import chi_square
 from gasket_lerw.limit import (
     ANCESTOR,
     InsufficientDepth,
-    RefinementKernels,
     RefinedPath,
     SkeletonCell,
     box_count_dimension,
@@ -25,7 +25,7 @@ from gasket_lerw.limit import (
     sample_limit_path,
     sample_refined_family,
 )
-from gasket_lerw.walker import replica_rng
+from gasket_lerw.walker import CrossingVariant, replica_rng
 
 F = Fraction
 
@@ -57,14 +57,19 @@ def _map_child(cell, parent):
     return SkeletonCell(place(cell.entry), place(cell.exit), place(cell.third), cell.kind)
 
 
-def _reference_family(depth, rng, kernels):
+def _reference_family(depth, rng, table):
+    # Each kind's law is read off the table rows here, not through
+    # ``ShapeTable.law``, so the reference shares no selection with the sampler.
     laws = {}
     for kind in (1, 2):
         cum = []
         acc = 0.0
-        for p, shape in kernels.law(kind):
+        for shape in table.shapes:
+            p = shape.p_direct if kind == 1 else shape.p_via
+            if not p:
+                continue
             acc += float(p)
-            cum.append((acc, shape.children))
+            cum.append((acc, [SkeletonCell(*child) for child in shape.children]))
         cum[-1] = (1.0, cum[-1][1])
         laws[kind] = cum
     uniforms = _UniformSource(rng)
@@ -161,65 +166,80 @@ def _reference_polyline(path):
 
 
 class TestRefinementTable:
-    def test_kernel_sizes(self, kernels):
-        assert len(kernels.type_one) == 7
-        assert len(kernels.type_two) == 10
+    def test_kernel_sizes(self, table):
+        assert len(table.law(CrossingVariant.DIRECT)) == 7
+        assert len(table.law(CrossingVariant.VIA_CORNER)) == 10
 
-    def test_kernels_normalize(self, kernels):
-        assert sum(p for p, _ in kernels.type_one) == 1
-        assert sum(p for p, _ in kernels.type_two) == 1
+    def test_kernels_normalize(self, table):
+        for variant in CrossingVariant:
+            assert sum(p for p, _ in table.law(variant)) == 1
 
-    def test_simplest_shape_has_half_mass(self, kernels):
-        (p, shape), = [(p, s) for p, s in kernels.type_one if s.shape_id == "w1"]
+    def test_simplest_shape_has_half_mass(self, table):
+        (p, shape), = [(p, s) for p, s in table.law(CrossingVariant.DIRECT) if s.shape_id == "w1"]
         assert p == F(1, 2)
-        assert [c.kind for c in shape.children] == [1, 1]
+        assert [kind for *_, kind in shape.children] == [1, 1]
 
-    def test_children_chain_inside_frame(self, kernels):
-        for law in (kernels.type_one, kernels.type_two):
-            for _, shape in law:
-                cells = shape.children
+    def test_children_chain_inside_frame(self, table):
+        for variant in CrossingVariant:
+            for _, shape in table.law(variant):
+                cells = [SkeletonCell(*child) for child in shape.children]
                 assert cells[0].entry == (0, 0)
                 assert cells[-1].exit == (0, 2)
                 assert all(a.exit == b.entry for a, b in zip(cells, cells[1:]))
 
 
-def _deterministic_kernels(kernels):
-    w1 = next(s for p, s in kernels.type_one if s.shape_id == "w1")
-    return RefinementKernels(type_one=((F(1), w1),), type_two=kernels.type_two)
+def _use_w1_only(table, monkeypatch):
+    """Switch ``limit.refinement_table`` to the shape table with its direct
+    law moved onto w1 alone, so that every one-visit cell refines into two
+    one-visit cells; returns that table."""
+    w1_only = dataclasses.replace(
+        table,
+        shapes=tuple(
+            dataclasses.replace(s, p_direct=F(1) if s.shape_id == "w1" else F(0))
+            for s in table.shapes
+        ),
+    )
+    law = limit._LevelLaw.of(w1_only)
+    monkeypatch.setattr(limit, "refinement_table", lambda: law)
+    return w1_only
+
+
+def _tables(table, monkeypatch):
+    """The shape table the sampler runs on: the real one, then the w1-only one."""
+    yield table
+    yield _use_w1_only(table, monkeypatch)
 
 
 class TestSampling:
     @pytest.mark.parametrize("seed", [12094959, 1, 2, 3, 41])
-    def test_matches_per_cell_reference(self, kernels, seed):
-        for law in (kernels, _deterministic_kernels(kernels)):
-            got = sample_refined_family(10, replica_rng(seed, 0), law)
+    def test_matches_per_cell_reference(self, table, monkeypatch, seed):
+        for law in _tables(table, monkeypatch):
+            got = sample_refined_family(10, replica_rng(seed, 0))
             want = _reference_family(10, replica_rng(seed, 0), law)
             assert [(p.cells, p.level_counts) for p in got] == want
             for depth in (0, 3, 7):
-                shallow = sample_refined_family(depth, replica_rng(seed, 0), law)
+                shallow = sample_refined_family(depth, replica_rng(seed, 0))
                 assert shallow == got[: depth + 1]
 
-    def test_level_counts_use_the_family_draws(self, kernels):
+    def test_level_counts_use_the_family_draws(self, table, monkeypatch):
         # The kind-only refinement reads the family's uniforms: equal counts
         # at every depth, and both generators left in the same state.
-        for law in (kernels, _deterministic_kernels(kernels)):
+        for _ in _tables(table, monkeypatch):
             for seed in range(20):
                 for depth in range(13):
                     a, b = replica_rng(seed, 0), replica_rng(seed, 0)
-                    counts = sample_level_counts(depth, a, law)
-                    assert counts == sample_refined_family(depth, b, law)[-1].level_counts
+                    counts = sample_level_counts(depth, a)
+                    assert counts == sample_refined_family(depth, b)[-1].level_counts
                     assert a.bit_generator.state == b.bit_generator.state
 
-    def test_default_law_is_built_once(self, kernels, monkeypatch):
+    def test_law_is_built_once(self, monkeypatch):
         sample_refined_family(1, replica_rng(0, 0))
         built = []
         real = limit._LevelLaw.of
-        monkeypatch.setattr(limit._LevelLaw, "of", lambda k: built.append(k) or real(k))
+        monkeypatch.setattr(limit._LevelLaw, "of", lambda t: built.append(t) or real(t))
         sample_refined_family(4, replica_rng(0, 0))
         sample_level_counts(4, replica_rng(0, 0))
         assert built == []
-        sample_refined_family(4, replica_rng(0, 0), kernels)
-        assert built == [kernels]
 
     def test_depth_zero_is_the_ancestor(self):
         path = sample_limit_path(0, replica_rng(0, 0))
@@ -278,9 +298,9 @@ class TestArrayChecks:
     per-cell references above, path for path."""
 
     @pytest.mark.parametrize("seed", [12094959, 1, 2, 3, 41])
-    def test_match_per_cell_reference(self, kernels, seed):
-        for law in (kernels, _deterministic_kernels(kernels)):
-            fam = sample_refined_family(10, replica_rng(seed, 0), law)
+    def test_match_per_cell_reference(self, table, monkeypatch, seed):
+        for _ in _tables(table, monkeypatch):
+            fam = sample_refined_family(10, replica_rng(seed, 0))
             for m in range(1, 11):
                 got = coarse_grain_refined(fam[m])
                 assert (got.cells, got.level_counts) == _reference_coarse_grain(fam[m])
@@ -401,6 +421,13 @@ class TestBranchingStatistics:
             else:
                 assert abs(vals.mean() - base) < 3.5 * se
 
+    def test_branching_counts_are_pinned(self):
+        # Counts at these seeds since the count sampler was written.
+        counts = sample_branching_counts(6, 4, replica_rng(7, 0))
+        assert counts.tolist() == [[191, 55], [140, 36], [105, 31], [98, 26]]
+        counts = sample_branching_counts(3, 4, replica_rng(7, 1), ancestor=(0, 1))
+        assert counts.tolist() == [[12, 2], [14, 3], [14, 4], [8, 1]]
+
     def test_ancestor_type_two_starts_from_via_law(self):
         rng = np.random.default_rng(31)
         counts = sample_branching_counts(1, 30_000, rng, ancestor=(0, 1))
@@ -416,7 +443,7 @@ class TestLengthStatistics:
         # branching-limit mean and variance, with A7's z-scores.
         rng = replica_rng(37, 0)
         vals = np.array([sample_limit_path(10, rng).scaled_length() for _ in range(400)])
-        mt = moment_table(2, eig)
+        mt = moment_table(2)
         n = len(vals)
         z_mean = (vals.mean() - float(mt.w_prime_mean)) / (vals.std(ddof=1) / sqrt(n))
         var = vals.var(ddof=1)
@@ -429,8 +456,9 @@ class TestLengthStatistics:
 
 
 class TestBoxCounting:
-    def test_deterministic_two_child_refinement_has_slope_one(self, kernels):
-        path = sample_limit_path(8, replica_rng(0, 0), _deterministic_kernels(kernels))
+    def test_deterministic_two_child_refinement_has_slope_one(self, table, monkeypatch):
+        _use_w1_only(table, monkeypatch)
+        path = sample_limit_path(8, replica_rng(0, 0))
         assert box_count_dimension(path.level_counts) == pytest.approx(1.0)
         assert path.level_counts[-1] == (2**8, 0)
 
