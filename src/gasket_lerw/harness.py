@@ -13,12 +13,14 @@ import dataclasses
 import json
 import subprocess
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from math import sqrt
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -138,13 +140,15 @@ def emit_svg(paths) -> str:
 
 
 class Command(NamedTuple):
-    """What one command takes: its positional level (crossing level N,
-    depth M or moment order K) and the ``RunConfig`` options it reads."""
+    """What one command takes, its positional level (crossing level N,
+    depth M or moment order K) and the ``RunConfig`` options it reads, and
+    the function that runs it."""
 
     help: str
     default: int
     lo: int
     hi: int
+    run: Callable[[RunConfig], tuple[dict, bool]]  # the payload and its verdict
     options: tuple[str, ...] = ()  # the OPTIONS it reads
 
     def span(self) -> str:
@@ -153,20 +157,6 @@ class Command(NamedTuple):
 
 # RunConfig fields that only some commands read.
 OPTIONS = ("samples", "seed", "threads", "variant")
-COMMANDS = {
-    "exact": Command("moment order K for the exact report", 8, 1, exact.MAX_MOMENT_ORDER),
-    "mc-shapes": Command("crossing level N", 1, 1, walker.MAX_LEVEL, OPTIONS),
-    "mc-length": Command("crossing level N", 3, 1, walker.MAX_LEVEL, OPTIONS),
-    "limit-path": Command("refinement depth M", 8, 0, limit.MAX_DEPTH, ("seed",)),
-    "dimension": Command(
-        "refinement depth M",
-        10,
-        limit.MIN_BOX_DEPTH,
-        limit.MAX_DEPTH,
-        ("samples", "seed", "threads"),
-    ),
-    "moments": Command("number of moments K", 8, 1, exact.MAX_MOMENT_ORDER),
-}
 
 
 @dataclass(frozen=True)
@@ -283,32 +273,26 @@ def classify_top_shape(pattern, level: int, table=None) -> str:
     return eraser.classify_shape(_scale_path(coarse, level - 1), table)
 
 
-def _shapes_worker(args) -> tuple[dict[str, int], int]:
+def _shapes_worker(config: RunConfig, replica: int, count: int) -> tuple[Counter, int]:
     """Shape counts of one replica, and the raw walk steps behind them."""
-    level, variant_value, seed, replica, count = args
-    variant = CrossingVariant(variant_value)
-    rng = walker.replica_rng(seed, replica)
+    rng = walker.replica_rng(config.seed, replica)
     table = exact.shape_table()
+    level = config.level
     shapes, raw_steps = walker.sample_patterns(
-        level, variant, count, rng, keep=lambda p: classify_top_shape(p, level, table)
+        level, config.variant, count, rng, keep=lambda p: classify_top_shape(p, level, table)
     )
-    counts: dict[str, int] = {}
-    for sid in shapes:
-        counts[sid] = counts.get(sid, 0) + 1
-    return counts, raw_steps
+    return Counter(shapes), raw_steps
 
 
-def _length_worker(args) -> tuple[int, float, float, int]:
+def _length_worker(config: RunConfig, replica: int, count: int) -> tuple[int, float, float, int]:
     """Sample count, sum and sum of squares of the erased lengths of one
     replica, and the raw walk steps behind them."""
-    level, variant_value, seed, replica, count = args
-    variant = CrossingVariant(variant_value)
-    rng = walker.replica_rng(seed, replica)
+    rng = walker.replica_rng(config.seed, replica)
     total = 0.0
     total_sq = 0.0
     raw_steps = 0
     for _ in range(count):
-        path = walker.sample_crossing(level, variant, rng)
+        path = walker.sample_crossing(config.level, config.variant, rng)
         raw_steps += len(path) - 1
         ell = float(len(eraser.loop_erase(path)) - 1)
         total += ell
@@ -316,34 +300,25 @@ def _length_worker(args) -> tuple[int, float, float, int]:
     return count, total, total_sq, raw_steps
 
 
-def _dimension_worker(args) -> list[float]:
-    depth, seed, replica, count = args
+def _dimension_worker(config: RunConfig, replica: int, count: int) -> list[float]:
     slopes = []
     for k in range(count):
-        rng = walker.replica_rng(seed, replica * 100_003 + k)
-        slopes.append(limit.box_count_dimension(limit.sample_level_counts(depth, rng)))
+        rng = walker.replica_rng(config.seed, replica * 100_003 + k)
+        slopes.append(limit.box_count_dimension(limit.sample_level_counts(config.level, rng)))
     return slopes
 
 
-def _replicas(samples: int) -> list[tuple[int, int]]:
-    """Fixed (replica-index, chunk-size) split, independent of thread count."""
-    out = []
-    k = 0
-    left = samples
-    while left > 0:
-        take = min(REPLICA_CHUNK, left)
-        out.append((k, take))
-        k += 1
-        left -= take
-    return out
-
-
-def _run_replicas(worker, arg_of, replicas, threads: int):
-    tasks = [arg_of(r, c) for r, c in replicas]
-    if threads == 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks))
+def _run_replicas(worker, config: RunConfig) -> list:
+    """``worker(config, replica, count)`` for each ``REPLICA_CHUNK`` chunk of
+    the samples, in replica order.  The split never depends on the thread
+    count, so neither does any stream."""
+    n = config.effective_samples()
+    counts = [min(REPLICA_CHUNK, n - start) for start in range(0, n, REPLICA_CHUNK)]
+    args = (repeat(config), range(len(counts)), counts)
+    if config.threads == 1:
+        return list(map(worker, *args))
+    with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        return list(pool.map(worker, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +328,7 @@ def _run_replicas(worker, arg_of, replicas, threads: int):
 
 def run(config: RunConfig) -> McReport:
     started = time.perf_counter()
-    runner = {
-        "exact": _run_exact,
-        "mc-shapes": _run_mc_shapes,
-        "mc-length": _run_mc_length,
-        "limit-path": _run_limit_path,
-        "dimension": _run_dimension,
-        "moments": _run_moments,
-    }[config.command]
-    payload, passed = runner(config)
+    payload, passed = COMMANDS[config.command].run(config)
     report = McReport(
         command=config.command,
         config=config.to_dict(),
@@ -380,22 +347,13 @@ def _run_exact(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_mc_shapes(config: RunConfig) -> tuple[dict, bool]:
-    n = config.effective_samples()
     table = exact.shape_table()
     expected = {k: float(v) for k, v in table.column(config.variant).items()}
-    results = _run_replicas(
-        _shapes_worker,
-        lambda r, c: (config.level, config.variant.value, config.seed, r, c),
-        _replicas(n),
-        config.threads,
-    )
-    counts: dict[str, int] = {}
-    for part, _ in results:
-        for k, v in sorted(part.items()):
-            counts[k] = counts.get(k, 0) + v
+    results = _run_replicas(_shapes_worker, config)
+    counts = sum((part for part, _ in results), Counter())
     stat, p_value = chi_square(counts, expected)
     payload = {
-        "samples": n,
+        "samples": config.effective_samples(),
         "counts": dict(sorted(counts.items())),
         "expected": {k: expected[k] for k in sorted(expected)},
         "statistic": stat,
@@ -407,13 +365,7 @@ def _run_mc_shapes(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_mc_length(config: RunConfig) -> tuple[dict, bool]:
-    n = config.effective_samples()
-    results = _run_replicas(
-        _length_worker,
-        lambda r, c: (config.level, config.variant.value, config.seed, r, c),
-        _replicas(n),
-        config.threads,
-    )
+    results = _run_replicas(_length_worker, config)
     count = sum(r[0] for r in results)
     total = sum(r[1] for r in results)
     total_sq = sum(r[2] for r in results)
@@ -457,13 +409,7 @@ def _run_limit_path(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_dimension(config: RunConfig) -> tuple[dict, bool]:
-    n = config.effective_samples()
-    results = _run_replicas(
-        _dimension_worker,
-        lambda r, c: (config.level, config.seed, r, c),
-        _replicas(n),
-        config.threads,
-    )
+    results = _run_replicas(_dimension_worker, config)
     slopes = [s for part in results for s in part]
     mean = sum(slopes) / len(slopes)
     sd = sqrt(sum((s - mean) ** 2 for s in slopes) / max(len(slopes) - 1, 1))
@@ -501,6 +447,29 @@ def _run_moments(config: RunConfig) -> tuple[dict, bool]:
     if table.K >= 2:  # the variance needs the second moment
         payload["w_prime_variance"] = float(table.w_prime_variance)
     return payload, worst < RESIDUAL_TOLERANCE
+
+
+COMMANDS = {
+    "exact": Command(
+        "moment order K for the exact report", 8, 1, exact.MAX_MOMENT_ORDER, _run_exact
+    ),
+    "mc-shapes": Command("crossing level N", 1, 1, walker.MAX_LEVEL, _run_mc_shapes, OPTIONS),
+    "mc-length": Command(
+        "crossing level N", 3, 1, walker.MAX_ERASED_LEVEL, _run_mc_length, OPTIONS
+    ),
+    "limit-path": Command(
+        "refinement depth M", 8, 0, limit.MAX_DEPTH, _run_limit_path, ("seed",)
+    ),
+    "dimension": Command(
+        "refinement depth M",
+        10,
+        limit.MIN_BOX_DEPTH,
+        limit.MAX_DEPTH,
+        _run_dimension,
+        ("samples", "seed", "threads"),
+    ),
+    "moments": Command("number of moments K", 8, 1, exact.MAX_MOMENT_ORDER, _run_moments),
+}
 
 
 # ---------------------------------------------------------------------------

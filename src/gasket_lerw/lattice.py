@@ -118,8 +118,10 @@ def neighbors(v: Vertex) -> tuple[Vertex, ...]:
     """The four nearest neighbors of a gasket vertex.
 
     These are the corners of the exactly two filled unit triangles incident
-    to ``v``, with ``v`` itself removed.  Results are memoized; the table is
-    shared by every walker in the process.
+    to ``v``, with ``v`` itself removed.  Results are memoized per process.
+    The walkers step through ``walker._region`` tables instead; the memo
+    serves those tables' builds, the exact absorbing chains and the tests'
+    reference walker.
     """
     cached = _NBRS.get(v)
     if cached is not None:

@@ -56,6 +56,7 @@ from .lattice import ORIGIN, Vertex, apex, corner, incident_cells, neighbors, on
 
 DEFAULT_STEP_BUDGET = 10**9
 MAX_LEVEL = 12  # the mean walk, 5**N steps, stays within the default budget
+MAX_ERASED_LEVEL = 11  # mc-length keeps whole paths and erasures: 2 GB at 11, 7-9 GB at 12
 BLOCK = 4096  # direction draws per block, at most
 
 

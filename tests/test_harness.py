@@ -151,10 +151,19 @@ class TestRunCommands:
         run(RunConfig(command="moments", level=8))
         assert len(calls) == 2 * 8 + 2
 
-    def test_thread_count_never_changes_results(self):
-        base = RunConfig(command="mc-shapes", level=1, samples=4500, seed=11, threads=1)
-        multi = RunConfig(command="mc-shapes", level=1, samples=4500, seed=11, threads=3)
-        assert run(base).payload["counts"] == run(multi).payload["counts"]
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(command="mc-shapes", level=1, samples=4500),
+            dict(command="mc-length", level=2, samples=2500),
+            dict(command="dimension", level=6, samples=2100),
+        ],
+        ids=["mc-shapes", "mc-length", "dimension"],
+    )
+    def test_thread_count_never_changes_results(self, cfg):
+        # Each run spans two or three replicas.
+        payload = run(RunConfig(**cfg, seed=11)).payload
+        assert run(RunConfig(**cfg, seed=11, threads=3)).payload == payload
 
     def test_mc_shapes_counts_raw_steps(self):
         # 2500 samples are two replicas; the steps add up over both, at any
@@ -418,12 +427,13 @@ class TestCli:
         [
             (["mc-shapes", "0"], "in 1..12"),
             (["mc-shapes", "13"], "in 1..12"),
-            (["mc-length", "0"], "in 1..12"),
-            (["mc-length", "13"], "in 1..12"),
+            (["mc-length", "0"], "in 1..11"),
+            (["mc-length", "13"], "in 1..11"),
             (["dimension", "5"], "in 6..18"),
             (["limit-path", "-1"], "in 0..18"),
             (["dimension", "19"], "in 6..18"),
             (["limit-path", "19"], "in 0..18"),
+            (["mc-length", "12"], "in 1..11"),
         ],
     )
     def test_exit_one_on_level_out_of_range(self, argv, span, monkeypatch, capsys):

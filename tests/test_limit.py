@@ -1,14 +1,22 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 import pytest
 
 from gasket_lerw import limit
-from gasket_lerw.exact import moment_table, spectral_data, type_count_mean
+from gasket_lerw.exact import (
+    PARENT_LAWS,
+    compose_level,
+    moment_table,
+    spectral_data,
+    type_count_mean,
+)
 from gasket_lerw.harness import chi_square
 from gasket_lerw.limit import (
     ANCESTOR,
@@ -366,22 +374,55 @@ class TestArrayChecks:
         assert path.repeated_junctions() == 0
 
 
+JOINT_LAW_RUNS = [(1, 20_000), (2, 20_000), (3, 10_000), (4, 5_000)]
+
+
+@lru_cache(maxsize=None)
+def _joint_law(phi_theta, depth):
+    """Phi and Theta composed to ``depth``, as float masses keyed "s1,s2"."""
+    return tuple(
+        {f"{s1},{s2}": float(p) for (s1, s2), p in poly.coeffs.items()}
+        for poly in compose_level(*phi_theta, depth)
+    )
+
+
 class TestBranchingStatistics:
     def test_one_step_offspring_frequencies(self, table):
-        # 1e5 refinement draws per parent kind against the exact kernels.
+        # 1e5 refinement draws per parent kind against the exact laws.  Each
+        # parent's shape is read back from the first frame row drawn for it;
+        # shapes are numbered over both laws, the one-visit law first.
+        law = refinement_table()
+        ids = [s.shape_id for v in PARENT_LAWS for _, s in table.law(v)]
         rng = np.random.default_rng(5)
-        for kind in (1, 2):
-            law = [
-                (s.shape_id, float(s.p_direct if kind == 1 else s.p_via))
-                for s in table.shapes
-                if (s.p_direct if kind == 1 else s.p_via)
-            ]
-            probs = np.array([p for _, p in law])
-            draws = rng.multinomial(100_000, probs / probs.sum())
-            observed = {sid: int(c) for (sid, _), c in zip(law, draws)}
-            expected = {sid: p for sid, p in law}
+        n = 100_000
+        for kind, variant in zip((1, 2), PARENT_LAWS):
+            rows, sizes = law.draw(np.full(n, kind), rng.random(n))
+            shapes = np.searchsorted(law.first, rows[np.cumsum(sizes) - sizes])
+            observed = Counter(ids[k] for k in shapes.tolist())
+            expected = {s.shape_id: float(p) for p, s in table.law(variant)}
             _, p_value = chi_square(observed, expected)
-            assert p_value > 1e-3
+            assert p_value > 1e-3, (kind, p_value)
+
+    @pytest.mark.parametrize("depth,runs", JOINT_LAW_RUNS)
+    def test_level_counts_follow_the_joint_law(self, depth, runs, phi_theta):
+        # The (S1, S2) counts of one refinement run at its last level, against
+        # Phi composed to that depth.
+        rng = replica_rng(61, depth)
+        last = (sample_level_counts(depth, rng)[-1] for _ in range(runs))
+        observed = Counter(f"{s1},{s2}" for s1, s2 in last)
+        _, p_value = chi_square(observed, _joint_law(phi_theta, depth)[0])
+        assert p_value > 1e-3, p_value
+
+    @pytest.mark.parametrize("depth,runs", JOINT_LAW_RUNS)
+    @pytest.mark.parametrize("ancestor", [(1, 0), (0, 1)], ids=["one-visit", "two-visit"])
+    def test_branching_counts_follow_the_joint_law(self, depth, runs, ancestor, phi_theta):
+        # From a one-visit ancestor the counts follow Phi composed to the
+        # depth, from a two-visit one Theta.
+        rng = replica_rng(67, depth)
+        counts = sample_branching_counts(depth, runs, rng, ancestor)
+        observed = Counter(f"{s1},{s2}" for s1, s2 in counts.tolist())
+        _, p_value = chi_square(observed, _joint_law(phi_theta, depth)[ancestor[1]])
+        assert p_value > 1e-3, p_value
 
     def test_population_mean_matches_matrix_power(self):
         rng = np.random.default_rng(17)
