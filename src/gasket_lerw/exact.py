@@ -37,6 +37,7 @@ Carlo gate in the test suite.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -49,7 +50,6 @@ from . import eraser
 from .lattice import ORIGIN, Vertex, apex, corner, neighbors, on_grid
 from .walker import CrossingVariant
 
-Rational = Fraction
 Matrix2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 IntPoly = dict[tuple[int, int], int]
 
@@ -104,18 +104,6 @@ class BivariatePoly:
     def __repr__(self):
         terms = [f"{c}*x^{a}*y^{b}" for (a, b), c in sorted(self.coeffs.items())]
         return "BivariatePoly(" + " + ".join(terms) + ")"
-
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        res = BivariatePoly()
-        res.coeffs = out
-        return res
 
     def _as_integers(self) -> tuple[int, IntPoly]:
         """(den, numerators): self == numerators / den, den the least common one."""
@@ -254,72 +242,51 @@ def solve_shape_distribution(variant: CrossingVariant) -> CrossingLaw:
 
     States are (loop-erased path from the origin, phase); the phase flips
     when the via-corner walk registers its visit to b_1.  Transitions apply
-    one uniform neighbor step followed by stack-erasure truncation.
+    one uniform neighbor step followed by stack-erasure truncation.  One
+    pass explores the states and records each step between two of them and
+    each step onto a_1 that completes the conditioning event.
     """
     via = variant is CrossingVariant.VIA_CORNER
     a1, b1 = apex(1), corner(1)
-    start = ((ORIGIN,), 0)
+    index: dict[tuple, int] = {}
+    states: list[tuple] = []
 
-    index: dict[tuple, int] = {start: 0}
-    states: list[tuple] = [start]
-    # per state: list of (successor index | None, absorbed vertex | None)
-    moves: list[list[tuple[int | None, Vertex | None]]] = []
-    k = 0
-    while k < len(states):
-        path, phase = states[k]
-        row: list[tuple[int | None, Vertex | None]] = []
+    def number(state: tuple) -> int:
+        j = index.get(state)
+        if j is None:
+            j = index[state] = len(states)
+            states.append(state)
+        return j
+
+    number(((ORIGIN,), 0))
+    edges: list[tuple[int, int]] = []  # (state, successor)
+    hits: list[tuple[int, tuple[Vertex, ...]]] = []  # (state, shape)
+    # The loop also visits the states numbered while it runs.
+    for s, (path, phase) in enumerate(states):
         for u in neighbors(path[-1]):
-            absorbed = False
-            if on_grid(u, 1):
-                if phase == 0 and u != ORIGIN:
-                    if via and u == b1:
-                        succ = (_erased_step(path, u), 1)
-                    else:
-                        absorbed = True
-                elif phase == 1 and u != b1:
-                    absorbed = True
-                else:
-                    succ = (_erased_step(path, u), phase)
+            if on_grid(u, 1) and u != (b1 if phase else ORIGIN):
+                if via and not phase and u == b1:
+                    edges.append((s, number((_erased_step(path, u), 1))))
+                elif u == a1 and phase == via:  # a via-corner crossing ends in phase 1
+                    hits.append((s, _erased_step(path, u)))
             else:
-                succ = (_erased_step(path, u), phase)
-            if absorbed:
-                row.append((None, u))
-            else:
-                j = index.get(succ)
-                if j is None:
-                    j = len(states)
-                    index[succ] = j
-                    states.append(succ)
-                row.append((j, None))
-        moves.append(row)
-        k += 1
+                edges.append((s, number((_erased_step(path, u), phase))))
 
     n = len(states)
     quarter = Fraction(1, 4)
     # Expected visit counts nu solve nu = delta_start + nu T, i.e. per state s:
     # nu_s - sum_{p -> s} nu_p / 4 = [s == start].
     rows: list[dict[int, Fraction]] = [{s: Fraction(1)} for s in range(n)]
-    for p, row in enumerate(moves):
-        for j, _ in row:
-            if j is not None:
-                rows[j][p] = rows[j].get(p, Fraction(0)) - quarter
+    for p, j in edges:
+        rows[j][p] = rows[j].get(p, Fraction(0)) - quarter
     rhs = [Fraction(0)] * n
     rhs[0] = Fraction(1)
     visits = _solve_sparse(rows, rhs)
 
-    success_vertex = a1
-    raw: dict[tuple[Vertex, ...], Fraction] = {}
-    event = Fraction(0)
-    for s, row in enumerate(moves):
-        path, phase = states[s]
-        if via and phase == 0:
-            continue  # phase-0 absorptions can never end at the apex via b_1
-        for j, absorbed in row:
-            if absorbed == success_vertex:
-                shape = _erased_step(path, absorbed)
-                w = visits[s] * quarter
-                raw[shape] = raw.get(shape, Fraction(0)) + w
-                event += w
+    raw: Counter[tuple[Vertex, ...]] = Counter()
+    for s, shape in hits:
+        raw[shape] += visits[s] * quarter
+    event = sum(raw.values(), Fraction(0))
     if event == 0:
         raise SingularSystem("conditioning event has zero mass")
     masses = {shape: w / event for shape, w in sorted(raw.items())}
@@ -525,13 +492,19 @@ THETA_REFERENCE = BivariatePoly(
 )
 
 
+@lru_cache(maxsize=None)
 def build_phi_theta(table: ShapeTable) -> tuple[BivariatePoly, BivariatePoly]:
     """Generating functions of (s1, s2) under the two laws, checked against
-    their reference closed forms (a mismatch is a fatal error, not a fallback)."""
-    phi, theta = (
-        sum((BivariatePoly({(s.s1, s.s2): p}) for p, s in table.law(v)), BivariatePoly({}))
-        for v in PARENT_LAWS
-    )
+    their reference closed forms (a mismatch is a fatal error, not a fallback).
+    Cached per table: every caller shares one checked pair."""
+
+    def generating_function(variant: CrossingVariant) -> BivariatePoly:
+        coeffs: Counter[tuple[int, int]] = Counter()
+        for p, s in table.law(variant):
+            coeffs[s.s1, s.s2] += p
+        return BivariatePoly(coeffs)
+
+    phi, theta = map(generating_function, PARENT_LAWS)
     if phi != PHI_REFERENCE:
         raise GeneratingFunctionMismatch(f"direct generating function {phi!r}")
     if theta != THETA_REFERENCE:
@@ -567,16 +540,12 @@ def mean_matrix(phi: BivariatePoly, theta: BivariatePoly) -> Matrix2:
     return (phi.gradient_at_one(), theta.gradient_at_one())
 
 
-def mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-    )  # type: ignore[return-value]
-
-
 def mat_pow(m: Matrix2, n: int) -> Matrix2:
     out: Matrix2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     for _ in range(n):
-        out = mat_mul(out, m)
+        out = tuple(  # type: ignore[assignment]
+            tuple(r[0] * m[0][j] + r[1] * m[1][j] for j in range(2)) for r in out
+        )
     return out
 
 
@@ -793,13 +762,9 @@ def functional_equation_residual(table: MomentTable, t: float | mpf) -> tuple[mp
 
 def type_count_mean(depth: int, ancestor: tuple[int, int] = (1, 0)) -> tuple[Fraction, Fraction]:
     """Exact E[(S1, S2)] after ``depth`` refinements: ancestor row times M^depth."""
-    phi, theta = build_phi_theta(shape_table())
-    mn = mat_pow(mean_matrix(phi, theta), depth)
-    a = (Fraction(ancestor[0]), Fraction(ancestor[1]))
-    return (
-        a[0] * mn[0][0] + a[1] * mn[1][0],
-        a[0] * mn[0][1] + a[1] * mn[1][1],
-    )
+    mn = mat_pow(spectral_data().mean_matrix, depth)
+    a1, a2 = ancestor
+    return (a1 * mn[0][0] + a2 * mn[1][0], a1 * mn[0][1] + a2 * mn[1][1])
 
 
 def length_mean(depth: int, ancestor: tuple[int, int] = (1, 0)) -> Fraction:
@@ -807,53 +772,31 @@ def length_mean(depth: int, ancestor: tuple[int, int] = (1, 0)) -> Fraction:
     return s1 + 2 * s2
 
 
-def type_count_second_moment(depth: int, ancestor: tuple[int, int] = (1, 0)) -> Matrix2:
-    """Exact E[(S1,S2)^T (S1,S2)] after ``depth`` refinements (rational)."""
-    table = shape_table()
-    m = mean_matrix(*build_phi_theta(table))
-    # Centered per-parent fluctuation matrices D_i = E[xi^T xi] - M_i^T M_i.
-    d = []
-    for mi, variant in zip(m, PARENT_LAWS):
-        raw = [[Fraction(0)] * 2 for _ in range(2)]
-        for p, s in table.law(variant):
-            xi = (s.s1, s.s2)
-            for a in range(2):
-                for b in range(2):
-                    raw[a][b] += p * xi[a] * xi[b]
-        d.append(tuple(tuple(raw[a][b] - mi[a] * mi[b] for b in range(2)) for a in range(2)))
-    mean = (Fraction(ancestor[0]), Fraction(ancestor[1]))
-    second: list[list[Fraction]] = [
-        [mean[0] * mean[0], mean[0] * mean[1]],
-        [mean[1] * mean[0], mean[1] * mean[1]],
-    ]
-    for _ in range(depth):
-        mt = tuple(zip(*m))  # transpose
-        nxt = mat_mul(mat_mul(mt, tuple(tuple(r) for r in second)), m)  # type: ignore[arg-type]
-        acc = [list(row) for row in nxt]
-        for i in range(2):
-            for a in range(2):
-                for b in range(2):
-                    acc[a][b] += mean[i] * d[i][a][b]
-        second = acc
-        mean = (
-            mean[0] * m[0][0] + mean[1] * m[1][0],
-            mean[0] * m[0][1] + mean[1] * m[1][1],
-        )
-    return tuple(tuple(row) for row in second)  # type: ignore[return-value]
-
-
 def length_variance(depth: int, ancestor: tuple[int, int] = (1, 0)) -> Fraction:
-    """Exact Var[S1 + 2 S2] after ``depth`` refinements."""
-    second = type_count_second_moment(depth, ancestor)
-    mean = type_count_mean(depth, ancestor)
-    e2 = (
-        second[0][0]
-        + 2 * second[0][1]
-        + 2 * second[1][0]
-        + 4 * second[1][1]
-    )
-    e1 = mean[0] + 2 * mean[1]
-    return e2 - e1 * e1
+    """Exact Var[S1 + 2 S2] after ``depth`` refinements.
+
+    By the law of total variance over the generations: a generation-k cell
+    of kind i adds the variance of s1 u1 + s2 u2 under its offspring law,
+    where u = M^(depth-1-k) w, w = (1, 2), is the mean length a
+    generation-(k+1) cell of each kind grows into; generation k holds
+    (ancestor M^k)_i cells of kind i on average.
+    """
+    m = spectral_data().mean_matrix
+    laws = [shape_table().law(v) for v in PARENT_LAWS]
+    grown = [(Fraction(1), Fraction(2))]  # grown[j] = M^j w
+    for _ in range(depth - 1):
+        u1, u2 = grown[-1]
+        grown.append((m[0][0] * u1 + m[0][1] * u2, m[1][0] * u1 + m[1][1] * u2))
+    var = Fraction(0)
+    mu1, mu2 = ancestor  # ancestor M^k
+    for k in range(depth):
+        u1, u2 = grown[depth - 1 - k]
+        for count, law in zip((mu1, mu2), laws):
+            xs = [(p, s.s1 * u1 + s.s2 * u2) for p, s in law]
+            mean = sum(p * x for p, x in xs)
+            var += count * (sum(p * x * x for p, x in xs) - mean * mean)
+        mu1, mu2 = mu1 * m[0][0] + mu2 * m[1][0], mu1 * m[0][1] + mu2 * m[1][1]
+    return var
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,12 @@ vertices has length n (the number of unit steps).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 Vertex = tuple[int, int]
 
 ORIGIN: Vertex = (0, 0)
-
-#: Unit steps of the triangular lattice that bound gasket edges.  Actual
-#: adjacency is narrower (it depends on which triangles are filled).
-_TRI_DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1))
 
 
 class TriangleId(NamedTuple):
@@ -111,21 +108,16 @@ def incident_cells(v: Vertex, level: int = 0) -> list[TriangleId]:
     return cells
 
 
-_NBRS: dict[Vertex, tuple[Vertex, ...]] = {}
-
-
+@lru_cache(maxsize=1 << 14)
 def neighbors(v: Vertex) -> tuple[Vertex, ...]:
     """The four nearest neighbors of a gasket vertex.
 
     These are the corners of the exactly two filled unit triangles incident
-    to ``v``, with ``v`` itself removed.  Results are memoized per process.
-    The walkers step through ``walker._region`` tables instead; the memo
-    serves those tables' builds, the exact absorbing chains and the tests'
-    reference walker.
+    to ``v``, with ``v`` itself removed.  The walkers step through
+    ``walker._region`` tables instead; the bounded cache serves the exact
+    absorbing chains and the tests' reference walker, and holds every
+    vertex of a level-7 region.
     """
-    cached = _NBRS.get(v)
-    if cached is not None:
-        return cached
     cells = incident_cells(v, 0)
     if not cells:
         raise ValueError(f"{v} is not a gasket vertex")
@@ -134,11 +126,9 @@ def neighbors(v: Vertex) -> tuple[Vertex, ...]:
         for c in cell.corners():
             if c != v and c not in out:
                 out.append(c)
-    nbrs = tuple(out)
-    if len(nbrs) != 4:
-        raise AssertionError(f"vertex {v} has {len(nbrs)} neighbors, expected 4")
-    _NBRS[v] = nbrs
-    return nbrs
+    if len(out) != 4:
+        raise AssertionError(f"vertex {v} has {len(out)} neighbors, expected 4")
+    return tuple(out)
 
 
 def neighbors_on_grid(v: Vertex, level: int) -> tuple[Vertex, ...]:

@@ -261,6 +261,7 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     mask = (1 << N) - 1
     index: dict[Vertex, int] = {}
     vertices: list[Vertex] = []
+    nbrs: dict[Vertex, tuple[Vertex, ...]] = {}  # each vertex looked up once
     starts = (ORIGIN, corner(N)) if via else (ORIGIN,)
     for start in starts:
         if start not in index:
@@ -271,7 +272,8 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
             v = queue.pop()
             if v != start and ((v[0] | v[1]) & mask) == 0:
                 continue
-            for u in neighbors(v):
+            nbrs[v] = neighbors(v)
+            for u in nbrs[v]:
                 if u not in index:
                     index[u] = len(vertices)
                     vertices.append(u)
@@ -291,7 +293,9 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     )
     return _Region(
         vertices=tuple(vertices),
-        rows=[4 * index.get(u, -1) for v in vertices for u in neighbors(v)],
+        rows=[
+            4 * index.get(u, -1) for v in vertices for u in nbrs.get(v) or neighbors(v)
+        ],
         stops=4 * ranks.count(0),
         coarse=4 * (len(ranks) - ranks.count(2)),
         apex=index[apex(N)],

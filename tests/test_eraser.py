@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -23,6 +24,8 @@ from gasket_lerw.eraser import (
     skeleton,
     stack_erase,
 )
+from gasket_lerw.exact import PARENT_LAWS, compose_level
+from gasket_lerw.harness import chi_square
 from gasket_lerw.lattice import ORIGIN, TriangleId, apex, corner, incident_cells, neighbors
 from gasket_lerw.walker import (
     CrossingVariant,
@@ -197,6 +200,24 @@ class TestLoopErase:
                 assert a.kind == b.kind or (a.kind, b.kind) == (2, 1)
                 flips += a.kind != b.kind
         assert flips > 0  # the flip is a real phenomenon, not a dead branch
+
+    @pytest.mark.parametrize("n,runs", [(3, 4000), (4, 2000), (5, 800)])
+    @pytest.mark.parametrize("variant", PARENT_LAWS)
+    def test_depth_two_skeleton_follows_the_joint_law(self, n, runs, variant, phi_theta):
+        # The level-(n-2) skeleton counts of a level-n crossing, read right
+        # after the stage that erases that scale, against Phi (direct) or
+        # Theta (via-corner) composed twice.  Later stages may reread a
+        # two-visit cell as one-visit, so the fully erased path would not do.
+        law = compose_level(*phi_theta, 2)[PARENT_LAWS.index(variant)]
+        rng = replica_rng(71, n)
+        observed: Counter[str] = Counter()
+        for _ in range(runs):
+            path = erase_to_scale(sample_crossing(n, variant, rng), n - 2)
+            s1, s2 = skeleton(path, n - 2).s_counts()
+            observed[f"{s1},{s2}"] += 1
+        expected = {f"{s1},{s2}": float(p) for (s1, s2), p in law.coeffs.items()}
+        _, p_value = chi_square(observed, expected)
+        assert p_value > 1e-3, p_value
 
 
 def _two_scan_skeleton(path, level):

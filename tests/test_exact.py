@@ -337,9 +337,18 @@ class TestRationalCountMoments:
         assert length_variance(1) == sq - mean_ell * mean_ell
 
     def test_length_variance_is_pinned(self):
-        # Values at depth 5 since the count moments were first computed.
+        # Values at depth 5 since the count moments were first computed; the
+        # others were read from the second-moment recursion.
+        assert length_variance(0) == 0
         assert length_variance(5) == F(97182608453, 307546875)
         assert length_variance(5, ancestor=(0, 1)) == F(138891638912, 307546875)
+        assert length_variance(4, ancestor=(2, 3)) == F(2613919244, 6834375)
+        assert length_variance(12) == F(
+            3883871968472017911891636964, 114920872591552734375
+        )
+        assert length_variance(12, ancestor=(0, 1)) == F(
+            5555402705220258181195600852, 114920872591552734375
+        )
 
     def test_mean_is_matrix_power_row(self, phi_theta):
         m = mean_matrix(*phi_theta)

@@ -224,6 +224,22 @@ class TestRunCommands:
         assert payload["sd_slope"] == 0.019043842524301847
         assert run(RunConfig(**cfg, threads=2)).payload == payload
 
+    @pytest.mark.parametrize(
+        "command,level,digest",
+        [
+            ("exact", 12, "0c95f692eebb08cb2338fa993c4b08115d0da83bf600b0e4a129faf3e6313cf6"),
+            ("moments", 12, "5ac8ed4b4bdbf7f9c06302183cc4a3ff5e37a49c27c52a4597a7d8da58ca04ce"),
+            ("moments", 1, "546aca0278ef0336225c0d656ff71197cef9705daaf16532751bf925179226b2"),
+        ],
+        ids=["exact-12", "moments-12", "moments-1"],
+    )
+    def test_exact_payloads_are_pinned(self, command, level, digest):
+        # Digests read before the exact layer's derivations were rewritten
+        # from the shape table: every printed digit must stay.
+        payload = run(RunConfig(command=command, level=level)).payload
+        data = json.dumps(payload, sort_keys=True).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_mc_length_counts_raw_steps(self):
         # 2500 samples are two replicas; the steps add up over both.
         report = run(RunConfig(command="mc-length", level=2, samples=2500, seed=3))
