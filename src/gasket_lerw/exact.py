@@ -642,49 +642,70 @@ class MomentTable:
     def residual_series(self) -> tuple[list[mpf], list[mpf], list[mpf], list[mpf], mpf]:
         """The t-free part of ``functional_equation_residual``: the Taylor
         coefficients of phi1 and phi2 through order K, of their compositions
-        by Phi and Theta, and a_(K+1) of phi1."""
-        phi, theta = build_phi_theta(shape_table())
+        by Phi and Theta, and a_(K+1) of phi1, at ``PRECISION_DPS`` whatever
+        the caller's precision."""
         K = self.K
-        fact = [mpf(1)]
-        for k in range(1, K + 2):
-            fact.append(fact[-1] * k)
-        f = [mpf(1)] + [self.moments[k - 1][0] / fact[k] for k in range(1, K + 1)]
-        g = [mpf(1)] + [self.moments[k - 1][1] / fact[k] for k in range(1, K + 1)]
-        comp1 = _series_compose(phi, f, g, K)
-        comp2 = _series_compose(theta, f, g, K)
-        return f, g, comp1, comp2, self.next_moment[0] / fact[K + 1]
+        with mpmath.workdps(PRECISION_DPS):
+            fact = [mpf(1)]
+            for k in range(1, K + 2):
+                fact.append(fact[-1] * k)
+            f = [mpf(1)] + [self.moments[k - 1][0] / fact[k] for k in range(1, K + 1)]
+            g = [mpf(1)] + [self.moments[k - 1][1] / fact[k] for k in range(1, K + 1)]
+            series = _Composition(build_phi_theta(shape_table()), f, g)
+            orders = [series.coefficient(n) for n in range(K + 1)]
+            comp1 = [phi_n for phi_n, _ in orders]
+            comp2 = [theta_n for _, theta_n in orders]
+            return f, g, comp1, comp2, self.next_moment[0] / fact[K + 1]
 
 
-def _series_mul(a: list[mpf], b: list[mpf], K: int) -> list[mpf]:
-    out = [mpf(0)] * (K + 1)
-    for i, ai in enumerate(a):
-        if i > K:
-            break
-        for j, bj in enumerate(b):
-            if i + j > K:
-                break
-            out[i + j] += ai * bj
-    return out
+class _Composition:
+    """Taylor coefficients of polynomials in two series, one order at a time.
 
+    ``coefficient(n)`` reads f[0..n] and g[0..n] and returns coefficient n of
+    each poly(f(t), g(t)).  It keeps coefficient n of every power f^a, g^b
+    and product f^a g^b the polynomials use, so each order is summed once;
+    calling it again for the same n, after f[n] or g[n] changed, overwrites
+    that order.  Every coefficient is summed term by term in the order of a
+    series product, f^a = f^(a-1) f and then f^a g^b, starting from zero.
+    """
 
-def _series_compose(poly: BivariatePoly, f: list[mpf], g: list[mpf], K: int) -> list[mpf]:
-    """Taylor coefficients of poly(f(t), g(t)) through order K."""
-    powers_f: dict[int, list[mpf]] = {0: [mpf(1)] + [mpf(0)] * K}
-    powers_g: dict[int, list[mpf]] = {0: [mpf(1)] + [mpf(0)] * K}
+    def __init__(self, polys: Sequence[BivariatePoly], f: list[mpf], g: list[mpf]):
+        self.terms = [[(a, b, _to_mpf(c)) for (a, b), c in sorted(p.coeffs.items())] for p in polys]
+        monomials = sorted({(a, b) for p in polys for a, b in p.coeffs})
+        self.f_pow = [[mpf(1)]] + [[] for _ in range(max(a for a, _ in monomials))]
+        self.g_pow = [[mpf(1)]] + [[] for _ in range(max(b for _, b in monomials))]
+        self.products = {ab: [] for ab in monomials}
+        self.f, self.g = f, g
 
-    def power(table, base, n):
-        while n not in table:
-            k = max(table)
-            table[k + 1] = _series_mul(table[k], base, K)
-        return table[n]
+    @staticmethod
+    def _put(coeffs: list[mpf], n: int, value: mpf) -> None:
+        if n < len(coeffs):
+            coeffs[n] = value
+        else:
+            coeffs.append(value)
 
-    out = [mpf(0)] * (K + 1)
-    for (a, b), c in sorted(poly.coeffs.items()):
-        term = _series_mul(power(powers_f, f, a), power(powers_g, g, b), K)
-        cm = _to_mpf(c)
-        for i in range(K + 1):
-            out[i] += cm * term[i]
-    return out
+    @staticmethod
+    def _product_at(left: list[mpf], right: list[mpf], n: int) -> mpf:
+        acc = mpf(0)
+        for i in range(n + 1):
+            acc += left[i] * right[n - i]
+        return acc
+
+    def coefficient(self, n: int) -> list[mpf]:
+        for powers, base in ((self.f_pow, self.f), (self.g_pow, self.g)):
+            if n:
+                self._put(powers[0], n, mpf(0))
+            for a in range(1, len(powers)):
+                self._put(powers[a], n, self._product_at(powers[a - 1], base, n))
+        for (a, b), coeffs in self.products.items():
+            self._put(coeffs, n, self._product_at(self.f_pow[a], self.g_pow[b], n))
+        out = []
+        for terms in self.terms:
+            acc = mpf(0)
+            for a, b, c in terms:
+                acc += c * self.products[a, b][n]
+            out.append(acc)
+        return out
 
 
 def moment_table(K: int) -> MomentTable:
@@ -708,14 +729,18 @@ def moment_table(K: int) -> MomentTable:
         # Taylor coefficients a_k = m_k / k!.
         f = [mpf(1), mb[0]]
         g = [mpf(1), mb[1]]
+        series = _Composition((phi, theta), f, g)
+        series.coefficient(0)
+        series.coefficient(1)
         fact = mpf(1)
         moments: list[tuple[mpf, mpf]] = [(mb[0], mb[1])]
         for k in range(2, K + 2):
             fact *= k
+            # Order k of the compositions with a_k = 0 is r_k; the a_k it
+            # solves for then refill order k of the powers.
             f.append(mpf(0))
             g.append(mpf(0))
-            r1 = _series_compose(phi, f, g, k)[k]
-            r2 = _series_compose(theta, f, g, k)[k]
+            r1, r2 = series.coefficient(k)
             lk = lam**k
             a11 = lk - _to_mpf(m[0][0])
             a12 = -_to_mpf(m[0][1])
@@ -728,6 +753,7 @@ def moment_table(K: int) -> MomentTable:
             x2 = (a11 * r2 - r1 * a21) / det
             f[k] = x1
             g[k] = x2
+            series.coefficient(k)
             moments.append((x1 * fact, x2 * fact))
     return MomentTable(K=K, moments=tuple(moments[:K]), next_moment=moments[K], eig=eig)
 

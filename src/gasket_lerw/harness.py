@@ -399,7 +399,7 @@ def _run_limit_path(config: RunConfig) -> tuple[dict, bool]:
     s1, s2 = path.s_counts()
     payload = {
         "depth": path.depth,
-        "cells": len(path.cell_array),
+        "cells": len(path.rows),
         "counts": {"one_visit": s1, "two_visit": s2},
         "scaled_length": path.scaled_length(),
         "repeated_junctions": path.repeated_junctions(),
@@ -502,37 +502,48 @@ def _write_skeleton(path: limit.RefinedPath, target: Path) -> None:
     corner, entry and exit in depth-scale integer coordinates, its kind
     (1 one-visit, 2 two-visit) and its position n in the chain.  Records
     are laid out as bytes a chunk at a time: a fixed-width record with a
-    slot of NUL bytes for each integer, the digits filled in column by
-    column, and the NULs of leading zeros dropped by one mask.
+    slot of NUL bytes for each integer, each slot filled from one table of
+    the digits of every value the file holds, and the NULs of leading zeros
+    dropped from the bytes at once.
     """
-    cells = path.cell_array
-    corners = limit.cell_corners(cells)
-    rows = np.column_stack((corners, cells[:, [0, 1, 2, 3, 6]], np.arange(len(cells))))
-    # Coordinates are at most 2**depth and positions fewer than the cells:
-    # far below 2**32 at any depth that fits in memory, and uint32 divides fast.
-    rows = rows.astype(np.uint32)
-    width = len(str(rows.max()))
-    record = np.frombuffer(SKELETON_RECORD.format(*["\0" * width] * 8).encode(), np.uint8)
-    slots = np.flatnonzero(record == 0).reshape(8, width)  # each integer's slot bytes
-    # A digit is a leading zero when the integer is below its place value;
-    # the units digit always shows.
+    rows = path.rows
+    # Coordinates are at most 2**depth + 1 and positions fewer than the cells.
+    top = max(int(rows[:, 0:2].max()) + 1, len(rows) - 1)
+    width = len(str(top))
+    # The ASCII digits of every value up to top, most significant first; a
+    # digit is a leading zero, and stays NUL, when the value is below its
+    # place value.  The units digit always shows.
+    values = np.arange(top + 1, dtype=np.uint32)
+    digits = np.empty((top + 1, width), np.uint8)
+    q = values
+    for k in range(width - 1, -1, -1):
+        q, digits[:, k] = np.divmod(q, 10)
+    digits += ord("0")
     lead = 10 ** np.arange(width - 1, -1, -1, dtype=np.uint32)
     lead[-1] = 0
+    digits *= values[:, None] >= lead
+    # A value's digits, and each integer's slot in a chunk of records, as
+    # single width-byte items: filling a slot is one gather of items.
+    item = np.dtype(f"V{width}")
+    table = digits.view(item).ravel()
+    record = SKELETON_RECORD.format(*["\0" * width] * 8).encode()
+    text = np.tile(np.frombuffer(record, np.uint8), (min(SKELETON_CHUNK, len(rows)), 1))
+    firsts = np.flatnonzero(text[0] == 0)[::width]
+    slots = [
+        np.ndarray(shape=len(text), dtype=item, buffer=text, offset=s, strides=text.strides[:1])
+        for s in firsts
+    ]
+    ends = limit.ORIENTATIONS[:, 0:2].reshape(6, 4)  # entry and exit offsets
     with target.open("wb") as fh:
         fh.write(b"[\n ")
         for start in range(0, len(rows), SKELETON_CHUNK):
             chunk = rows[start : start + SKELETON_CHUNK]
-            values = chunk.ravel()
-            digits = np.empty((width, len(values)), np.uint8)  # most significant first
-            q = values
-            for k in range(width - 1, -1, -1):
-                q, digits[k] = np.divmod(q, 10)
-            digits += ord("0")
-            digits *= values >= lead[:, None]
-            text = np.tile(record, (len(chunk), 1))
-            for k in range(width):
-                text[:, slots[:, k]] = digits[k].reshape(chunk.shape)
-            fh.write(text[text != 0].tobytes())
+            n = len(chunk)
+            points = limit.corner_plus(chunk, ends).T
+            fields = (chunk[:, 0], chunk[:, 1], *points, chunk[:, 3], np.arange(start, start + n))
+            for slot, field in zip(slots, fields):
+                slot[:n] = np.take(table, field)
+            fh.write(text[:n].tobytes().translate(None, b"\0"))
         fh.seek(-len(",\n "), 1)  # the last record takes no separator
         fh.write(b"\n]\n")
 

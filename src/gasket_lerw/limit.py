@@ -17,15 +17,22 @@ triangle side is the unit), so doubling at each refinement is exact and the
 projective structure is an identity: refining depth M+1 with the same
 stream reproduces the depth-M chain cell for cell.
 
-Each level is stored as one int64 array with a row per cell (entry, exit and
-third corner as integer pairs, then the kind) and refined all at once: the
-level draws one uniform per parent, in skeleton order, picks each parent's
-shape from the cumulative law of its kind and places every child by one
-affine map.  ``refinement_table()`` holds the two laws as these arrays,
-built once from the shape table.  The uniforms are taken level by level in
-skeleton order, so a seed determines the path.  Coarse-graining and the
-junction chain read the same arrays; ``RefinedPath.cells`` is a tuple view
-for outside readers only.
+Each level is stored as one int32 array with a row per cell: the cell's
+lower-left corner (i, j), its orientation and its kind.  The orientation,
+0..5, says which of the corners c, c + (1, 0) and c + (0, 1) of the cell
+with corner c is its entry, which its exit and which its third corner
+(``ORIENTATIONS``).  Under a parent of a given orientation every child of a
+shape sits at a fixed offset from twice the parent's corner, with a fixed
+orientation and kind, so ``refinement_table()`` holds each shape's children
+once per parent orientation, built once from the shape table.  A level is
+refined all at once: it draws one uniform per parent, in skeleton order,
+picks each parent's shape from the cumulative law of its kind and places
+every child by one gather from that table plus twice its parent's corner.
+The uniforms are taken level by level in skeleton order, so a seed
+determines the path.  Coarse-graining, the junction chain and the skeleton
+writer read the same rows, with entries, exits and third corners taken from
+the orientation table; ``RefinedPath.cells`` is a tuple view for outside
+readers only.
 
 A child's kind depends only on its parent's kind and the drawn shape, so the
 branching counts need no geometry: ``sample_level_counts`` runs the draw
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import permutations
 from math import log, sqrt
 from typing import NamedTuple, Sequence
 
@@ -69,24 +77,65 @@ class SkeletonCell(NamedTuple):
 ANCESTOR = SkeletonCell(entry=(0, 0), exit=(0, 1), third=(1, 0), kind=TYPE_ONE)
 
 
-def _cell_array(cells: Sequence[Child]) -> np.ndarray:
-    """Rows (entry i, j, exit i, j, third i, j, kind) of a sequence of
-    (entry, exit, third, kind) cells."""
-    rows = [(*entry, *exit_, *third, kind) for entry, exit_, third, kind in cells]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 7)
+# The corners of the cell with lower-left corner c are c + CORNER_OFFSETS[k];
+# orientation o puts its entry, exit and third corner at the offsets
+# ORIENTATIONS[o] = (entry, exit, third) from c.
+CORNER_OFFSETS = ((0, 0), (1, 0), (0, 1))
+ORIENTATIONS = np.array(
+    [[CORNER_OFFSETS[k] for k in order] for order in permutations(range(3))], dtype=np.int32
+)
+# The orientation with entry offset k and exit offset l, at k + 3 l, where an
+# offset (a, b) is numbered a + 2 b.
+_ORIENTATION_OF_ENDS = np.full(9, -1, dtype=np.int32)
+_ORIENTATION_OF_ENDS[[e + 3 * x for e, x, _ in permutations(range(3))]] = range(6)
+_ENTRY, _EXIT, _THIRD = (ORIENTATIONS[:, k] for k in range(3))
+_THIRD_EXIT = ORIENTATIONS[:, [2, 1]].reshape(6, 4)
 
 
-def cell_corners(cells: np.ndarray) -> np.ndarray:
-    """Lower-left corner (i, j) of each row of a cell array."""
-    return np.minimum(np.minimum(cells[:, 0:2], cells[:, 2:4]), cells[:, 4:6])
+def _orientation(corner: np.ndarray, entry: np.ndarray, exit_: np.ndarray) -> np.ndarray:
+    """Orientation of each cell from its corner, entry and exit (n x 2 each)."""
+    e = entry - corner
+    x = exit_ - corner
+    ends = e[:, 0] + 2 * e[:, 1] + 3 * (x[:, 0] + 2 * x[:, 1])
+    # Indices past either end clip to the table's ends, which hold -1.
+    return np.take(_ORIENTATION_OF_ENDS, ends, mode="clip")
 
 
-def _junction_chain(cells: np.ndarray) -> np.ndarray:
+def _compact(points: np.ndarray, kinds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Rows (corner i, corner j, orientation, kind) of the cells with these
+    entry, exit and third corners (an n x 3 x 2 array), each an upward
+    triangle of side 1."""
+    corner = points.min(axis=1)
+    rows = np.empty((len(points), 4), dtype=np.int32)
+    rows[:, 0:2] = corner
+    rows[:, 2] = _orientation(corner, points[:, 0], points[:, 1])
+    rows[:, 3] = kinds
+    if not np.array_equal(_points(rows), points):
+        raise ValueError("cells must be upward triangles of side 1")
+    return rows
+
+
+def _points(rows: np.ndarray) -> np.ndarray:
+    """Entry, exit and third corner of each row, as an n x 3 x 2 array."""
+    return corner_plus(rows, ORIENTATIONS.reshape(6, 6)).reshape(-1, 3, 2)
+
+
+def corner_plus(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each row's corner plus the offsets its orientation takes from a table
+    of one row of (i, j) pairs per orientation, as one row per cell."""
+    out = np.take(offsets, rows[:, 2], axis=0)
+    for k in range(0, out.shape[1], 2):  # column by column: numpy adds 1-D runs fastest
+        out[:, k] += rows[:, 0]
+        out[:, k + 1] += rows[:, 1]
+    return out
+
+
+def _junction_chain(rows: np.ndarray) -> np.ndarray:
     """The vertices the chain passes, in order: the first entry, then for
     each cell its third corner when it is two-visit, followed by its exit."""
-    steps = np.stack((cells[:, 4:6], cells[:, 2:4]), axis=1).reshape(-1, 2)
-    used = np.stack((cells[:, 6] == TYPE_TWO, np.ones(len(cells), dtype=bool)), axis=1)
-    return np.concatenate((cells[:1, 0:2], steps[used.ravel()]))
+    steps = corner_plus(rows, _THIRD_EXIT).reshape(-1, 2)
+    used = np.stack((rows[:, 3] == TYPE_TWO, np.ones(len(rows), dtype=bool)), axis=1)
+    return np.concatenate((corner_plus(rows[:1], _ENTRY), steps[used.ravel()]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,14 +143,15 @@ class RefinedPath:
     """A depth-M skeleton chain with lambda-scaled traversal times."""
 
     depth: int
-    cell_array: np.ndarray  # one int64 row per cell, as built by _cell_array
+    rows: np.ndarray  # one int32 row (corner i, corner j, orientation, kind) per cell
     level_counts: tuple[tuple[int, int], ...]  # (one-visit, two-visit) per level 0..depth
 
     @cached_property
     def cells(self) -> tuple[SkeletonCell, ...]:
+        flat = np.column_stack((_points(self.rows).reshape(-1, 6), self.rows[:, 3]))
         return tuple(
             SkeletonCell(entry=(ei, ej), exit=(xi, xj), third=(ti, tj), kind=kind)
-            for ei, ej, xi, xj, ti, tj, kind in self.cell_array.tolist()
+            for ei, ej, xi, xj, ti, tj, kind in flat.tolist()
         )
 
     def __eq__(self, other: object) -> bool:
@@ -110,7 +160,7 @@ class RefinedPath:
         return (
             self.depth == other.depth
             and self.level_counts == other.level_counts
-            and np.array_equal(self.cell_array, other.cell_array)
+            and np.array_equal(self.rows, other.rows)
         )
 
     def s_counts(self) -> tuple[int, int]:
@@ -125,7 +175,7 @@ class RefinedPath:
         dt = float(growth_rate()) ** -self.depth
         scale = 0.5**self.depth
         root3_half = sqrt(3.0) / 2.0
-        points = _junction_chain(self.cell_array)
+        points = _junction_chain(self.rows)
         t = np.concatenate(([0.0], np.cumsum(np.full(len(points) - 1, dt))))
         x = (points[:, 0] + 0.5 * points[:, 1]) * scale
         y = points[:, 1] * root3_half * scale
@@ -134,7 +184,7 @@ class RefinedPath:
     def repeated_junctions(self) -> int:
         """Junctions the chain passes more than once (0 for a self-avoiding
         path), counted as adjacent equal keys after one sort."""
-        points = _junction_chain(self.cell_array)
+        points = _junction_chain(self.rows).astype(np.int64)
         keys = np.sort((points[:, 0] << 32) | points[:, 1])
         return int(np.count_nonzero(keys[1:] == keys[:-1]))
 
@@ -148,35 +198,45 @@ class _LevelLaw(NamedTuple):
     """The two offspring laws of a shape table as arrays, for refining a
     whole level at once.
 
-    Shapes are numbered over both laws, the type-one (direct) law first;
-    ``frames`` holds every shape's children in the side-2 shape frame, shape
-    after shape, as ``_cell_array`` rows.
+    Shapes are numbered over both laws, the type-one (direct) law first, and
+    their children in the side-2 shape frame are the frame rows, shape after
+    shape.  ``children[o, r]`` is frame row r placed in a parent of
+    orientation o with corner (0, 0), as a cell row; in a parent with corner
+    c the child's corner moves by 2 c.
     """
 
     cum_one: np.ndarray  # cumulative type-one law, last entry forced to 1.0
     cum_two: np.ndarray
-    first: np.ndarray  # shape number -> its first row in frames
+    first: np.ndarray  # shape number -> its first frame row
     count: np.ndarray  # shape number -> its number of children
-    frames: np.ndarray
+    children: np.ndarray  # orientation x frame row -> (corner i, corner j, orientation, kind)
 
     @classmethod
     def of(cls, table: ShapeTable) -> _LevelLaw:
         cums = []
         first = []
-        children: list[Child] = []
+        frame: list[Child] = []
         for variant in PARENT_LAWS:
             cum = []
             acc = 0.0
             for p, shape in table.law(variant):
                 acc += float(p)
                 cum.append(acc)
-                first.append(len(children))
-                children.extend(shape.children)
+                first.append(len(frame))
+                frame.extend(shape.children)
             cum[-1] = 1.0
             cums.append(np.array(cum))
-        first.append(len(children))
+        first.append(len(frame))
         bounds = np.array(first, dtype=np.int64)
-        return cls(cums[0], cums[1], bounds[:-1], np.diff(bounds), _cell_array(children))
+        # Frame point (a, b) lands at 2 entry + a (third - entry) + b (exit - entry).
+        points = np.array([cell[:3] for cell in frame], dtype=np.int32)
+        kinds = [cell[3] for cell in frame]
+        a, b = points[..., :1], points[..., 1:]
+        children = [
+            _compact(2 * entry + a * (third - entry) + b * (exit_ - entry), kinds)
+            for entry, exit_, third in ORIENTATIONS
+        ]
+        return cls(cums[0], cums[1], bounds[:-1], np.diff(bounds), np.stack(children))
 
     def draw(self, kinds: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Frame rows of the children of every parent, in skeleton order, and
@@ -194,19 +254,13 @@ class _LevelLaw(NamedTuple):
         return rows, sizes
 
     def place(self, parents: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """The drawn children as cell rows.  Each child point (a, b) of the
-        shape frame lands at 2 entry + a (third - entry) + b (exit - entry),
-        doubling the parent's coordinates."""
-        frame = self.frames[rows]
-        parent = np.repeat(parents, sizes, axis=0)
-        entry = parent[:, 0:2]
-        to_exit = parent[:, 2:4] - entry
-        to_third = parent[:, 4:6] - entry
-        out = np.empty_like(frame)
-        for col in (0, 2, 4):
-            a, b = frame[:, col : col + 1], frame[:, col + 1 : col + 2]
-            out[:, col : col + 2] = 2 * entry + a * to_third + b * to_exit
-        out[:, 6] = frame[:, 6]
+        """The drawn children as compact rows: each frame row read under its
+        parent's orientation, its corner moved by twice the parent's."""
+        frame_rows = self.children.shape[1]
+        table = self.children.reshape(-1, 4)
+        out = np.take(table, np.repeat(parents[:, 2] * frame_rows, sizes) + rows, axis=0)
+        out[:, 0] += np.repeat(2 * parents[:, 0], sizes)
+        out[:, 1] += np.repeat(2 * parents[:, 1], sizes)
         return out
 
 
@@ -232,13 +286,13 @@ def sample_refined_family(depth: int, rng: np.random.Generator) -> list[RefinedP
     if depth < 0:
         raise ValueError("depth must be >= 0")
     law = refinement_table()
-    cells = _cell_array((ANCESTOR,))
+    rows = _compact(np.array([ANCESTOR[:3]]), [ANCESTOR.kind])
     counts = [(1, 0)]
-    family = [RefinedPath(depth=0, cell_array=cells, level_counts=tuple(counts))]
+    family = [RefinedPath(depth=0, rows=rows, level_counts=tuple(counts))]
     for m in range(1, depth + 1):
-        cells = law.place(cells, *law.draw(cells[:, 6], rng.random(len(cells))))
-        counts.append(_kind_counts(cells[:, 6]))
-        family.append(RefinedPath(depth=m, cell_array=cells, level_counts=tuple(counts)))
+        rows = law.place(rows, *law.draw(rows[:, 3], rng.random(len(rows))))
+        counts.append(_kind_counts(rows[:, 3]))
+        family.append(RefinedPath(depth=m, rows=rows, level_counts=tuple(counts)))
     return family
 
 
@@ -255,7 +309,7 @@ def sample_level_counts(depth: int, rng: np.random.Generator) -> tuple[tuple[int
     counts = [(1, 0)]
     for _ in range(depth):
         rows, _ = law.draw(kinds, rng.random(len(kinds)))
-        kinds = law.frames[rows, 6]
+        kinds = law.children[0, rows, 3]
         counts.append(_kind_counts(kinds))
     return tuple(counts)
 
@@ -278,26 +332,30 @@ def coarse_grain_refined(path: RefinedPath) -> RefinedPath:
     """
     if path.depth == 0:
         raise ValueError("depth-0 paths have no coarser level")
-    cells = path.cell_array
-    key = cell_corners(cells) >> 1  # the parent's corner, one level up
+    rows = path.rows
+    key = rows[:, 0:2] >> 1  # the parent's corner, one level up
     new_group = np.concatenate(([True], np.any(key[1:] != key[:-1], axis=1)))
     starts = np.flatnonzero(new_group)
-    entry = cells[starts, 0:2]
-    exit_ = cells[np.append(starts[1:], len(cells)) - 1, 2:4]
+    ends = np.append(starts[1:], len(rows)) - 1
+    entry = corner_plus(rows[starts], _ENTRY)
+    exit_ = corner_plus(rows[ends], _EXIT)
     # The parent's corners 2 key, 2 key + (2, 0) and 2 key + (0, 2) sum to
     # 3 * 2 key + (2, 2); the third is what entry and exit leave of them.
-    third = 3 * 2 * key[starts] + 2 - entry - exit_
+    corner = key[starts]
+    third = 3 * 2 * corner + 2 - entry - exit_
     # Only one child holds the parent's third corner, so the chain can pass
     # that corner only as the third corner of a two-visit child.
     own = third[np.cumsum(new_group) - 1]
-    visits = (cells[:, 6] == TYPE_TWO) & np.all(cells[:, 4:6] == own, axis=1)
+    visits = (rows[:, 3] == TYPE_TWO) & np.all(corner_plus(rows, _THIRD) == own, axis=1)
     two = np.add.reduceat(visits, starts) > 0
-    kinds = np.where(two, TYPE_TWO, TYPE_ONE)
-    parents = np.column_stack((entry >> 1, exit_ >> 1, third >> 1, kinds))
+    parents = np.empty((len(starts), 4), dtype=np.int32)
+    parents[:, 0:2] = corner
+    parents[:, 2] = _orientation(corner, entry >> 1, exit_ >> 1)
+    parents[:, 3] = np.where(two, TYPE_TWO, TYPE_ONE)
     s2 = int(np.count_nonzero(two))
     return RefinedPath(
         depth=path.depth - 1,
-        cell_array=parents,
+        rows=parents,
         level_counts=path.level_counts[:-2] + ((len(parents) - s2, s2),),
     )
 
@@ -310,12 +368,12 @@ def projects_onto(fine: RefinedPath, coarse: RefinedPath) -> bool:
     """
     if fine.depth != coarse.depth + 1:
         raise ValueError("projects_onto compares adjacent depths")
-    got = coarse_grain_refined(fine).cell_array
-    want = coarse.cell_array
+    got = coarse_grain_refined(fine).rows
+    want = coarse.rows
     if got.shape != want.shape:
         return False
-    upgraded = (got[:, 6] == TYPE_TWO) & (want[:, 6] == TYPE_ONE)
-    return bool(np.array_equal(got[:, :6], want[:, :6]) and not upgraded.any())
+    upgraded = (got[:, 3] == TYPE_TWO) & (want[:, 3] == TYPE_ONE)
+    return bool(np.array_equal(got[:, :3], want[:, :3]) and not upgraded.any())
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ def test_a9_limit_path_properties(eig):
         for m in range(1, depth + 1):
             assert limit.projects_onto(family[m], family[m - 1])
         for member in family:
-            corners = limit.cell_corners(member.cell_array)
+            corners = member.rows[:, 0:2].astype(np.int64)
             keys = np.sort((corners[:, 0] << 32) | corners[:, 1])
             assert np.all(keys[1:] != keys[:-1])
             assert member.repeated_junctions() == 0

@@ -273,7 +273,109 @@ class TestEigenData:
             eigen_data(((F(1), F(0)), (F(1), F(1))))
 
 
+# The Taylor composition as whole series, kept as the reference for the
+# moment solve, which sums one order at a time: every coefficient must come
+# out bit for bit as these give it.
+def _series_mul(a, b, K):
+    out = [mpf(0)] * (K + 1)
+    for i, ai in enumerate(a):
+        if i > K:
+            break
+        for j, bj in enumerate(b):
+            if i + j > K:
+                break
+            out[i + j] += ai * bj
+    return out
+
+
+def _series_compose(poly, f, g, K):
+    """Taylor coefficients of poly(f(t), g(t)) through order K."""
+    powers_f = {0: [mpf(1)] + [mpf(0)] * K}
+    powers_g = {0: [mpf(1)] + [mpf(0)] * K}
+
+    def power(table, base, n):
+        while n not in table:
+            k = max(table)
+            table[k + 1] = _series_mul(table[k], base, K)
+        return table[n]
+
+    out = [mpf(0)] * (K + 1)
+    for (a, b), c in sorted(poly.coeffs.items()):
+        term = _series_mul(power(powers_f, f, a), power(powers_g, g, b), K)
+        cm = mpf(c.numerator) / mpf(c.denominator)
+        for i in range(K + 1):
+            out[i] += cm * term[i]
+    return out
+
+
+def _reference_solve(eig, phi, theta, K):
+    """The moment solve recomposing both series at every order: the Taylor
+    coefficients f and g it solves, the compositions (r1, r2) at each order
+    2..K+1 with a_k = 0, and the moments 1..K+1."""
+    with mpmath.workdps(60):
+        m = [[mpf(x.numerator) / mpf(x.denominator) for x in row] for row in eig.mean_matrix]
+        mb = eig.mean_b
+        f = [mpf(1), mb[0]]
+        g = [mpf(1), mb[1]]
+        fact = mpf(1)
+        rs = {}
+        moments = [mb]
+        for k in range(2, K + 2):
+            fact *= k
+            f.append(mpf(0))
+            g.append(mpf(0))
+            r1 = _series_compose(phi, f, g, k)[k]
+            r2 = _series_compose(theta, f, g, k)[k]
+            rs[k] = (r1, r2)
+            lk = eig.lam**k
+            a11, a12, a21, a22 = lk - m[0][0], -m[0][1], -m[1][0], lk - m[1][1]
+            det = a11 * a22 - a12 * a21
+            f[k] = (r1 * a22 - a12 * r2) / det
+            g[k] = (a11 * r2 - r1 * a21) / det
+            moments.append((f[k] * fact, g[k] * fact))
+    return f, g, rs, moments
+
+
 class TestMoments:
+    def test_solve_matches_the_reference_composition(self, eig, phi_theta):
+        # Each order's Phi and Theta coefficients, summed once from the kept
+        # powers, equal the whole-series composition bit for bit at every
+        # order 2..13, and so do the moments they solve for.
+        phi, theta = phi_theta
+        f, g, rs, moments = _reference_solve(eig, phi, theta, 12)
+        with mpmath.workdps(60):
+            fs, gs = f[:2], g[:2]
+            series = exact._Composition(phi_theta, fs, gs)
+            series.coefficient(0)
+            series.coefficient(1)
+            for k in range(2, 14):
+                fs.append(mpf(0))
+                gs.append(mpf(0))
+                assert series.coefficient(k) == list(rs[k]), k
+                fs[k], gs[k] = f[k], g[k]
+                series.coefficient(k)
+        mt = moment_table(12)
+        assert list(mt.moments) + [mt.next_moment] == moments
+
+    @pytest.mark.parametrize("K", [1, 5, 12])
+    def test_residual_series_matches_the_reference_composition(self, phi_theta, K):
+        phi, theta = phi_theta
+        f, g, comp1, comp2, _ = moment_table(K).residual_series
+        with mpmath.workdps(60):
+            assert comp1 == _series_compose(phi, f, g, K)
+            assert comp2 == _series_compose(theta, f, g, K)
+
+    def test_residual_series_ignores_the_callers_precision(self):
+        # Read first at mpmath's default 15 digits, the series is still the
+        # one functional_equation_residual composes at 60.
+        assert mpmath.mp.dps < exact.PRECISION_DPS
+        early = moment_table(12)
+        early.residual_series
+        late = moment_table(12)
+        assert functional_equation_residual(early, -0.5) == functional_equation_residual(late, -0.5)
+        r1, r2, _ = functional_equation_residual(early, -0.5)
+        assert r1 < 1e-50 and r2 < 1e-50
+
     def test_first_moment_is_normalized_eigenvector(self, eig):
         mt = moment_table(3)
         m1 = mt.moment(1)
@@ -314,7 +416,7 @@ class TestMoments:
             lam13 = eig.lam**13
             for poly, coeffs in ((phi, f), (theta, g)):
                 lhs = lam13 * coeffs[13]
-                assert abs(exact._series_compose(poly, f, g, 13)[13] - lhs) < 1e-30 * lhs
+                assert abs(_series_compose(poly, f, g, 13)[13] - lhs) < 1e-30 * lhs
             term = abs(f[13] * (eig.lam * t) ** 13)
         rem12 = functional_equation_residual(mt, t)[2]
         rem11 = functional_equation_residual(moment_table(11), t)[2]

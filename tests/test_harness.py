@@ -125,7 +125,8 @@ class TestRunCommands:
         # A chain whose first and last cells both pass the third corner
         # (0, 1) repeats that junction, and the run fails.
         cells = np.array([[0, 0, 1, 0, 0, 1, 2], [1, 0, 1, 1, 2, 0, 1], [1, 1, 0, 2, 0, 1, 2]])
-        looped = limit.RefinedPath(depth=1, cell_array=cells, level_counts=((1, 0), (1, 2)))
+        rows = limit._compact(cells[:, 0:6].reshape(-1, 3, 2), cells[:, 6])
+        looped = limit.RefinedPath(depth=1, rows=rows, level_counts=((1, 0), (1, 2)))
         monkeypatch.setattr(limit, "sample_refined_family", lambda depth, rng: [looped])
         report = run(RunConfig(command="limit-path", level=1, seed=4))
         assert not report.passed and report.payload["repeated_junctions"] == 1
@@ -143,13 +144,19 @@ class TestRunCommands:
         assert worst < 1e-9
 
     def test_moments_composes_the_residual_series_once(self, monkeypatch):
-        # moment_table(K) composes Phi and Theta once per order 2..K+1; the
-        # residuals at the three values of t share one more of each.
-        calls = []
-        compose = exact._series_compose
-        monkeypatch.setattr(exact, "_series_compose", lambda *a: calls.append(a) or compose(*a))
+        # moment_table(K) sums orders 0 and 1 once and each order 2..K+1
+        # twice (with a_k = 0, then with the solved a_k); the residuals at
+        # the three values of t share one composition of orders 0..K.
+        orders = []
+        coefficient = exact._Composition.coefficient
+        monkeypatch.setattr(
+            exact._Composition,
+            "coefficient",
+            lambda series, n: orders.append(n) or coefficient(series, n),
+        )
         run(RunConfig(command="moments", level=8))
-        assert len(calls) == 2 * 8 + 2
+        solve = [0, 1] + [k for k in range(2, 10) for _ in range(2)]
+        assert orders == solve + list(range(9))
 
     @pytest.mark.parametrize(
         "cfg",
@@ -288,9 +295,11 @@ class TestRunCommands:
 def _reference_write_skeleton(path, target):
     """The skeleton writer with one f-string per record, kept as the
     reference for the byte-level one."""
-    cells = path.cell_array
-    corners = limit.cell_corners(cells)
-    rows = np.column_stack((corners, cells[:, [0, 1, 2, 3, 6]], np.arange(len(cells))))
+    corners = path.rows[:, 0:2]
+    points = corners[:, None, :] + limit.ORIENTATIONS[path.rows[:, 2]]  # entry, exit, third
+    rows = np.column_stack(
+        (corners, points[:, 0:2].reshape(-1, 4), path.rows[:, 3], np.arange(len(path.rows)))
+    )
     with target.open("w") as fh:
         fh.write("[\n ")
         for start in range(0, len(rows), 4096):
@@ -321,7 +330,7 @@ class TestSkeletonWriter:
         # file, so small chunks split records of every width.
         monkeypatch.setattr(harness, "SKELETON_CHUNK", chunk)
         path = sample_limit_path(6, replica_rng(4, 0))
-        assert len(path.cell_array) > 2 * chunk
+        assert len(path.rows) > 2 * chunk
         harness._write_skeleton(path, tmp_path / "new.json")
         _reference_write_skeleton(path, tmp_path / "old.json")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()

@@ -24,7 +24,6 @@ from gasket_lerw.limit import (
     RefinedPath,
     SkeletonCell,
     box_count_dimension,
-    cell_corners,
     coarse_grain_refined,
     projects_onto,
     refinement_table,
@@ -95,6 +94,60 @@ def _reference_family(depth, rng, table):
         counts.append((s1, len(cells) - s1))
         family.append((cells, tuple(counts)))
     return family
+
+
+# The seven-column layout the sampler refined in before its rows went
+# compact, kept as the pathwise reference: one int64 row (entry i, j, exit
+# i, j, third i, j, kind) per cell, children placed by an affine map of the
+# parent's three corners.
+def _cell_array(cells):
+    rows = [(*entry, *exit_, *third, kind) for entry, exit_, third, kind in cells]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 7)
+
+
+def _cell_corners(cells):
+    """Lower-left corner (i, j) of each row of a seven-column array."""
+    return np.minimum(np.minimum(cells[:, 0:2], cells[:, 2:4]), cells[:, 4:6])
+
+
+def _seven_column_place(frames, parents, rows, sizes):
+    frame = frames[rows]
+    parent = np.repeat(parents, sizes, axis=0)
+    entry = parent[:, 0:2]
+    to_exit = parent[:, 2:4] - entry
+    to_third = parent[:, 4:6] - entry
+    out = np.empty_like(frame)
+    for col in (0, 2, 4):
+        a, b = frame[:, col : col + 1], frame[:, col + 1 : col + 2]
+        out[:, col : col + 2] = 2 * entry + a * to_third + b * to_exit
+    out[:, 6] = frame[:, 6]
+    return out
+
+
+def _seven_column_family(depth, rng, table):
+    """The seven-column arrays of levels 0..depth, drawn by the sampler's
+    own ``draw`` and placed by the affine map."""
+    frames = _cell_array(
+        [child for v in PARENT_LAWS for _, shape in table.law(v) for child in shape.children]
+    )
+    law = refinement_table()
+    cells = _cell_array((ANCESTOR,))
+    family = [cells]
+    for _ in range(depth):
+        cells = _seven_column_place(frames, cells, *law.draw(cells[:, 6], rng.random(len(cells))))
+        family.append(cells)
+    return family
+
+
+def _expand(rows):
+    """A path's compact rows in the seven-column layout."""
+    points = rows[:, None, 0:2].astype(np.int64) + limit.ORIENTATIONS[rows[:, 2]]
+    return np.column_stack((points.reshape(-1, 6), rows[:, 3]))
+
+
+def _compact(cells):
+    """Compact rows of a seven-column array."""
+    return limit._compact(cells[:, 0:6].reshape(-1, 3, 2), cells[:, 6])
 
 
 # Per-cell references for the array checks: coarse-graining one cell at a
@@ -220,6 +273,38 @@ def _tables(table, monkeypatch):
 
 class TestSampling:
     @pytest.mark.parametrize("seed", [12094959, 1, 2, 3, 41])
+    def test_matches_seven_column_reference(self, table, seed):
+        # Every level of a depth-15 family, and every shallower family.
+        got = sample_refined_family(15, replica_rng(seed, 0))
+        want = _seven_column_family(15, replica_rng(seed, 0), table)
+        for member, cells in zip(got, want, strict=True):
+            assert member.rows.dtype == np.int32
+            assert np.array_equal(_expand(member.rows), cells)
+            assert np.array_equal(_compact(cells), member.rows)
+        for depth in range(15):
+            assert sample_refined_family(depth, replica_rng(seed, 0)) == got[: depth + 1]
+
+    def test_cells_are_the_expanded_rows(self):
+        for member in sample_refined_family(8, replica_rng(12094959, 0)):
+            want = [
+                (tuple(c[0:2]), tuple(c[2:4]), tuple(c[4:6]), c[6])
+                for c in _expand(member.rows).tolist()
+            ]
+            assert [tuple(c) for c in member.cells] == want
+            assert all(isinstance(c, SkeletonCell) for c in member.cells)
+
+    def test_orientations_are_the_corner_permutations(self):
+        corners = [(0, 0), (1, 0), (0, 1)]
+        seen = {tuple(map(tuple, o)) for o in limit.ORIENTATIONS.tolist()}
+        assert len(seen) == 6
+        assert all(sorted(o) == sorted(corners) for o in seen)
+
+    def test_compact_rejects_cells_that_are_not_upward_unit_triangles(self):
+        for cell in ([0, 0, 1, 1, 0, 1, 1], [0, 0, 2, 0, 0, 2, 1], [1, 0, 0, 1, 1, 1, 1]):
+            with pytest.raises(ValueError):
+                _compact(np.array([cell]))
+
+    @pytest.mark.parametrize("seed", [12094959, 1, 2, 3, 41])
     def test_matches_per_cell_reference(self, table, monkeypatch, seed):
         for law in _tables(table, monkeypatch):
             got = sample_refined_family(10, replica_rng(seed, 0))
@@ -298,7 +383,8 @@ class TestSampling:
 
 
 def _with_cells(member, cells):
-    return RefinedPath(depth=member.depth, cell_array=cells, level_counts=member.level_counts)
+    """``member`` with its cells replaced by a seven-column array."""
+    return RefinedPath(depth=member.depth, rows=_compact(cells), level_counts=member.level_counts)
 
 
 class TestArrayChecks:
@@ -330,31 +416,32 @@ class TestArrayChecks:
 
     def test_moved_exit_fails(self, pair):
         fine, coarse = pair
-        cells = coarse.cell_array.copy()
-        cells[3, 2:4], cells[3, 4:6] = coarse.cell_array[3, 4:6], coarse.cell_array[3, 2:4]
+        original = _expand(coarse.rows)
+        cells = original.copy()
+        cells[3, 2:4], cells[3, 4:6] = original[3, 4:6], original[3, 2:4]
         assert not self._both(fine, _with_cells(coarse, cells))
 
     def test_kind_upgrade_fails(self, pair):
         # The fine chain passes the third corner of a cell the coarse member
         # records as one-visit: kinds may not go from one- to two-visit.
         fine, coarse = pair
-        reread = coarse_grain_refined(fine).cell_array[:, 6]
+        reread = _expand(coarse_grain_refined(fine).rows)[:, 6]
         k = int(np.flatnonzero(reread == 2)[0])
-        cells = coarse.cell_array.copy()
+        cells = _expand(coarse.rows)
         cells[k, 6] = 1
         assert not self._both(fine, _with_cells(coarse, cells))
 
     def test_two_visit_reread_as_one_visit_passes(self, pair):
         fine, coarse = pair
-        reread = coarse_grain_refined(fine).cell_array[:, 6]
+        reread = _expand(coarse_grain_refined(fine).rows)[:, 6]
         k = int(np.flatnonzero(reread == 1)[0])
-        cells = coarse.cell_array.copy()
+        cells = _expand(coarse.rows)
         cells[k, 6] = 2
         assert self._both(fine, _with_cells(coarse, cells))
 
     def test_cell_count_mismatch_fails(self, pair):
         fine, coarse = pair
-        assert not self._both(fine, _with_cells(coarse, coarse.cell_array[:-1]))
+        assert not self._both(fine, _with_cells(coarse, _expand(coarse.rows)[:-1]))
 
     def test_non_adjacent_depths_rejected(self):
         fam = sample_refined_family(3, replica_rng(11, 0))
@@ -368,9 +455,10 @@ class TestArrayChecks:
         cells = np.array(
             [[0, 0, 1, 0, 0, 1, 2], [1, 0, 1, 1, 2, 0, 1], [1, 1, 0, 2, 0, 1, 2]]
         )
-        path = RefinedPath(depth=1, cell_array=cells, level_counts=((1, 0), (1, 2)))
+        path = RefinedPath(depth=1, rows=_compact(cells), level_counts=((1, 0), (1, 2)))
         assert path.repeated_junctions() == 1
         cells[2, 6] = 1
+        path = RefinedPath(depth=1, rows=_compact(cells), level_counts=((1, 0), (1, 2)))
         assert path.repeated_junctions() == 0
 
 
@@ -518,4 +606,6 @@ class TestBoxCounting:
 
 def test_cell_corners():
     member = sample_limit_path(6, replica_rng(3, 0))
-    assert cell_corners(member.cell_array).tolist() == [list(_corner(c)) for c in member.cells]
+    want = [list(_corner(c)) for c in member.cells]
+    assert member.rows[:, 0:2].tolist() == want
+    assert _cell_corners(_expand(member.rows)).tolist() == want
