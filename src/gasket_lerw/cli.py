@@ -7,14 +7,18 @@ Each Monte Carlo command has one sampler, at every level, and both
 condition a crossing one way: each leg is walked once and mapped onto its
 target by a symmetry of the two cells at its start.  ``mc-length`` runs
 ``walker.sample_crossing``, which keeps every step, and ``mc-shapes`` runs
-``walker.sample_patterns``, which keeps only the level-(N-1) visits.
+``walker.sample_patterns``, which keeps only the level-(N-1) visits;
+each replica classifies every distinct pattern once.  ``--threads T``
+starts min(T, replicas) worker processes, none for one replica, and T may
+be at most ``harness.MAX_THREADS``.
 ``--format csv`` and ``--format svg`` draw the ``limit-path`` sample into
 ``--out`` (the svg overlays depths 0, 2, 4 and M); every other command
 writes JSON only.
 
 Exit codes: 0 on success, 2 when a statistical acceptance test fails,
 1 on usage or I/O errors (an option the command does not read among them),
-on a level, depth or order outside a command's range, on a format the
+on a level, depth or order outside a command's range, on ``--threads``
+outside 1..``harness.MAX_THREADS``, on a format the
 command cannot write or a drawing without ``--out``, and on a runtime
 failure of the samplers or the exact solver (a walk past its step budget,
 a singular linear system).  Every exit 1 prints one ``error: ...`` line on

@@ -28,6 +28,11 @@ from . import __version__, eraser, exact, limit, walker
 from .walker import CrossingVariant
 
 REPLICA_CHUNK = 2000
+# Each --threads worker is a forked copy of the interpreter, started at the
+# first replica handed out, so the thread count is bounded before any work:
+# a mistyped --threads 5000 must fail, not fork 5000 processes.  64 exceeds
+# the 50 replicas of the largest default run (mc-shapes 1, 100k samples).
+MAX_THREADS = 64
 P_VALUE_FLOOR = 1e-3
 DIMENSION_TOLERANCE = 0.05
 RESIDUAL_TOLERANCE = 1e-9
@@ -182,8 +187,8 @@ class RunConfig:
             raise ValueError("samples must be >= 1")
         if self.command == "mc-length" and self.samples is not None and self.samples < 2:
             raise ValueError(f"mc-length needs at least 2 samples, got {self.samples}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValueError(f"threads must be in 1..{MAX_THREADS}, got {self.threads}")
         if self.fmt not in ("json", "csv", "svg"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.fmt != "json" and self.command != "limit-path":
@@ -258,30 +263,35 @@ def build_id() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scale_path(path, shift: int):
-    return [(i >> shift, j >> shift) for i, j in path]
-
-
 def classify_top_shape(pattern, level: int, table=None) -> str:
     """Shape id of the loop-free coarse view one level below the apex.
 
     The level-(N-1) walk pattern, as ``sample_patterns`` records it, is
-    chronologically erased and rescaled to the unit frame; its law is
-    exactly the level-1 loop-erased crossing law.
+    chronologically erased (the vertices at ``eraser._sup_rule_keep``'s
+    indices) and rescaled to the unit frame in one pass; its law is exactly
+    the level-1 loop-erased crossing law.  ``_shapes_worker`` calls it once
+    per distinct pattern of a replica.  Raises ``eraser.UnknownShape`` when
+    the erased view is not an admissible shape.
     """
-    coarse = eraser.chronological_erase(pattern)
-    return eraser.classify_shape(_scale_path(coarse, level - 1), table)
+    shift = level - 1
+    kept = (pattern[t] for t in eraser._sup_rule_keep(pattern))
+    return eraser.classify_shape(tuple((i >> shift, j >> shift) for i, j in kept), table)
 
 
 def _shapes_worker(config: RunConfig, replica: int, count: int) -> tuple[Counter, int]:
-    """Shape counts of one replica, and the raw walk steps behind them."""
+    """Shape counts of one replica, and the raw walk steps behind them.
+
+    Most patterns repeat one already drawn in the replica (about 72% at
+    level 1), so each distinct pattern is classified once and counted with
+    its multiplicity.
+    """
     rng = walker.replica_rng(config.seed, replica)
     table = exact.shape_table()
-    level = config.level
-    shapes, raw_steps = walker.sample_patterns(
-        level, config.variant, count, rng, keep=lambda p: classify_top_shape(p, level, table)
-    )
-    return Counter(shapes), raw_steps
+    patterns, raw_steps = walker.sample_patterns(config.level, config.variant, count, rng)
+    shapes = Counter()
+    for pattern, n in Counter(patterns).items():
+        shapes[classify_top_shape(pattern, config.level, table)] += n
+    return shapes, raw_steps
 
 
 def _length_worker(config: RunConfig, replica: int, count: int) -> tuple[int, float, float, int]:
@@ -311,13 +321,15 @@ def _dimension_worker(config: RunConfig, replica: int, count: int) -> list[float
 def _run_replicas(worker, config: RunConfig) -> list:
     """``worker(config, replica, count)`` for each ``REPLICA_CHUNK`` chunk of
     the samples, in replica order.  The split never depends on the thread
-    count, so neither does any stream."""
+    count, so neither does any stream.  At most one worker process is
+    started per replica, and none for a single one."""
     n = config.effective_samples()
     counts = [min(REPLICA_CHUNK, n - start) for start in range(0, n, REPLICA_CHUNK)]
     args = (repeat(config), range(len(counts)), counts)
-    if config.threads == 1:
+    workers = min(config.threads, len(counts))
+    if workers == 1:
         return list(map(worker, *args))
-    with ProcessPoolExecutor(max_workers=config.threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, *args))
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -186,6 +187,19 @@ class TestRunCommands:
         assert run(RunConfig(**cfg, threads=2)).payload["raw_steps"] == sum(replicas)
         assert "method" not in report.config
 
+    @pytest.mark.parametrize("variant", list(CrossingVariant))
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_shapes_worker_classifies_every_pattern(self, level, variant, table):
+        # Each replica classifies a distinct pattern once; its counts and
+        # steps must be those of classifying every sampled pattern.
+        config = RunConfig(command="mc-shapes", level=level, variant=variant, seed=19)
+        for replica in range(3):
+            patterns, steps = walker.sample_patterns(
+                level, variant, 400, replica_rng(19, replica)
+            )
+            whole = Counter(classify_top_shape(p, level, table) for p in patterns)
+            assert harness._shapes_worker(config, replica, 400) == (whole, steps)
+
     def test_mc_shapes_level_five_runs_the_kernel(self):
         # A crossing walks 5**N steps on average.
         report = run(RunConfig(command="mc-shapes", level=5, samples=200, seed=17))
@@ -206,6 +220,19 @@ class TestRunCommands:
         }
         assert payload["statistic"] == 5.880759090909092
         assert payload["raw_steps"] == 620865
+        assert run(RunConfig(**cfg, threads=2)).payload == payload
+
+    def test_mc_shapes_level_one_payload_is_pinned(self):
+        # Read before each distinct pattern of a replica was classified once:
+        # level 1 is where most patterns repeat.  4500 samples are three
+        # replicas.
+        cfg = dict(command="mc-shapes", level=1, samples=4500, seed=41)
+        payload = run(RunConfig(**cfg)).payload
+        assert payload["counts"] == {
+            "w1": 2280, "w2": 627, "w3": 588, "w4": 156, "w5": 143, "w6": 137, "w7": 569,
+        }
+        assert payload["statistic"] == 5.15
+        assert payload["raw_steps"] == 22656
         assert run(RunConfig(**cfg, threads=2)).payload == payload
 
     def test_mc_length_payload_is_pinned(self):
@@ -282,6 +309,47 @@ class TestRunCommands:
             RunConfig(command="dimension", variant=CrossingVariant.VIA_CORNER)
         with pytest.raises(ValueError, match="--format svg needs --out"):
             RunConfig(command="limit-path", fmt="svg")
+
+    @pytest.mark.parametrize(
+        "samples,threads,workers", [(4500, 8, 3), (4500, 2, 2), (50, 8, None)]
+    )
+    def test_one_worker_per_replica_at_most(self, samples, threads, workers, monkeypatch):
+        # 4500 samples are three replicas, 50 a single replica, which runs
+        # inline.
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        cfg = dict(command="mc-shapes", level=1, samples=samples, seed=2)
+        payload = run(RunConfig(**cfg, threads=threads)).payload
+        assert started == ([] if workers is None else [workers])
+        assert payload == run(RunConfig(**cfg)).payload
+
+    def test_threads_ceiling(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("started a worker pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", never)
+        top = harness.MAX_THREADS
+        assert RunConfig(command="mc-shapes", threads=top).threads == top
+        for threads in (0, top + 1, 5000):
+            with pytest.raises(ValueError, match=f"threads must be in 1..{top}, got {threads}"):
+                RunConfig(command="dimension", level=6, threads=threads)
+            argv = ["mc-shapes", "1", "--samples", "1", "--threads", str(threads)]
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: threads must be in 1..{top}, got {threads}\n"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -398,6 +466,25 @@ class TestClassify:
             p = sample_crossing(1, CrossingVariant.VIA_CORNER, rng)
             # At level 1 the level-0 pattern is the path itself.
             assert classify_top_shape(p, 1, table) == classify_shape(loop_erase(p), table)
+
+    @pytest.mark.parametrize("variant", list(CrossingVariant))
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_matches_the_unit_frame_reference(self, level, variant, table):
+        from gasket_lerw.eraser import chronological_erase, classify_shape
+
+        shift = level - 1
+        patterns, _ = walker.sample_patterns(level, variant, 300, replica_rng(37, level))
+        for p in patterns:
+            unit = [(i >> shift, j >> shift) for i, j in chronological_erase(p)]
+            assert classify_top_shape(p, level, table) == classify_shape(unit, table)
+            assert classify_top_shape(list(p), level) == classify_shape(unit, table)
+
+    def test_unknown_shape(self, table):
+        from gasket_lerw.eraser import UnknownShape
+
+        # Erases to the bottom edge, which never reaches the apex.
+        with pytest.raises(UnknownShape):
+            classify_top_shape([(0, 0), (2, 0), (0, 0), (4, 0)], 3, table)
 
 
 class TestCli:
