@@ -22,6 +22,7 @@ from math import sqrt
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import mpmath
 import numpy as np
 
 from . import __version__, eraser, exact, limit, walker
@@ -53,39 +54,39 @@ class DegenerateCells(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def pooled_cells(probs: list[float], n: float) -> list[tuple[float, tuple[int, ...]]]:
+    """The chi-square cells for ``n`` observations of the masses ``probs``, as
+    (mass, positions pooled): the smallest merge first, equal masses by position,
+    while below ``MIN_EXPECTED`` counts.  Raises ``DegenerateCells`` below two."""
+    cells = sorted((p, k, (k,)) for k, p in enumerate(probs))
+    while len(cells) > 1 and cells[0][0] * n < MIN_EXPECTED:
+        (p0, k0, m0), (p1, k1, m1) = cells[0], cells[1]
+        cells = sorted([(p0 + p1, min(k0, k1), m0 + m1)] + cells[2:])
+    if len(cells) < 2:
+        raise DegenerateCells(f"{n:g} observations leave fewer than two cells after pooling")
+    return [(p, members) for p, _, members in cells]
+
+
 def chi_square(
     observed: dict[str, int] | list[int],
     expected: dict[str, float] | list[float],
 ) -> tuple[float, float]:
-    """Pearson statistic and p-value, pooling cells whose expected count is
-    below ``MIN_EXPECTED`` (smallest cells merge first)."""
-    if isinstance(observed, dict):
-        keys = sorted(set(observed) | set(expected))
-        obs = [float(observed.get(k, 0)) for k in keys]
-        probs = [float(expected.get(k, 0.0)) for k in keys]
-    else:
-        obs = [float(x) for x in observed]
-        probs = [float(p) for p in expected]
+    """Pearson statistic over ``pooled_cells`` and its p-value Q(df/2, stat/2),
+    the regularized upper incomplete gamma, from mpmath (df = cells - 1)."""
+    if not isinstance(observed, dict):  # lists name their cells by position
+        observed, expected = dict(enumerate(observed)), dict(enumerate(expected))
+    keys = sorted(set(observed) | set(expected))
+    obs = [float(observed.get(k, 0)) for k in keys]
+    probs = [float(expected.get(k, 0.0)) for k in keys]
     total_p = sum(probs)
     if abs(total_p - 1.0) > 1e-9:
         raise ValueError(f"expected probabilities sum to {total_p}, not 1")
     n = sum(obs)
-    if n < 1:
-        raise ValueError("need at least one observation")
-    # Pooling must depend on the expected masses only (never on the data):
-    # ties between equal-mass cells break on their original position.
-    cells = sorted(((p, k, o) for k, (p, o) in enumerate(zip(probs, obs))))
-    while len(cells) > 1 and cells[0][0] * n < MIN_EXPECTED:
-        (p0, k0, o0), (p1, k1, o1) = cells[0], cells[1]
-        cells = sorted([(p0 + p1, min(k0, k1), o0 + o1)] + cells[2:])
-    if len(cells) < 2:
-        raise DegenerateCells("fewer than two cells after pooling")
-    stat = sum((o - p * n) ** 2 / (p * n) for p, _, o in cells)
-    # scipy takes about a second to import; only the chi-square commands need it.
-    from scipy.stats import chi2
-
-    p_value = float(chi2.sf(stat, df=len(cells) - 1))
-    return stat, p_value
+    cells = pooled_cells(probs, n)  # fewer than MIN_EXPECTED observations pool into one
+    stat = sum((sum(obs[k] for k in m) - p * n) ** 2 / (p * n) for p, m in cells)
+    df = len(cells) - 1
+    with mpmath.workdps(exact.PRECISION_DPS):
+        return stat, float(mpmath.gammainc(df / 2, stat / 2, mpmath.inf, regularized=True))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +360,8 @@ def _run_exact(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _run_mc_shapes(config: RunConfig) -> tuple[dict, bool]:
-    table = exact.shape_table()
-    expected = {k: float(v) for k, v in table.column(config.variant).items()}
+    expected = {k: float(v) for k, v in exact.shape_table().column(config.variant).items()}
+    pooled_cells(list(expected.values()), config.effective_samples())  # fails before any walk
     results = _run_replicas(_shapes_worker, config)
     counts = sum((part for part, _ in results), Counter())
     stat, p_value = chi_square(counts, expected)

@@ -369,19 +369,18 @@ def sample_patterns(
     variant: CrossingVariant,
     count: int,
     rng: np.random.Generator,
-    keep: Callable[[list[Vertex]], object] = tuple,
     max_steps: int = DEFAULT_STEP_BUDGET,
-) -> tuple[list, int]:
+) -> tuple[list[tuple[Vertex, ...]], int]:
     """Level-(N-1) patterns of ``count`` conditioned level-N crossings.
 
     Crossings are sampled as in ``sample_crossing``, one after another on
     one stream, with each leg recording only its level-(N-1) visits, so a
-    pattern is ``coarse_grain(path, N - 1)`` of its crossing; each goes
-    through ``keep``.  Draws come ``BLOCK`` at a time, shared by all
-    samples, and ``max_steps`` is a budget per sample, as in
-    ``sample_crossing``: the call may draw ``max_steps * count`` steps.
+    pattern is ``coarse_grain(path, N - 1)`` of its crossing, as a tuple.
+    Draws come ``BLOCK`` at a time, shared by all samples, and
+    ``max_steps`` is a budget per sample, as in ``sample_crossing``: the
+    call may draw ``max_steps * count`` steps.
 
-    Returns the kept values in order and the raw steps walked for them.
+    Returns the patterns in order and the raw steps walked for them.
     """
     if N < 1:
         raise ValueError("crossing level must be >= 1")
@@ -389,5 +388,5 @@ def sample_patterns(
         raise ValueError("count must be >= 1")
     reg = _region(N, variant)
     dice = _Dice(rng, max_steps * count)
-    kept = [keep(_legs(dice, reg, _coarse_walk)) for _ in range(count)]
-    return kept, dice.steps
+    patterns = [tuple(_legs(dice, reg, _coarse_walk)) for _ in range(count)]
+    return patterns, dice.steps

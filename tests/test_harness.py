@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import chi2, kstest
 
 from gasket_lerw import cli, exact, harness, limit, walker
 from gasket_lerw.exact import SingularSystem
@@ -61,6 +66,23 @@ class TestChiSquare:
         a = chi_square([40, 30, 15, 10, 5, 0], probs)
         b = chi_square([40, 30, 15, 10, 0, 5], probs)
         assert a == b
+
+    @pytest.mark.parametrize("df", [*range(1, 41), 300, 1400, 2764])
+    def test_p_value_matches_scipy(self, df):
+        # df + 1 equal cells, 1000 expected counts each (none pooled), and s
+        # counts moved from every other cell into the first: the statistic
+        # is s^2 df (df + 1) / 1000, swept from 0 past scipy's 1e-300 tail.
+        e = 1000.0
+        top = 1.3 * chi2.isf(1e-300, df)
+        probs = [1 / (df + 1)] * (df + 1)
+        for target in [0.0, *np.geomspace(1e-6, top, 40)]:
+            s = sqrt(target * e / (df * (df + 1)))
+            stat, p = chi_square([e + df * s] + [e - s] * df, probs)
+            reference = chi2.sf(stat, df)
+            if reference > 1e-300:
+                assert p == pytest.approx(reference, rel=1e-12, abs=0)
+            else:
+                assert 0 <= p < 1e-299
 
 
 class TestSvg:
@@ -566,6 +588,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "at least 2 samples" in err
+
+    @pytest.mark.parametrize(
+        "argv,refused",
+        [
+            (["mc-shapes", "12", "--samples", "1"], True),
+            (["mc-shapes", "1", "--samples", "9"], True),
+            (["mc-shapes", "3", "--variant", "via-corner", "--samples", "11"], True),
+            (["mc-shapes", "1", "--samples", "10"], False),
+            (["mc-shapes", "3", "--variant", "via-corner", "--samples", "12"], False),
+        ],
+    )
+    def test_mc_shapes_sample_floor_before_any_walk(self, argv, refused, monkeypatch, capsys):
+        # Pooling reads the exact law and the sample count only, so too few
+        # samples exit 1 before the sampler is called.
+        class Sampled(Exception):
+            pass
+
+        def sampled(*args, **kwargs):
+            raise Sampled
+
+        monkeypatch.setattr(walker, "sample_patterns", sampled)
+        if refused:
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "fewer than two cells after pooling" in err
+        else:
+            with pytest.raises(Sampled):
+                cli.main(argv)
+
+    def test_mc_shapes_imports_no_scipy(self):
+        code = (
+            "import sys\n"
+            "from gasket_lerw import cli\n"
+            "assert cli.main(['mc-shapes', '1', '--samples', '200', '--seed', '1']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = Path(harness.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_exit_two_without_spread(self, capsys, monkeypatch):
         monkeypatch.setattr(walker, "sample_crossing", _straight_crossing)

@@ -443,10 +443,8 @@ class TestPatternSampler:
     @pytest.mark.parametrize("n,samples", [(1, 3000), (2, 2000), (3, 1000)])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
     def test_shape_law_matches_whole_attempts(self, n, samples, variant, table):
-        shapes, _ = sample_patterns(
-            n, variant, samples, replica_rng(760 + n, 0),
-            keep=lambda p: classify_top_shape(p, n, table),
-        )
+        patterns, _ = sample_patterns(n, variant, samples, replica_rng(760 + n, 0))
+        shapes = [classify_top_shape(p, n, table) for p in patterns]
         kept = _whole_attempt_patterns(n, variant, samples, replica_rng(770 + n, 0))
         whole = [classify_top_shape(p, n, table) for p in kept]
         ids = sorted(table.column(variant))
@@ -542,10 +540,8 @@ class TestLockstepKernel:
     @pytest.mark.parametrize("n,samples", [(1, 3000), (2, 3000), (3, 2000), (4, 800)])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
     def test_shape_law_matches_exact(self, n, samples, variant, table):
-        shapes, _ = sample_patterns(
-            n, variant, samples, replica_rng(610 + n, 0),
-            keep=lambda p: classify_top_shape(p, n, table),
-        )
+        patterns, _ = sample_patterns(n, variant, samples, replica_rng(610 + n, 0))
+        shapes = [classify_top_shape(p, n, table) for p in patterns]
         assert len(shapes) == samples
         expected = {k: float(v) for k, v in table.column(variant).items()}
         _, p_value = chi_square(_shape_counts(shapes), expected)
@@ -557,10 +553,8 @@ class TestLockstepKernel:
         # finish, not the first to start, would favour short walks here.
         shapes = []
         for r in range(300):
-            part, _ = sample_patterns(
-                2, variant, 10, replica_rng(650, r), keep=lambda p: classify_top_shape(p, 2, table)
-            )
-            shapes += part
+            part, _ = sample_patterns(2, variant, 10, replica_rng(650, r))
+            shapes += [classify_top_shape(p, 2, table) for p in part]
         expected = {k: float(v) for k, v in table.column(variant).items()}
         _, p_value = chi_square(_shape_counts(shapes), expected)
         assert p_value > 1e-3
@@ -569,10 +563,8 @@ class TestLockstepKernel:
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
     def test_shape_law_matches_scalar_rejection(self, n, variant, table):
         samples = 1500
-        kernel, _ = sample_patterns(
-            n, variant, samples, replica_rng(620 + n, 0),
-            keep=lambda p: classify_top_shape(p, n, table),
-        )
+        patterns, _ = sample_patterns(n, variant, samples, replica_rng(620 + n, 0))
+        kernel = [classify_top_shape(p, n, table) for p in patterns]
         rng = replica_rng(630 + n, 0)
         scalar = [
             classify_top_shape(coarse_grain(sample_crossing(n, variant, rng), n - 1), n, table)
