@@ -188,8 +188,10 @@ def _substitute(
     """
     dx, nx = px._as_integers()
     dy, ny = py._as_integers()
-    x_powers: list[IntPoly] = [{(0, 0): 1}]
-    y_powers: list[IntPoly] = [{(0, 0): 1}]
+    # Products by the constant 1 are skipped: the first powers and the pure
+    # powers are reused as they are.
+    x_powers: list[IntPoly] = [{(0, 0): 1}, nx]
+    y_powers: list[IntPoly] = [{(0, 0): 1}, ny]
     monomials: dict[tuple[int, int], IntPoly] = {}
     out = []
     for outer in outers:
@@ -205,7 +207,11 @@ def _substitute(
                     x_powers.append(_int_mul(x_powers[-1], nx))
                 while len(y_powers) <= b:
                     y_powers.append(_int_mul(y_powers[-1], ny))
-                mono = monomials[a, b] = _int_mul(x_powers[a], y_powers[b])
+                if a and b:
+                    mono = _int_mul(x_powers[a], y_powers[b])
+                else:
+                    mono = x_powers[a] if a else y_powers[b]
+                monomials[a, b] = mono
             w = c * dx ** (top_a - a) * dy ** (top_b - b)
             for key, v in mono.items():
                 acc[key] = get(key, 0) + w * v

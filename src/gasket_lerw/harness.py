@@ -71,8 +71,8 @@ def chi_square(
     observed: dict[str, int] | list[int],
     expected: dict[str, float] | list[float],
 ) -> tuple[float, float]:
-    """Pearson statistic over ``pooled_cells`` and its p-value Q(df/2, stat/2),
-    the regularized upper incomplete gamma, from mpmath (df = cells - 1)."""
+    """Pearson statistic over ``pooled_cells`` and its p-value
+    ``_upper_gamma_q(df, stat / 2)`` (df = cells - 1)."""
     if not isinstance(observed, dict):  # lists name their cells by position
         observed, expected = dict(enumerate(observed)), dict(enumerate(expected))
     keys = sorted(set(observed) | set(expected))
@@ -84,9 +84,28 @@ def chi_square(
     n = sum(obs)
     cells = pooled_cells(probs, n)  # fewer than MIN_EXPECTED observations pool into one
     stat = sum((sum(obs[k] for k in m) - p * n) ** 2 / (p * n) for p, m in cells)
-    df = len(cells) - 1
+    return stat, _upper_gamma_q(len(cells) - 1, stat / 2)
+
+
+def _upper_gamma_q(df: int, x: float) -> float:
+    """Q(df/2, x), the regularized upper incomplete gamma, in closed form at
+    ``exact.PRECISION_DPS`` digits: e^-x times the sum of x^j / j! over
+    j < df/2 for even df, and erfc(sqrt x) plus e^-x times the sum of
+    x^(j + 1/2) / Gamma(j + 3/2) over j < (df - 1)/2 for odd df."""
     with mpmath.workdps(exact.PRECISION_DPS):
-        return stat, float(mpmath.gammainc(df / 2, stat / 2, mpmath.inf, regularized=True))
+        x = mpmath.mpf(x)
+        if df % 2:
+            head = mpmath.erfc(mpmath.sqrt(x))
+            term = 2 * mpmath.sqrt(x / mpmath.pi)  # x^(1/2) / Gamma(3/2)
+            order = mpmath.mpf(1.5)
+        else:
+            head, term, order = 0, mpmath.mpf(1), 1
+        total = 0
+        for _ in range(df // 2):
+            total += term
+            term = term * x / order
+            order += 1
+        return float(head + mpmath.exp(-x) * total)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +331,11 @@ def _length_worker(config: RunConfig, replica: int, count: int) -> tuple[int, fl
 
 
 def _dimension_worker(config: RunConfig, replica: int, count: int) -> list[float]:
-    slopes = []
-    for k in range(count):
-        rng = walker.replica_rng(config.seed, replica * 100_003 + k)
-        slopes.append(limit.box_count_dimension(limit.sample_level_counts(config.level, rng)))
-    return slopes
+    """Box-counting slopes of one replica's runs, whose level counts are
+    drawn together on the replica's stream."""
+    rng = walker.replica_rng(config.seed, replica)
+    counts = limit.sample_branching_counts(config.level, count, rng)
+    return [limit.box_count_dimension(counts[:, k].tolist()) for k in range(count)]
 
 
 def _run_replicas(worker, config: RunConfig) -> list:

@@ -35,10 +35,11 @@ the orientation table; ``RefinedPath.cells`` is a tuple view for outside
 readers only.
 
 A child's kind depends only on its parent's kind and the drawn shape, so the
-branching counts need no geometry: ``sample_level_counts`` runs the draw
-step alone on a 1-D kind array, with the same uniforms, and gives the
-level counts of ``sample_refined_family`` without placing a cell.  Box
-counting, and with it the ``dimension`` command, reads only these counts.
+(one-visit, two-visit) counts per level are a two-type Galton-Watson process
+and need no geometry: ``sample_branching_counts`` draws a level of many
+independent runs with two multinomials, one per parent kind, at a cost that
+does not grow with the cell count.  Box counting, and with it the
+``dimension`` command, reads only these counts.
 """
 
 from __future__ import annotations
@@ -57,7 +58,10 @@ from .lattice import Vertex
 
 
 MIN_BOX_DEPTH = 6  # levels a box-counting fit needs
-MAX_DEPTH = 18  # deepest limit-path or dimension run: memory grows as lambda**M
+# Deepest limit-path or dimension run.  limit-path's memory grows as
+# lambda**M; dimension's does not, but its cap rises only with a run measured
+# at the new cap.
+MAX_DEPTH = 18
 BOX_MIN_LEVEL = 2  # coarsest level in the box-counting fit
 
 
@@ -202,7 +206,8 @@ class _LevelLaw(NamedTuple):
     their children in the side-2 shape frame are the frame rows, shape after
     shape.  ``children[o, r]`` is frame row r placed in a parent of
     orientation o with corner (0, 0), as a cell row; in a parent with corner
-    c the child's corner moves by 2 c.
+    c the child's corner moves by 2 c.  ``masses`` and ``offspring`` are the
+    same two laws for the count sampler, indexed by parent kind less one.
     """
 
     cum_one: np.ndarray  # cumulative type-one law, last entry forced to 1.0
@@ -210,22 +215,27 @@ class _LevelLaw(NamedTuple):
     first: np.ndarray  # shape number -> its first frame row
     count: np.ndarray  # shape number -> its number of children
     children: np.ndarray  # orientation x frame row -> (corner i, corner j, orientation, kind)
+    masses: tuple[np.ndarray, np.ndarray]  # each law's masses, normalized to sum 1
+    offspring: tuple[np.ndarray, np.ndarray]  # each law's shapes -> (S1, S2) children, int64
 
     @classmethod
     def of(cls, table: ShapeTable) -> _LevelLaw:
         cums = []
+        masses = []
+        offspring = []
         first = []
         frame: list[Child] = []
         for variant in PARENT_LAWS:
-            cum = []
-            acc = 0.0
-            for p, shape in table.law(variant):
-                acc += float(p)
-                cum.append(acc)
+            law = table.law(variant)
+            mass = np.array([float(p) for p, _ in law])
+            cum = np.cumsum(mass)
+            cum[-1] = 1.0
+            cums.append(cum)
+            masses.append(mass / mass.sum())
+            offspring.append(np.array([(s.s1, s.s2) for _, s in law], dtype=np.int64))
+            for _, shape in law:
                 first.append(len(frame))
                 frame.extend(shape.children)
-            cum[-1] = 1.0
-            cums.append(np.array(cum))
         first.append(len(frame))
         bounds = np.array(first, dtype=np.int64)
         # Frame point (a, b) lands at 2 entry + a (third - entry) + b (exit - entry).
@@ -236,7 +246,10 @@ class _LevelLaw(NamedTuple):
             _compact(2 * entry + a * (third - entry) + b * (exit_ - entry), kinds)
             for entry, exit_, third in ORIENTATIONS
         ]
-        return cls(cums[0], cums[1], bounds[:-1], np.diff(bounds), np.stack(children))
+        return cls(
+            cums[0], cums[1], bounds[:-1], np.diff(bounds), np.stack(children),
+            tuple(masses), tuple(offspring),
+        )
 
     def draw(self, kinds: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Frame rows of the children of every parent, in skeleton order, and
@@ -270,11 +283,6 @@ def refinement_table() -> _LevelLaw:
     return _LevelLaw.of(shape_table())
 
 
-def _kind_counts(kinds: np.ndarray) -> tuple[int, int]:
-    s2 = int(np.count_nonzero(kinds == TYPE_TWO))
-    return len(kinds) - s2, s2
-
-
 def sample_refined_family(depth: int, rng: np.random.Generator) -> list[RefinedPath]:
     """The coupled chain of approximations at depths 0..depth.
 
@@ -291,27 +299,10 @@ def sample_refined_family(depth: int, rng: np.random.Generator) -> list[RefinedP
     family = [RefinedPath(depth=0, rows=rows, level_counts=tuple(counts))]
     for m in range(1, depth + 1):
         rows = law.place(rows, *law.draw(rows[:, 3], rng.random(len(rows))))
-        counts.append(_kind_counts(rows[:, 3]))
+        s2 = int(np.count_nonzero(rows[:, 3] == TYPE_TWO))
+        counts.append((len(rows) - s2, s2))
         family.append(RefinedPath(depth=m, rows=rows, level_counts=tuple(counts)))
     return family
-
-
-def sample_level_counts(depth: int, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
-    """(one-visit, two-visit) counts at levels 0..depth, without geometry.
-
-    Draws the uniforms ``sample_refined_family`` draws, in the same order,
-    and carries only the kinds, so the counts equal its ``level_counts``.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    law = refinement_table()
-    kinds = np.array([TYPE_ONE])
-    counts = [(1, 0)]
-    for _ in range(depth):
-        rows, _ = law.draw(kinds, rng.random(len(kinds)))
-        kinds = law.children[0, rows, 3]
-        counts.append(_kind_counts(kinds))
-    return tuple(counts)
 
 
 def sample_limit_path(depth: int, rng: np.random.Generator) -> RefinedPath:
@@ -414,22 +405,22 @@ def sample_branching_counts(
     rng: np.random.Generator,
     ancestor: tuple[int, int] = (1, 0),
 ) -> np.ndarray:
-    """(S1, S2) after ``depth`` refinements for many independent runs.
+    """(S1, S2) at levels 0..depth of many independent runs, as an int64
+    array of shape (depth + 1, runs, 2) whose level 0 is the ancestor.
 
     Counts evolve exactly as under the geometric sampler (same offspring
     laws); dropping the geometry lets each generation be drawn with two
-    multinomials across all runs.
+    multinomials across all runs: how many parents of each kind drew each
+    shape.
     """
-    law1, law2 = (shape_table().law(v) for v in PARENT_LAWS)
-    p1 = np.array([float(p) for p, _ in law1])
-    p2 = np.array([float(p) for p, _ in law2])
-    off1 = np.array([(s.s1, s.s2) for _, s in law1], dtype=np.int64)
-    off2 = np.array([(s.s1, s.s2) for _, s in law2], dtype=np.int64)
-    p1 /= p1.sum()
-    p2 /= p2.sum()
-    state = np.tile(np.array(ancestor, dtype=np.int64), (runs, 1))
-    for _ in range(depth):
-        d1 = rng.multinomial(state[:, 0], p1)
-        d2 = rng.multinomial(state[:, 1], p2)
-        state = d1 @ off1 + d2 @ off2
-    return state
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    law = refinement_table()
+    (p1, p2), (off1, off2) = law.masses, law.offspring
+    counts = np.empty((depth + 1, runs, 2), dtype=np.int64)
+    counts[0] = ancestor
+    for m in range(depth):
+        d1 = rng.multinomial(counts[m, :, 0], p1)
+        d2 = rng.multinomial(counts[m, :, 1], p2)
+        counts[m + 1] = d1 @ off1 + d2 @ off2
+    return counts

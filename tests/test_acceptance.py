@@ -167,7 +167,7 @@ def test_a7_branching_limit(eig):
     runs = 10_000
     depth = 12
     rng = np.random.default_rng(np.random.SeedSequence(entropy=707))
-    counts = limit.sample_branching_counts(depth, runs, rng)
+    counts = limit.sample_branching_counts(depth, runs, rng)[-1]
     lam = float(eig.lam)
     vals = (counts[:, 0] + 2 * counts[:, 1]) * lam**-depth
 

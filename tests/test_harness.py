@@ -271,13 +271,13 @@ class TestRunCommands:
         assert run(RunConfig(**cfg, threads=2)).payload == payload
 
     def test_dimension_payload_is_pinned(self):
-        # The payload at this seed when every sample refined the full
-        # geometry: the kind-only refinement must give the same numbers, at
-        # any thread count.
+        # The payload at this seed since each replica's level counts are
+        # drawn together, two multinomials per level: faster code must give
+        # the same numbers, at any thread count.
         cfg = dict(command="dimension", level=8, samples=25, seed=6)
         payload = run(RunConfig(**cfg)).payload
-        assert payload["mean_slope"] == 1.1974869250518472
-        assert payload["sd_slope"] == 0.019043842524301847
+        assert payload["mean_slope"] == 1.1866943994887138
+        assert payload["sd_slope"] == 0.0230414006609784
         assert run(RunConfig(**cfg, threads=2)).payload == payload
 
     @pytest.mark.parametrize(

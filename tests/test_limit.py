@@ -8,6 +8,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from gasket_lerw import limit
 from gasket_lerw.exact import (
@@ -17,7 +18,7 @@ from gasket_lerw.exact import (
     spectral_data,
     type_count_mean,
 )
-from gasket_lerw.harness import chi_square
+from gasket_lerw.harness import RunConfig, _dimension_worker, chi_square
 from gasket_lerw.limit import (
     ANCESTOR,
     InsufficientDepth,
@@ -28,7 +29,6 @@ from gasket_lerw.limit import (
     projects_onto,
     refinement_table,
     sample_branching_counts,
-    sample_level_counts,
     sample_limit_path,
     sample_refined_family,
 )
@@ -314,24 +314,13 @@ class TestSampling:
                 shallow = sample_refined_family(depth, replica_rng(seed, 0))
                 assert shallow == got[: depth + 1]
 
-    def test_level_counts_use_the_family_draws(self, table, monkeypatch):
-        # The kind-only refinement reads the family's uniforms: equal counts
-        # at every depth, and both generators left in the same state.
-        for _ in _tables(table, monkeypatch):
-            for seed in range(20):
-                for depth in range(13):
-                    a, b = replica_rng(seed, 0), replica_rng(seed, 0)
-                    counts = sample_level_counts(depth, a)
-                    assert counts == sample_refined_family(depth, b)[-1].level_counts
-                    assert a.bit_generator.state == b.bit_generator.state
-
     def test_law_is_built_once(self, monkeypatch):
         sample_refined_family(1, replica_rng(0, 0))
         built = []
         real = limit._LevelLaw.of
         monkeypatch.setattr(limit._LevelLaw, "of", lambda t: built.append(t) or real(t))
         sample_refined_family(4, replica_rng(0, 0))
-        sample_level_counts(4, replica_rng(0, 0))
+        sample_branching_counts(4, 3, replica_rng(0, 0))
         assert built == []
 
     def test_depth_zero_is_the_ancestor(self):
@@ -492,31 +481,32 @@ class TestBranchingStatistics:
             assert p_value > 1e-3, (kind, p_value)
 
     @pytest.mark.parametrize("depth,runs", JOINT_LAW_RUNS)
-    def test_level_counts_follow_the_joint_law(self, depth, runs, phi_theta):
-        # The (S1, S2) counts of one refinement run at its last level, against
-        # Phi composed to that depth.
-        rng = replica_rng(61, depth)
-        last = (sample_level_counts(depth, rng)[-1] for _ in range(runs))
-        observed = Counter(f"{s1},{s2}" for s1, s2 in last)
-        _, p_value = chi_square(observed, _joint_law(phi_theta, depth)[0])
-        assert p_value > 1e-3, p_value
-
-    @pytest.mark.parametrize("depth,runs", JOINT_LAW_RUNS)
     @pytest.mark.parametrize("ancestor", [(1, 0), (0, 1)], ids=["one-visit", "two-visit"])
     def test_branching_counts_follow_the_joint_law(self, depth, runs, ancestor, phi_theta):
         # From a one-visit ancestor the counts follow Phi composed to the
         # depth, from a two-visit one Theta.
         rng = replica_rng(67, depth)
-        counts = sample_branching_counts(depth, runs, rng, ancestor)
+        counts = sample_branching_counts(depth, runs, rng, ancestor)[-1]
         observed = Counter(f"{s1},{s2}" for s1, s2 in counts.tolist())
         _, p_value = chi_square(observed, _joint_law(phi_theta, depth)[ancestor[1]])
         assert p_value > 1e-3, p_value
+
+    @pytest.mark.parametrize("ancestor", [(1, 0), (0, 1)], ids=["one-visit", "two-visit"])
+    def test_every_level_follows_the_joint_law(self, ancestor, phi_theta):
+        # Every level m of one depth-4 history, against Phi or Theta
+        # composed to m: the levels a box-counting fit reads.
+        counts = sample_branching_counts(4, 5_000, replica_rng(71, ancestor[1]), ancestor)
+        assert np.all(counts[0] == ancestor)
+        for m in range(1, 5):
+            observed = Counter(f"{s1},{s2}" for s1, s2 in counts[m].tolist())
+            _, p_value = chi_square(observed, _joint_law(phi_theta, m)[ancestor[1]])
+            assert p_value > 1e-3, (m, p_value)
 
     def test_population_mean_matches_matrix_power(self):
         rng = np.random.default_rng(17)
         runs = 40_000
         for depth in (1, 2, 4, 6):
-            counts = sample_branching_counts(depth, runs, rng)
+            counts = sample_branching_counts(depth, runs, rng)[-1]
             want = type_count_mean(depth)
             for j in (0, 1):
                 got = counts[:, j].mean()
@@ -542,7 +532,7 @@ class TestBranchingStatistics:
         runs = 30_000
         base = None
         for depth in (2, 4, 8):
-            counts = sample_branching_counts(depth, runs, rng)
+            counts = sample_branching_counts(depth, runs, rng)[-1]
             vals = (counts[:, 0] * u[0] + counts[:, 1] * u[1]) * lam**-depth
             se = vals.std(ddof=1) / sqrt(runs)
             if base is None:
@@ -552,14 +542,14 @@ class TestBranchingStatistics:
 
     def test_branching_counts_are_pinned(self):
         # Counts at these seeds since the count sampler was written.
-        counts = sample_branching_counts(6, 4, replica_rng(7, 0))
+        counts = sample_branching_counts(6, 4, replica_rng(7, 0))[-1]
         assert counts.tolist() == [[191, 55], [140, 36], [105, 31], [98, 26]]
-        counts = sample_branching_counts(3, 4, replica_rng(7, 1), ancestor=(0, 1))
+        counts = sample_branching_counts(3, 4, replica_rng(7, 1), ancestor=(0, 1))[-1]
         assert counts.tolist() == [[12, 2], [14, 3], [14, 4], [8, 1]]
 
     def test_ancestor_type_two_starts_from_via_law(self):
         rng = np.random.default_rng(31)
-        counts = sample_branching_counts(1, 30_000, rng, ancestor=(0, 1))
+        counts = sample_branching_counts(1, 30_000, rng, ancestor=(0, 1))[-1]
         want = type_count_mean(1, ancestor=(0, 1))
         for j in (0, 1):
             se = counts[:, j].std(ddof=1) / sqrt(len(counts))
@@ -602,6 +592,19 @@ class TestBoxCounting:
             for k in range(60)
         ]
         assert abs(np.mean(slopes) - target) < 0.05
+
+    def test_dimension_slopes_match_the_geometric_sampler(self):
+        # dimension's count-only slopes at depth 10 against box counting on
+        # the geometric sampler's level counts, the ground truth.
+        runs = 800
+        config = RunConfig(command="dimension", level=10, samples=runs, seed=79)
+        slopes = _dimension_worker(config, 0, runs)
+        rng = replica_rng(83, 0)
+        geometric = [
+            box_count_dimension(sample_refined_family(10, rng)[-1].level_counts)
+            for _ in range(runs)
+        ]
+        assert ks_2samp(slopes, geometric).pvalue > 1e-3
 
 
 def test_cell_corners():
