@@ -481,6 +481,16 @@ class TestBranchingStatistics:
             assert p_value > 1e-3, (kind, p_value)
 
     @pytest.mark.parametrize("depth,runs", JOINT_LAW_RUNS)
+    def test_level_counts_follow_the_joint_law(self, depth, runs, phi_theta):
+        # The (S1, S2) counts at an inner level of a deeper history, as a
+        # box-counting fit reads them, against Phi composed to that level:
+        # the levels drawn after it must not disturb it.
+        counts = sample_branching_counts(depth + 2, runs, replica_rng(61, depth))
+        observed = Counter(f"{s1},{s2}" for s1, s2 in counts[depth].tolist())
+        _, p_value = chi_square(observed, _joint_law(phi_theta, depth)[0])
+        assert p_value > 1e-3, p_value
+
+    @pytest.mark.parametrize("depth,runs", JOINT_LAW_RUNS)
     @pytest.mark.parametrize("ancestor", [(1, 0), (0, 1)], ids=["one-visit", "two-visit"])
     def test_branching_counts_follow_the_joint_law(self, depth, runs, ancestor, phi_theta):
         # From a one-visit ancestor the counts follow Phi composed to the
