@@ -3,7 +3,8 @@
 ``chronological_erase`` is the single-scale primitive: starting from the
 first vertex, jump to the last index carrying the same vertex, step forward
 once, and repeat.  It equals the familiar stack erasure (grow a self-avoiding
-prefix, truncate on revisit), which is kept as an independent cross-check.
+prefix, truncate on revisit), which the tests keep as an independent
+cross-check.
 
 ``loop_erase`` removes loops from a crossing path scale by scale, largest
 first.  At stage M the path is split along its level-M skeleton (the ordered
@@ -31,18 +32,12 @@ from .lattice import (
     apex,
     cell_of_step,
     corner,
-    euclid_sq,
     on_grid,
-    vertex_level,
 )
-from .walker import CrossingVariant, hitting_indices
+from .walker import CrossingVariant
 
 TYPE_ONE = 1
 TYPE_TWO = 2
-
-
-class ScaleLoopsRemain(ValueError):
-    """A stage was asked to run while larger-scale loops are still present."""
 
 
 class NotACrossing(ValueError):
@@ -90,10 +85,6 @@ class Skeleton:
         return s1, s2
 
 
-def is_self_avoiding(path: Sequence[Vertex]) -> bool:
-    return len(set(path)) == len(path)
-
-
 # ---------------------------------------------------------------------------
 # Single-scale erasure
 # ---------------------------------------------------------------------------
@@ -121,24 +112,37 @@ def chronological_erase(path: Sequence[Vertex]) -> list[Vertex]:
     return [path[t] for t in _sup_rule_keep(path)]
 
 
-def stack_erase(path: Sequence[Vertex]) -> list[Vertex]:
-    """Single-pass erasure: grow a self-avoiding prefix, truncate on revisit."""
-    out: list[Vertex] = []
-    pos: dict[Vertex, int] = {}
-    for v in path:
-        k = pos.get(v)
-        if k is None:
-            pos[v] = len(out)
-            out.append(v)
-        else:
-            while len(out) > k + 1:
-                pos.pop(out.pop())
-    return out
+# ---------------------------------------------------------------------------
+# Grid visits and skeletons
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Skeletons
-# ---------------------------------------------------------------------------
+def _stage_visits(path: Sequence[Vertex], level: int) -> tuple[list[int], list[int]]:
+    """One scan for both grids a stage reads: the path indices of the
+    level-(M-1) visits, and the positions in that list of the level-M
+    visits, each counted once in a row.  The first list alone is the
+    once-in-a-row scan of one grid: ``_stage_visits(path, m + 1)[0]`` holds
+    the level-m visits that ``skeleton`` and ``crossing_level`` read.
+
+    A level-M visit counted at level M is also counted at level M-1: the
+    last level-(M-1) visit before it cannot be the same vertex, or that
+    would be the last level-M visit as well.
+    """
+    fine_mask = (1 << (level - 1)) - 1
+    top_bit = 1 << (level - 1)
+    fine: list[int] = []
+    top: list[int] = []
+    last = last_top = None
+    for t, v in enumerate(path):
+        bits = v[0] | v[1]
+        if bits & fine_mask or v == last:
+            continue
+        last = v
+        if not bits & top_bit and v != last_top:
+            last_top = v
+            top.append(len(fine))
+        fine.append(t)
+    return fine, top
 
 
 def _crossed_cells(path: Sequence[Vertex], hits: list[int], level: int):
@@ -165,7 +169,7 @@ def skeleton(path: Sequence[Vertex], level: int) -> Skeleton:
     """The ordered 2**level-triangles a path crosses, with exit times
     (``_crossed_cells``)."""
     _check_grid_endpoints(path, level)
-    ht = hitting_indices(path, level)
+    ht = _stage_visits(path, level + 1)[0]
     entries = []
     for cell, n, j in _crossed_cells(path, ht, level):
         visits = j - n
@@ -193,49 +197,10 @@ def _check_grid_endpoints(path: Sequence[Vertex], level: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def has_loops_at_or_above(path: Sequence[Vertex], level: int) -> bool:
-    """Whether any coarse view at this level or above still has a loop."""
-    k = level
-    while True:
-        hits = hitting_indices(path, k)
-        if len(hits) <= 2:
-            return False
-        if not is_self_avoiding([path[t] for t in hits]):
-            return True
-        k += 1
-
-
-def _stage_visits(path: Sequence[Vertex], level: int) -> tuple[list[int], list[int]]:
-    """One scan for both grids a stage reads: the path indices of the
-    level-(M-1) visits, and the positions in that list of the level-M
-    visits, each counted once in a row.
-
-    A level-M visit counted at level M is also counted at level M-1: the
-    last level-(M-1) visit before it cannot be the same vertex, or that
-    would be the last level-M visit as well.
-    """
-    fine_mask = (1 << (level - 1)) - 1
-    top_bit = 1 << (level - 1)
-    fine: list[int] = []
-    top: list[int] = []
-    last = last_top = None
-    for t, v in enumerate(path):
-        bits = v[0] | v[1]
-        if bits & fine_mask or v == last:
-            continue
-        last = v
-        if not bits & top_bit and v != last_top:
-            last_top = v
-            top.append(len(fine))
-        fine.append(t)
-    return fine, top
-
-
-def erase_scale(
-    path: Sequence[Vertex], level: int, check: bool = True, *, _crossing: bool = False
-) -> list[Vertex]:
+def erase_scale(path: Sequence[Vertex], level: int, *, _crossing: bool = False) -> list[Vertex]:
     """Remove every 2**(level-1)-scale loop from a path whose coarser views
-    are already loop-free.
+    are already loop-free, as they are when ``erase_to_scale`` runs the
+    stages from the top down.
 
     Works triangle by triangle along the level-M skeleton; inside each
     triangle the level-(M-1) coarse sequence is chronologically erased and
@@ -247,8 +212,6 @@ def erase_scale(
     """
     if level < 1:
         raise ValueError("erasure stage level must be >= 1")
-    if check and has_loops_at_or_above(path, level):
-        raise ScaleLoopsRemain(f"loops of scale 2**{level} or larger remain")
     _check_grid_endpoints(path, level)
     fine, top = _stage_visits(path, level)
     ht = [fine[k] for k in top]
@@ -288,7 +251,7 @@ def _crossing_variant(hits: list[Vertex], n: int) -> CrossingVariant:
 def crossing_level(path: Sequence[Vertex]) -> tuple[int, CrossingVariant]:
     """Validate the hitting structure of a crossing path and read off its level."""
     n = _apex_level(path)
-    return n, _crossing_variant([path[t] for t in hitting_indices(path, n)], n)
+    return n, _crossing_variant([path[t] for t in _stage_visits(path, n + 1)[0]], n)
 
 
 def erase_to_scale(path: Sequence[Vertex], down_to: int) -> list[Vertex]:
@@ -304,47 +267,15 @@ def erase_to_scale(path: Sequence[Vertex], down_to: int) -> list[Vertex]:
     if down_to == n:
         crossing_level(path)
         return list(path)
-    out = erase_scale(path, n, check=False, _crossing=True)
+    out = erase_scale(path, n, _crossing=True)
     for m in range(n - 1, down_to, -1):
-        out = erase_scale(out, m, check=False)
+        out = erase_scale(out, m)
     return out
 
 
 def loop_erase(path: Sequence[Vertex]) -> list[Vertex]:
     """The fully loop-erased crossing: self-avoiding, origin to apex."""
     return erase_to_scale(path, 0)
-
-
-# ---------------------------------------------------------------------------
-# Scale classification of loops (test predicate)
-# ---------------------------------------------------------------------------
-
-
-def iter_loops(path: Sequence[Vertex]):
-    """Yield (start, end) index pairs of minimal loops (no base revisit inside)."""
-    seen: dict[Vertex, int] = {}
-    for t, v in enumerate(path):
-        if v in seen:
-            yield seen[v], t
-        seen[v] = t
-
-
-def has_scale_loop(path: Sequence[Vertex], level: int, working_level: int) -> bool:
-    """Whether the path has a loop whose base sits exactly on level M
-    (capped at the working level) and whose diameter reaches 2**M.
-
-    This is the direct, diameter-based reading of loop scale.  The staged
-    eraser never computes it; it exists so tests can confirm that loops of a
-    given scale are gone once the coarse view at that scale is loop-free.
-    """
-    need = 4**level
-    for s, t in iter_loops(path):
-        base = path[s]
-        if vertex_level(base, cap=working_level) != level:
-            continue
-        if any(euclid_sq(path[k], base) >= need for k in range(s + 1, t + 1)):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ exact rationals; reading off the absorbing steps gives the unnormalized law
 of each final self-avoiding shape, and dividing by the probability of the
 conditioning event (exactly 1/4, or 1/16 via the corner) gives the two
 shape distributions.  Nothing is transcribed from a drawing: the shapes are
-whatever the chain produces, and an independent path enumeration pins the
-supports.
+whatever the chain produces, and an independent path enumeration in the
+tests pins the supports.
 
 The shape table is the one home of the two offspring laws: each row holds a
 shape's two masses and its level-0 skeleton cells, and ``ShapeTable.law``
@@ -443,33 +443,6 @@ def shape_table() -> ShapeTable:
             for k, (path, s1, s2, children) in enumerate(rows, start=1)
         )
     )
-
-
-def enumerate_self_avoiding_crossings(allow_corner: bool) -> set[tuple[Vertex, ...]]:
-    """Independent support oracle: depth-first enumeration of self-avoiding
-    origin-to-apex paths inside the closed level-1 cell."""
-    from .lattice import TriangleId
-
-    cell = TriangleId(ORIGIN, 1)
-    a1, b1 = apex(1), corner(1)
-    found: set[tuple[Vertex, ...]] = set()
-
-    def extend(path: list[Vertex]):
-        head = path[-1]
-        if head == a1:
-            found.add(tuple(path))
-            return
-        for u in neighbors(head):
-            if not cell.contains(u) or u in path:
-                continue
-            if u == b1 and not allow_corner:
-                continue
-            path.append(u)
-            extend(path)
-            path.pop()
-
-    extend([ORIGIN])
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -219,14 +219,20 @@ class RunConfig:
             raise ValueError(f"{self.command} needs a level {row.span()}, got {self.level}")
 
     def effective_samples(self) -> int:
-        """Samples of a command that reads ``samples``."""
+        """Samples of a command that reads ``samples``.
+
+        Above level 8 the walk defaults fall 5x per level, as a walk's mean
+        length grows, so a default run walks about as far as at level 8.
+        """
         if self.samples is not None:
             return self.samples
         if self.command == "mc-shapes":
-            return 100_000 if self.level == 1 else 10_000
-        if self.command == "mc-length":
-            return 10_000 if self.level <= 4 else 1_000
-        return 100  # dimension
+            base = 100_000 if self.level == 1 else 10_000
+        elif self.command == "mc-length":
+            base = 10_000 if self.level <= 4 else 1_000
+        else:
+            return 100  # dimension
+        return base // 5 ** max(0, self.level - 8)
 
     def to_dict(self) -> dict:
         # Provenance keeps the fields that determine the numbers; thread

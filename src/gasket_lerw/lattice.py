@@ -21,7 +21,7 @@ vertices has length n (the number of unit steps).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 Vertex = tuple[int, int]
 
@@ -84,17 +84,6 @@ def up_triangle_exists(corner: Vertex, level: int) -> bool:
     return (i >> level) & (j >> level) == 0
 
 
-def is_vertex(v: Vertex) -> bool:
-    """Whether ``v`` is a corner of at least one filled unit triangle."""
-    i, j = v
-    if j < 0:
-        return False
-    for ci, cj in ((i, j), (i - 1, j), (i, j - 1)):
-        if cj >= 0 and up_triangle_exists((ci, cj), 0):
-            return True
-    return False
-
-
 def incident_cells(v: Vertex, level: int = 0) -> list[TriangleId]:
     """The filled 2**level-triangles having ``v`` (a G_level vertex) as a corner."""
     i, j = v
@@ -113,10 +102,10 @@ def neighbors(v: Vertex) -> tuple[Vertex, ...]:
     """The four nearest neighbors of a gasket vertex.
 
     These are the corners of the exactly two filled unit triangles incident
-    to ``v``, with ``v`` itself removed.  The walkers step through
-    ``walker._region`` tables instead; the bounded cache serves the exact
-    absorbing chains and the tests' reference walker, and holds every
-    vertex of a level-7 region.
+    to ``v``, with ``v`` itself removed.  The walkers' ``walker._region``
+    tables are built from it, and the exact absorbing chains and the
+    tests' reference walker and oracles read it directly; the bounded
+    cache holds every vertex of a level-7 region.
     """
     cells = incident_cells(v, 0)
     if not cells:
@@ -131,39 +120,9 @@ def neighbors(v: Vertex) -> tuple[Vertex, ...]:
     return tuple(out)
 
 
-def neighbors_on_grid(v: Vertex, level: int) -> tuple[Vertex, ...]:
-    """Neighbors of ``v`` in the coarse graph whose edges have length 2**level.
-
-    The coarse graph is the gasket scaled by 2**level, so the unit-scale
-    neighbor table is reused after shifting coordinates.
-    """
-    if level == 0:
-        return neighbors(v)
-    i, j = v
-    base = neighbors((i >> level, j >> level))
-    return tuple((x << level, y << level) for x, y in base)
-
-
 def on_grid(v: Vertex, level: int) -> bool:
     """Whether both coordinates are divisible by 2**level (v in G_level)."""
     return ((v[0] | v[1]) & ((1 << level) - 1)) == 0
-
-
-def vertex_level(v: Vertex, cap: int = 62) -> int:
-    """The largest M with v in G_M, saturated at ``cap``.
-
-    The origin belongs to every G_M; callers pass the working level as the
-    cap, which is the only level ever queried there.
-    """
-    i, j = v
-    if i == 0 and j == 0:
-        return cap
-    m = 0
-    while ((i | j) & 1) == 0 and m < cap:
-        i >>= 1
-        j >>= 1
-        m += 1
-    return m
 
 
 def cell_of_step(u: Vertex, v: Vertex, level: int) -> TriangleId:
@@ -183,32 +142,3 @@ def cell_of_step(u: Vertex, v: Vertex, level: int) -> TriangleId:
     ):
         return TriangleId(c, level)
     raise NoCommonCell(f"{u} and {v} share no filled level-{level} cell")
-
-
-def euclid_sq(u: Vertex, v: Vertex) -> int:
-    """Squared Euclidean distance between two lattice vertices (an integer)."""
-    di = u[0] - v[0]
-    dj = u[1] - v[1]
-    return di * di + di * dj + dj * dj
-
-
-def triangles_of_generation(level_span: int) -> list[TriangleId]:
-    """All filled unit triangles of the doubled generation-N gasket."""
-    n = 1 << level_span
-    out = []
-    for j in range(n):
-        for i in range(-n, n - j):
-            if up_triangle_exists((i, j), 0):
-                out.append(TriangleId((i, j), 0))
-    return out
-
-
-def iter_vertices(level_span: int) -> Iterable[Vertex]:
-    """Vertices of the doubled generation-N gasket, left and right halves."""
-    n = 1 << level_span
-    seen: set[Vertex] = set()
-    for tri in triangles_of_generation(level_span):
-        for c in tri.corners():
-            if c not in seen:
-                seen.add(c)
-                yield c

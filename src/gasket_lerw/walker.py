@@ -48,11 +48,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import length_hint
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .lattice import ORIGIN, Vertex, apex, corner, incident_cells, neighbors, on_grid
+from .lattice import ORIGIN, Vertex, apex, corner, incident_cells, neighbors
 
 DEFAULT_STEP_BUDGET = 10**9
 MAX_LEVEL = 12  # the mean walk, 5**N steps, stays within the default budget
@@ -110,36 +110,6 @@ class _Dice:
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     """An independent stream fully determined by (seed, replica-index)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replica,)))
-
-
-# ---------------------------------------------------------------------------
-# Hitting times and coarse-graining
-# ---------------------------------------------------------------------------
-
-
-def hitting_indices(path: Sequence[Vertex], level: int) -> list[int]:
-    """Path indices of the level-M grid visits, applying the once-in-a-row rule."""
-    mask = (1 << level) - 1
-    out: list[int] = []
-    last: Vertex | None = None
-    for t, v in enumerate(path):
-        if ((v[0] | v[1]) & mask) == 0 and v != last:
-            out.append(t)
-            last = v
-    return out
-
-
-def coarse_grain(path: Sequence[Vertex], level: int, validate: bool = True) -> list[Vertex]:
-    """The subsequence of a path at its level-M grid visits.
-
-    Composing coarse-grainings keeps only the coarser one: applying level M
-    after level K <= M equals applying level M directly.
-    """
-    if not path:
-        raise ValueError("empty path")
-    if validate and not (on_grid(path[0], level) and on_grid(path[-1], level)):
-        raise ValueError(f"path endpoints must lie on the level-{level} grid")
-    return [path[t] for t in hitting_indices(path, level)]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +345,8 @@ def sample_patterns(
 
     Crossings are sampled as in ``sample_crossing``, one after another on
     one stream, with each leg recording only its level-(N-1) visits, so a
-    pattern is ``coarse_grain(path, N - 1)`` of its crossing, as a tuple.
+    pattern is the crossing's level-(N-1) coarse view: its level-(N-1) grid
+    vertices in order, once in a row, as a tuple.
     Draws come ``BLOCK`` at a time, shared by all samples, and
     ``max_steps`` is a budget per sample, as in ``sample_crossing``: the
     call may draw ``max_steps * count`` steps.

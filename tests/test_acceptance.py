@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
-from gasket_lerw import eraser, exact, harness, limit, walker
-from gasket_lerw.eraser import chronological_erase, is_self_avoiding, loop_erase, skeleton
+from gasket_lerw import eraser, exact, harness, limit
+from gasket_lerw.eraser import chronological_erase, loop_erase, skeleton
 from gasket_lerw.harness import chi_square, classify_top_shape
 from gasket_lerw.walker import CrossingVariant, attempt_crossing, replica_rng, sample_crossing
+from oracles import coarse_grain, is_self_avoiding
 
 F = Fraction
 DIRECT = CrossingVariant.DIRECT
@@ -128,7 +129,7 @@ def test_a5_recursion_consistency(table):
     svals = np.empty((n, 2))
     for k in range(n):
         path = sample_crossing(2, DIRECT, rng)
-        sid = classify_top_shape(walker.coarse_grain(path, 1), 2, table)
+        sid = classify_top_shape(coarse_grain(path, 1), 2, table)
         counts[sid] = counts.get(sid, 0) + 1
         svals[k] = skeleton(loop_erase(path), 0).s_counts()
     expected = {k: float(v) for k, v in table.column(DIRECT).items()}

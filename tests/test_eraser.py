@@ -9,30 +9,28 @@ from hypothesis import strategies as st
 
 from gasket_lerw.eraser import (
     NotACrossing,
-    ScaleLoopsRemain,
     Skeleton,
     UnknownShape,
+    _stage_visits,
     chronological_erase,
     classify_shape,
     crossing_level,
     erase_scale,
     erase_to_scale,
-    has_loops_at_or_above,
-    has_scale_loop,
-    is_self_avoiding,
     loop_erase,
     skeleton,
-    stack_erase,
 )
 from gasket_lerw.exact import PARENT_LAWS, compose_level
 from gasket_lerw.harness import chi_square
 from gasket_lerw.lattice import ORIGIN, TriangleId, apex, corner, incident_cells, neighbors
-from gasket_lerw.walker import (
-    CrossingVariant,
+from gasket_lerw.walker import CrossingVariant, replica_rng, sample_crossing
+from oracles import (
     coarse_grain,
+    has_loops_at_or_above,
+    has_scale_loop,
     hitting_indices,
-    replica_rng,
-    sample_crossing,
+    is_self_avoiding,
+    stack_erase,
 )
 
 DIRECT = CrossingVariant.DIRECT
@@ -123,17 +121,6 @@ class TestEraseScale:
             assert is_self_avoiding(coarse_grain(staged, 1))
             # The fully coarse structure is untouched.
             assert coarse_grain(staged, 2) == coarse_grain(p, 2)
-
-    def test_precondition_violation_raises(self):
-        # A crossing with a coarse loop cannot start at the unit stage.
-        rng = replica_rng(14, 0)
-        for _ in range(200):
-            p = sample_crossing(2, DIRECT, rng)
-            if not is_self_avoiding(coarse_grain(p, 1)):
-                with pytest.raises(ScaleLoopsRemain):
-                    erase_scale(p, 1)
-                return
-        raise AssertionError("never sampled a coarse loop")
 
 
 class TestLoopErase:
@@ -285,10 +272,19 @@ class TestOneScanStage:
             assert erase_to_scale(p, m - 1) == ref
         assert loop_erase(p) == ref
 
+    @given(st.lists(st.integers(0, 3), max_size=80), st.integers(0, 3))
+    def test_stage_scan_is_the_hitting_scan(self, dirs, m):
+        # One scan gives the once-in-a-row visits of two grids: a stage
+        # reads both, and ``skeleton`` and ``crossing_level`` the finer one.
+        w = walk_from_dirs(dirs)
+        fine, top = _stage_visits(w, m + 1)
+        assert fine == hitting_indices(w, m)
+        assert [fine[k] for k in top] == hitting_indices(w, m + 1)
+
     def test_hand_built_paths(self):
         for p in HAND_BUILT:
             self._check(p)
-            assert erase_scale(p, 1, check=False) == _two_scan_erase_scale(p, 1)
+            assert erase_scale(p, 1) == _two_scan_erase_scale(p, 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])

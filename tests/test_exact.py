@@ -18,7 +18,6 @@ from gasket_lerw.exact import (
     build_phi_theta,
     compose_level,
     eigen_data,
-    enumerate_self_avoiding_crossings,
     exact_report,
     functional_equation_residual,
     length_mean,
@@ -32,6 +31,7 @@ from gasket_lerw.exact import (
     type_count_mean,
 )
 from gasket_lerw.walker import CrossingVariant
+from oracles import enumerate_self_avoiding_crossings
 
 F = Fraction
 
@@ -74,7 +74,7 @@ class TestShapeLaws:
         assert direct_support < via_support
 
     def test_shapes_are_self_avoiding_crossings(self, table):
-        from gasket_lerw.eraser import is_self_avoiding
+        from oracles import is_self_avoiding
 
         for s in table.shapes:
             assert is_self_avoiding(s.path)

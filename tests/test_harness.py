@@ -373,6 +373,29 @@ class TestRunCommands:
             err = capsys.readouterr().err
             assert err == f"error: threads must be in 1..{top}, got {threads}\n"
 
+    @pytest.mark.parametrize(
+        "command,level,samples",
+        [
+            ("mc-shapes", 1, 100_000),
+            ("mc-shapes", 8, 10_000),
+            ("mc-shapes", 9, 2_000),
+            ("mc-shapes", 10, 400),
+            ("mc-shapes", 11, 80),
+            ("mc-shapes", 12, 16),
+            ("mc-length", 4, 10_000),
+            ("mc-length", 8, 1_000),
+            ("mc-length", 9, 200),
+            ("mc-length", 10, 40),
+            ("mc-length", 11, 8),
+            ("dimension", 18, 100),
+        ],
+    )
+    def test_default_samples(self, command, level, samples):
+        # Above level 8 the walk defaults fall 5x per level, as the mean walk
+        # grows, so every default run finishes; an explicit count stands.
+        assert RunConfig(command=command, level=level).effective_samples() == samples
+        assert RunConfig(command=command, level=level, samples=3).effective_samples() == 3
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(command="nope")

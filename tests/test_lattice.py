@@ -20,14 +20,11 @@ from gasket_lerw.lattice import (
     apex,
     cell_of_step,
     corner,
-    euclid_sq,
-    is_vertex,
     neighbors,
-    neighbors_on_grid,
     on_grid,
     up_triangle_exists,
-    vertex_level,
 )
+from oracles import euclid_sq, is_vertex, iter_vertices, neighbors_on_grid, vertex_level
 
 
 def right_half_corners(n: int) -> set[tuple[int, int]]:
@@ -123,7 +120,7 @@ class TestNeighbors:
         corners = doubled_corners(6)
         interior = [
             v
-            for v in lattice.iter_vertices(6)
+            for v in iter_vertices(6)
             # Exclude the outer boundary, whose triangles live in generation 7.
             if euclid_sq(v, ORIGIN) < 4**6
         ]
@@ -133,7 +130,7 @@ class TestNeighbors:
             assert set(neighbors(v)) == oracle_neighbors(v, corners)
 
     def test_symmetry(self):
-        for v in lattice.iter_vertices(4):
+        for v in iter_vertices(4):
             if euclid_sq(v, ORIGIN) < 4**4:
                 for u in neighbors(v):
                     assert v in neighbors(u)
@@ -162,7 +159,7 @@ class TestVertexLevel:
         assert vertex_level(ORIGIN, cap=5) == 5
 
     def test_grid_membership_is_level_threshold(self):
-        for v in lattice.iter_vertices(4):
+        for v in iter_vertices(4):
             for m in range(5):
                 assert on_grid(v, m) == (vertex_level(v) >= m)
 

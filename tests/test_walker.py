@@ -10,28 +10,18 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, ks_2samp
 
 from gasket_lerw.eraser import chronological_erase, loop_erase
-from gasket_lerw.lattice import (
-    ORIGIN,
-    apex,
-    corner,
-    euclid_sq,
-    incident_cells,
-    neighbors,
-    neighbors_on_grid,
-    on_grid,
-)
+from gasket_lerw.lattice import ORIGIN, apex, corner, incident_cells, neighbors, on_grid
 from gasket_lerw.harness import chi_square, classify_top_shape
 from gasket_lerw.walker import (
     CrossingVariant,
     StepBudgetExceeded,
     _region,
     attempt_crossing,
-    coarse_grain,
-    hitting_indices,
     replica_rng,
     sample_crossing,
     sample_patterns,
 )
+from oracles import coarse_grain, euclid_sq, hitting_indices, neighbors_on_grid
 
 DIRECT = CrossingVariant.DIRECT
 VIA = CrossingVariant.VIA_CORNER
