@@ -261,11 +261,11 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     legs = tuple(
         (4 * index[s], _leg_images(vertices, index, s, t, N)) for s, t in zip(starts, targets)
     )
+    # One int object per vertex, shared by every entry that names it.
+    row_of = {v: 4 * k for v, k in index.items()}
     return _Region(
         vertices=tuple(vertices),
-        rows=[
-            4 * index.get(u, -1) for v in vertices for u in nbrs.get(v) or neighbors(v)
-        ],
+        rows=[row_of.get(u, -4) for v in vertices for u in nbrs.get(v) or neighbors(v)],
         stops=4 * ranks.count(0),
         coarse=4 * (len(ranks) - ranks.count(2)),
         apex=index[apex(N)],

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import mpmath
@@ -123,6 +125,45 @@ def _plain_substitute(outer, px, py):
     return {k: v for k, v in total.items() if v}
 
 
+def _both_products(monkeypatch):
+    """Run a block twice: as the package runs it, where small packed
+    products take int * int, then with every packed product on _fft_mul."""
+    for threshold in (exact.FFT_MIN_BITS, 0):
+        monkeypatch.setattr(exact, "FFT_MIN_BITS", threshold)
+        yield threshold
+
+
+def _signed(rng, nbits):
+    """A nonzero int of exactly `nbits` bits with a random sign."""
+    value = rng.getrandbits(nbits) | 1 << (nbits - 1)
+    return value if rng.random() < 0.5 else -value
+
+
+class TestFftProduct:
+    def test_random_signed_factors(self):
+        rng = random.Random(20121)
+        edge = exact.FFT_MIN_BITS
+        widths = [(1, 1), (8, 8), (9, 17), (edge - 8, edge), (edge, edge + 1), (edge + 8, edge + 9)]
+        # The convolution has la + lb - 1 limbs: land it on, just below and
+        # just above a power-of-two FFT length, with odd byte counts.
+        for la in (2**12 - 1, 2**12 + 1, 2**14 + 3):
+            for lb in (la, la + 1, la + 2, la + 3):
+                widths.append((8 * la, 8 * lb))
+        for wa, wb in widths:
+            for _ in range(3):
+                a, b = _signed(rng, wa), _signed(rng, wb)
+                assert exact._fft_mul(a, b) == a * b
+                assert exact._fft_mul(b, a) == a * b
+
+    @pytest.mark.parametrize("nbits", [500_001, 1_000_000])
+    def test_all_ones_factors(self, nbits):
+        # Every limb 0xFF gives the largest convolution sums, hence the
+        # widest rounding margin needed.
+        ones = (1 << nbits) - 1
+        assert exact._fft_mul(ones, ones) == ones * ones
+        assert exact._fft_mul(-ones, ones >> 3) == -ones * (ones >> 3)
+
+
 class TestGeneratingFunctions:
     def test_reference_forms(self, phi_theta):
         phi, theta = phi_theta
@@ -175,34 +216,51 @@ class TestGeneratingFunctions:
         assert p2 == phi.compose(phi, theta)
         assert t2 == theta.compose(phi, theta)
 
-    def test_composition_matches_plain_fraction_substitution(self, phi_theta):
+    def test_composition_matches_plain_fraction_substitution(self, phi_theta, monkeypatch):
         phi, theta = phi_theta
         pn, tn = phi.coeffs, theta.coeffs
+        levels = []
         for n in (2, 3):
             pn, tn = _plain_substitute(phi.coeffs, pn, tn), _plain_substitute(theta.coeffs, pn, tn)
-            got_p, got_t = compose_level(phi, theta, n)
-            assert got_p.coeffs == pn
-            assert got_t.coeffs == tn
+            levels.append((n, pn, tn))
+        for _ in _both_products(monkeypatch):
+            for n, pn, tn in levels:
+                got_p, got_t = compose_level(phi, theta, n)
+                assert got_p.coeffs == pn
+                assert got_t.coeffs == tn
 
-    def test_composition_with_signed_coefficients(self):
+    def test_composition_with_signed_coefficients(self, monkeypatch):
         outer = {(0, 0): F(-3, 7), (0, 1): F(1, 3), (2, 1): F(5, 2), (1, 3): F(-1)}
         px = {(0, 0): F(1), (1, 0): F(-2, 3), (0, 2): F(7, 5)}
         py = {(3, 0): F(2), (1, 1): F(-1, 4)}
-        got = BivariatePoly(outer).compose(BivariatePoly(px), BivariatePoly(py))
-        assert got.coeffs == _plain_substitute(outer, px, py)
         x_minus_y = BivariatePoly({(1, 0): 1, (0, 1): -1})
-        assert x_minus_y.compose(BivariatePoly(py), BivariatePoly(py)) == BivariatePoly()
+        for _ in _both_products(monkeypatch):
+            got = BivariatePoly(outer).compose(BivariatePoly(px), BivariatePoly(py))
+            assert got.coeffs == _plain_substitute(outer, px, py)
+            assert x_minus_y.compose(BivariatePoly(py), BivariatePoly(py)) == BivariatePoly()
 
-    def test_composition_at_the_coefficient_width_bound(self):
+    def test_composition_at_the_coefficient_width_bound(self, monkeypatch):
         # Squaring three 7-bit coefficients gives 3 * 127**2 > 2**15 in the
         # middle term: the widest coefficient two 7-bit factors allow.
         square = BivariatePoly({(2, 0): 1})
         y = BivariatePoly({(0, 1): 1})
-        for sign in (1, -1):
-            px = {(0, 0): F(sign * 127), (1, 0): F(sign * 127), (2, 0): F(sign * 127)}
-            got = square.compose(BivariatePoly(px), y)
-            assert got.coeffs == _plain_substitute(square.coeffs, px, y.coeffs)
-            assert got.coeffs[2, 0] == 3 * 127**2
+        for _ in _both_products(monkeypatch):
+            for sign in (1, -1):
+                px = {(0, 0): F(sign * 127), (1, 0): F(sign * 127), (2, 0): F(sign * 127)}
+                got = square.compose(BivariatePoly(px), y)
+                assert got.coeffs == _plain_substitute(square.coeffs, px, y.coeffs)
+                assert got.coeffs[2, 0] == 3 * 127**2
+
+    def test_level_four_composition_is_pinned(self, phi_theta):
+        # Digest read before the large packed products moved to _fft_mul:
+        # every coefficient of Phi_4 and Theta_4 must stay.
+        level_four = compose_level(*phi_theta, 4)
+        data = json.dumps([exact._poly_json(p) for p in level_four], sort_keys=True)
+        assert len(data) == 487_364
+        assert (
+            hashlib.sha256(data.encode()).hexdigest()
+            == "6544b8595d10d271fed5077d70839f08db2e944a8e4c1b8559f4fe68a28205d4"
+        )
 
     def test_gradients_are_matrix_powers(self, phi_theta):
         phi, theta = phi_theta
