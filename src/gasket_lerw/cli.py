@@ -17,12 +17,13 @@ writes JSON only.
 
 Exit codes: 0 on success, 2 when a statistical acceptance test fails,
 1 on usage or I/O errors (an option the command does not read among them),
-on a level, depth or order outside a command's range, on ``--threads``
-outside 1..``harness.MAX_THREADS``, on ``mc-shapes`` samples too few for two
-chi-square cells after pooling (before any walk), on a format the command
-cannot write or a drawing without ``--out``, and on a runtime failure of the
-samplers or the exact solver (a walk past its step budget, a singular linear
-system).  Every exit 1 prints one ``error: ...`` line on standard error.
+on a level, depth or order outside a command's range, on a negative
+``--seed``, on ``--threads`` outside 1..``harness.MAX_THREADS``, on
+``mc-shapes`` samples too few for two chi-square cells after pooling (before
+any walk), on a format the command cannot write or a drawing without
+``--out``, and on a runtime failure of the samplers or the exact solver (a
+walk past its step budget, a singular linear system).  Every exit 1 prints
+one ``error: ...`` line on standard error.
 """
 
 from __future__ import annotations

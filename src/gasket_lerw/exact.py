@@ -112,9 +112,6 @@ class BivariatePoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, BivariatePoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def __repr__(self):
         terms = [f"{c}*x^{a}*y^{b}" for (a, b), c in sorted(self.coeffs.items())]
         return "BivariatePoly(" + " + ".join(terms) + ")"

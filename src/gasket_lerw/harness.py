@@ -207,6 +207,8 @@ class RunConfig:
             raise ValueError("samples must be >= 1")
         if self.command == "mc-length" and self.samples is not None and self.samples < 2:
             raise ValueError(f"mc-length needs at least 2 samples, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.threads <= MAX_THREADS:
             raise ValueError(f"threads must be in 1..{MAX_THREADS}, got {self.threads}")
         if self.fmt not in ("json", "csv", "svg"):

@@ -29,10 +29,9 @@ refined all at once: it draws one uniform per parent, in skeleton order,
 picks each parent's shape from the cumulative law of its kind and places
 every child by one gather from that table plus twice its parent's corner.
 The uniforms are taken level by level in skeleton order, so a seed
-determines the path.  Coarse-graining, the junction chain and the skeleton
-writer read the same rows, with entries, exits and third corners taken from
-the orientation table; ``RefinedPath.cells`` is a tuple view for outside
-readers only.
+determines the path.  The junction chain and the skeleton writer read the
+same rows, with entries, exits and third corners taken from the orientation
+table; ``RefinedPath.cells`` is a tuple view for outside readers only.
 
 A child's kind depends only on its parent's kind and the drawn shape, so the
 (one-visit, two-visit) counts per level are a two-type Galton-Watson process
@@ -92,7 +91,7 @@ ORIENTATIONS = np.array(
 # offset (a, b) is numbered a + 2 b.
 _ORIENTATION_OF_ENDS = np.full(9, -1, dtype=np.int32)
 _ORIENTATION_OF_ENDS[[e + 3 * x for e, x, _ in permutations(range(3))]] = range(6)
-_ENTRY, _EXIT, _THIRD = (ORIENTATIONS[:, k] for k in range(3))
+_ENTRY = ORIENTATIONS[:, 0]
 _THIRD_EXIT = ORIENTATIONS[:, [2, 1]].reshape(6, 4)
 
 
@@ -289,7 +288,8 @@ def sample_refined_family(depth: int, rng: np.random.Generator) -> list[RefinedP
     One kernel draw is consumed per cell per level, in skeleton order, so
     the depth-m member is a deterministic prefix of the depth-(m+1) member's
     construction: coarse-graining the finer one recovers the coarser one
-    exactly.
+    exactly (checked cell for cell by the coupling oracle in
+    ``tests/oracles.py``).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -308,63 +308,6 @@ def sample_refined_family(depth: int, rng: np.random.Generator) -> list[RefinedP
 def sample_limit_path(depth: int, rng: np.random.Generator) -> RefinedPath:
     """Sample one depth-M approximation from the single one-visit ancestor."""
     return sample_refined_family(depth, rng)[-1]
-
-
-def coarse_grain_refined(path: RefinedPath) -> RefinedPath:
-    """Collapse a depth-M chain one level: group children by parent triangle
-    and reread each parent's kind from whether the chain uses its third corner.
-
-    The parent triangles, entries and exits reproduce the coupled coarser
-    sample exactly.  Kinds are the finer path's own level-(M-1) reading: a
-    two-visit parent whose offspring avoided the middle corner rereads as
-    one-visit, which is the only kind change the erasure allows.  The
-    returned history keeps the recorded branching counts for the untouched
-    levels and carries the reread counts at the top.
-    """
-    if path.depth == 0:
-        raise ValueError("depth-0 paths have no coarser level")
-    rows = path.rows
-    key = rows[:, 0:2] >> 1  # the parent's corner, one level up
-    new_group = np.concatenate(([True], np.any(key[1:] != key[:-1], axis=1)))
-    starts = np.flatnonzero(new_group)
-    ends = np.append(starts[1:], len(rows)) - 1
-    entry = corner_plus(rows[starts], _ENTRY)
-    exit_ = corner_plus(rows[ends], _EXIT)
-    # The parent's corners 2 key, 2 key + (2, 0) and 2 key + (0, 2) sum to
-    # 3 * 2 key + (2, 2); the third is what entry and exit leave of them.
-    corner = key[starts]
-    third = 3 * 2 * corner + 2 - entry - exit_
-    # Only one child holds the parent's third corner, so the chain can pass
-    # that corner only as the third corner of a two-visit child.
-    own = third[np.cumsum(new_group) - 1]
-    visits = (rows[:, 3] == TYPE_TWO) & np.all(corner_plus(rows, _THIRD) == own, axis=1)
-    two = np.add.reduceat(visits, starts) > 0
-    parents = np.empty((len(starts), 4), dtype=np.int32)
-    parents[:, 0:2] = corner
-    parents[:, 2] = _orientation(corner, entry >> 1, exit_ >> 1)
-    parents[:, 3] = np.where(two, TYPE_TWO, TYPE_ONE)
-    s2 = int(np.count_nonzero(two))
-    return RefinedPath(
-        depth=path.depth - 1,
-        rows=parents,
-        level_counts=path.level_counts[:-2] + ((len(parents) - s2, s2),),
-    )
-
-
-def projects_onto(fine: RefinedPath, coarse: RefinedPath) -> bool:
-    """Exact projective check between coupled depths.
-
-    Triangles, entry points and exit points must agree cell for cell; a kind
-    may only change from two-visit to one-visit when passing down a level.
-    """
-    if fine.depth != coarse.depth + 1:
-        raise ValueError("projects_onto compares adjacent depths")
-    got = coarse_grain_refined(fine).rows
-    want = coarse.rows
-    if got.shape != want.shape:
-        return False
-    upgraded = (got[:, 3] == TYPE_TWO) & (want[:, 3] == TYPE_ONE)
-    return bool(np.array_equal(got[:, :3], want[:, :3]) and not upgraded.any())
 
 
 # ---------------------------------------------------------------------------

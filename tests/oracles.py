@@ -6,8 +6,9 @@ stack erasure beside the package's chronological erasure, the diameter
 reading of loop scale beside the staged eraser, the once-in-a-row hitting
 scan and coarse-graining beside the walkers' level-(N-1) patterns and the
 eraser's one-scan stage visits, a depth-first enumeration of the level-1
-self-avoiding crossings beside the exact chain's supports, and the lattice
-predicates the geometry tests use.  None of it shares code with what the
+self-avoiding crossings beside the exact chain's supports, the lattice
+predicates the geometry tests use, and the per-cell coarse-graining that
+checks the coupling of the limit sampler's refinement family.  None of it shares code with what the
 command line runs.
 """
 
@@ -25,6 +26,7 @@ from gasket_lerw.lattice import (
     on_grid,
     up_triangle_exists,
 )
+from gasket_lerw.limit import SkeletonCell
 
 # ---------------------------------------------------------------------------
 # Lattice
@@ -222,3 +224,67 @@ def enumerate_self_avoiding_crossings(allow_corner: bool) -> set[tuple[Vertex, .
 
     extend([ORIGIN])
     return found
+
+
+# ---------------------------------------------------------------------------
+# Limit family: coarse-graining one cell at a time
+# ---------------------------------------------------------------------------
+
+
+def _corner(cell):
+    pts = (cell.entry, cell.exit, cell.third)
+    return (min(p[0] for p in pts), min(p[1] for p in pts))
+
+
+def _collapse_group(group, corner_key):
+    entry = group[0].entry
+    exit_ = group[-1].exit
+    corners = {
+        corner_key,
+        (corner_key[0] + 2, corner_key[1]),
+        (corner_key[0], corner_key[1] + 2),
+    }
+    (third,) = corners - {entry, exit_}
+    junctions = {c.entry for c in group} | {c.exit for c in group}
+    junctions |= {c.third for c in group if c.kind == 2}
+    kind = 2 if third in junctions else 1
+    half = lambda p: (p[0] >> 1, p[1] >> 1)  # noqa: E731
+    return SkeletonCell(entry=half(entry), exit=half(exit_), third=half(third), kind=kind)
+
+
+def _reference_coarse_grain(path):
+    """(cells, level_counts) of a depth-M path collapsed one level: its cells
+    grouped by parent triangle, each parent's kind reread from whether the
+    chain passes its third corner, and the reread counts at the top."""
+    parents = []
+    group = []
+    key = None
+    for cell in path.cells:
+        q = _corner(cell)
+        k = (2 * (q[0] >> 1), 2 * (q[1] >> 1))
+        if key is None or k == key:
+            group.append(cell)
+        else:
+            parents.append(_collapse_group(group, key))
+            group = [cell]
+        key = k
+    parents.append(_collapse_group(group, key))
+    s1 = sum(1 for c in parents if c.kind == 1)
+    return tuple(parents), path.level_counts[:-2] + ((s1, len(parents) - s1),)
+
+
+def _reference_projects_onto(fine, coarse):
+    """Exact coupling check between adjacent depths: triangles, entries and
+    exits agree cell for cell, and a kind may only change from two-visit to
+    one-visit when passing down a level."""
+    if fine.depth != coarse.depth + 1:
+        raise ValueError("projects_onto compares adjacent depths")
+    collapsed, _ = _reference_coarse_grain(fine)
+    if len(collapsed) != len(coarse.cells):
+        return False
+    for got, want in zip(collapsed, coarse.cells):
+        if (got.entry, got.exit, got.third) != (want.entry, want.exit, want.third):
+            return False
+        if got.kind == 2 and want.kind == 1:
+            return False
+    return True

@@ -613,6 +613,26 @@ class TestCli:
         assert "at least 2 samples" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dimension", "6", "--seed", "-1", "--samples", "3"],
+            ["mc-shapes", "1", "--seed", "-1", "--samples", "100"],
+            ["limit-path", "2", "--seed", "-5"],
+            ["mc-length", "2", "--samples", "3", "--seed", "-2", "--threads", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exit_one_on_negative_seed(self, argv, monkeypatch, capsys):
+        def never(config):
+            raise AssertionError("ran a command with a negative seed")
+
+        monkeypatch.setattr(cli, "run", never)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        seed = argv[argv.index("--seed") + 1]
+        assert err == f"error: seed must be >= 0, got {seed}\n"
+
+    @pytest.mark.parametrize(
         "argv,refused",
         [
             (["mc-shapes", "12", "--samples", "1"], True),
@@ -657,6 +677,40 @@ class TestCli:
             check=True,
         )
         assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_commands_run_on_numpy_and_mpmath_alone(self, tmp_path):
+        # One process runs a command of each kind with scipy unimportable,
+        # then lists the installed third-party packages it loaded beyond
+        # those the interpreter's start-up already held.
+        commands = [
+            ["exact", "3"],
+            ["moments", "4"],
+            ["mc-shapes", "1", "--samples", "200", "--seed", "1"],
+            ["mc-length", "2", "--samples", "200", "--seed", "1"],
+            ["dimension", "6", "--samples", "4", "--seed", "1"],
+            ["limit-path", "4", "--seed", "1", "--format", "svg", "--out", str(tmp_path / "p")],
+        ]
+        code = (
+            "import importlib.metadata, sys\n"
+            "start = set(sys.modules)\n"
+            "sys.modules['scipy'] = None\n"
+            "from gasket_lerw import cli\n"
+            f"for argv in {commands!r}:\n"
+            "    assert cli.main(argv) in (0, 2), argv\n"
+            "loaded = {m.split('.')[0] for m, v in sys.modules.items() if v and m not in start}\n"
+            "third = loaded & importlib.metadata.packages_distributions().keys()\n"
+            "print(sorted(third - {'gasket_lerw'}))\n"
+        )
+        src = Path(harness.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert "Traceback" not in done.stderr, done.stderr
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "['mpmath', 'numpy']"
 
     def test_exit_two_without_spread(self, capsys, monkeypatch):
         monkeypatch.setattr(walker, "sample_crossing", _straight_crossing)

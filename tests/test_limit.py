@@ -13,8 +13,10 @@ from scipy.stats import ks_2samp
 from gasket_lerw import limit
 from gasket_lerw.exact import (
     PARENT_LAWS,
+    build_phi_theta,
     compose_level,
     moment_table,
+    shape_table,
     spectral_data,
     type_count_mean,
 )
@@ -25,14 +27,13 @@ from gasket_lerw.limit import (
     RefinedPath,
     SkeletonCell,
     box_count_dimension,
-    coarse_grain_refined,
-    projects_onto,
     refinement_table,
     sample_branching_counts,
     sample_limit_path,
     sample_refined_family,
 )
 from gasket_lerw.walker import CrossingVariant, replica_rng
+from oracles import _corner, _reference_coarse_grain, _reference_projects_onto
 
 F = Fraction
 
@@ -150,63 +151,8 @@ def _compact(cells):
     return limit._compact(cells[:, 0:6].reshape(-1, 3, 2), cells[:, 6])
 
 
-# Per-cell references for the array checks: coarse-graining one cell at a
-# time, the projective check on the tuples it returns, and the polyline
-# accumulated junction by junction.
-def _corner(cell):
-    pts = (cell.entry, cell.exit, cell.third)
-    return (min(p[0] for p in pts), min(p[1] for p in pts))
-
-
-def _collapse_group(group, corner_key):
-    entry = group[0].entry
-    exit_ = group[-1].exit
-    corners = {
-        corner_key,
-        (corner_key[0] + 2, corner_key[1]),
-        (corner_key[0], corner_key[1] + 2),
-    }
-    (third,) = corners - {entry, exit_}
-    junctions = {c.entry for c in group} | {c.exit for c in group}
-    junctions |= {c.third for c in group if c.kind == 2}
-    kind = 2 if third in junctions else 1
-    half = lambda p: (p[0] >> 1, p[1] >> 1)  # noqa: E731
-    return SkeletonCell(entry=half(entry), exit=half(exit_), third=half(third), kind=kind)
-
-
-def _reference_coarse_grain(path):
-    """(cells, level_counts) of ``coarse_grain_refined(path)``."""
-    parents = []
-    group = []
-    key = None
-    for cell in path.cells:
-        q = _corner(cell)
-        k = (2 * (q[0] >> 1), 2 * (q[1] >> 1))
-        if key is None or k == key:
-            group.append(cell)
-        else:
-            parents.append(_collapse_group(group, key))
-            group = [cell]
-        key = k
-    parents.append(_collapse_group(group, key))
-    s1 = sum(1 for c in parents if c.kind == 1)
-    return tuple(parents), path.level_counts[:-2] + ((s1, len(parents) - s1),)
-
-
-def _reference_projects_onto(fine, coarse):
-    if fine.depth != coarse.depth + 1:
-        raise ValueError("projects_onto compares adjacent depths")
-    collapsed, _ = _reference_coarse_grain(fine)
-    if len(collapsed) != len(coarse.cells):
-        return False
-    for got, want in zip(collapsed, coarse.cells):
-        if (got.entry, got.exit, got.third) != (want.entry, want.exit, want.third):
-            return False
-        if got.kind == 2 and want.kind == 1:
-            return False
-    return True
-
-
+# Per-cell reference for the array polyline: the path accumulated junction
+# by junction.
 def _reference_polyline(path):
     dt = float(limit.growth_rate()) ** -path.depth
     scale = 0.5**path.depth
@@ -335,7 +281,7 @@ class TestSampling:
     def test_projective_family(self):
         fam = sample_refined_family(8, replica_rng(42, 0))
         for m in range(1, 9):
-            assert projects_onto(fam[m], fam[m - 1])
+            assert _reference_projects_onto(fam[m], fam[m - 1])
 
     def test_triangles_distinct_and_chained(self):
         fam = sample_refined_family(8, replica_rng(43, 0))
@@ -358,17 +304,13 @@ class TestSampling:
         fam = sample_refined_family(7, replica_rng(11, 0))
         changed = kept = 0
         for m in range(1, 8):
-            got = coarse_grain_refined(fam[m])
-            for a, b in zip(got.cells, fam[m - 1].cells):
+            got, _ = _reference_coarse_grain(fam[m])
+            for a, b in zip(got, fam[m - 1].cells):
                 assert (a.entry, a.exit, a.third) == (b.entry, b.exit, b.third)
                 assert a.kind == b.kind or (b.kind, a.kind) == (2, 1)
                 changed += a.kind != b.kind
                 kept += a.kind == b.kind == 2
         assert changed > 0 and kept > 0
-
-    def test_coarse_grain_depth_zero_rejected(self):
-        with pytest.raises(ValueError):
-            coarse_grain_refined(sample_limit_path(0, replica_rng(0, 0)))
 
 
 def _with_cells(member, cells):
@@ -377,18 +319,13 @@ def _with_cells(member, cells):
 
 
 class TestArrayChecks:
-    """The array coarse-graining, projective check and polyline against the
-    per-cell references above, path for path."""
+    """The array polyline against its per-cell reference, path for path, and
+    the per-cell coupling check against broken coarse members."""
 
     @pytest.mark.parametrize("seed", [12094959, 1, 2, 3, 41])
     def test_match_per_cell_reference(self, table, monkeypatch, seed):
         for _ in _tables(table, monkeypatch):
             fam = sample_refined_family(10, replica_rng(seed, 0))
-            for m in range(1, 11):
-                got = coarse_grain_refined(fam[m])
-                assert (got.cells, got.level_counts) == _reference_coarse_grain(fam[m])
-                assert projects_onto(fam[m], fam[m - 1])
-                assert _reference_projects_onto(fam[m], fam[m - 1])
             for member in fam:
                 assert member.polyline().tolist() == [list(p) for p in _reference_polyline(member)]
 
@@ -397,46 +334,39 @@ class TestArrayChecks:
         fam = sample_refined_family(7, replica_rng(11, 0))
         return fam[7], fam[6]
 
-    @staticmethod
-    def _both(fine, coarse):
-        got = projects_onto(fine, coarse)
-        assert got == _reference_projects_onto(fine, coarse)
-        return got
-
     def test_moved_exit_fails(self, pair):
         fine, coarse = pair
         original = _expand(coarse.rows)
         cells = original.copy()
         cells[3, 2:4], cells[3, 4:6] = original[3, 4:6], original[3, 2:4]
-        assert not self._both(fine, _with_cells(coarse, cells))
+        assert not _reference_projects_onto(fine, _with_cells(coarse, cells))
 
     def test_kind_upgrade_fails(self, pair):
         # The fine chain passes the third corner of a cell the coarse member
         # records as one-visit: kinds may not go from one- to two-visit.
         fine, coarse = pair
-        reread = _expand(coarse_grain_refined(fine).rows)[:, 6]
+        reread = np.array([c.kind for c in _reference_coarse_grain(fine)[0]])
         k = int(np.flatnonzero(reread == 2)[0])
         cells = _expand(coarse.rows)
         cells[k, 6] = 1
-        assert not self._both(fine, _with_cells(coarse, cells))
+        assert not _reference_projects_onto(fine, _with_cells(coarse, cells))
 
     def test_two_visit_reread_as_one_visit_passes(self, pair):
         fine, coarse = pair
-        reread = _expand(coarse_grain_refined(fine).rows)[:, 6]
+        reread = np.array([c.kind for c in _reference_coarse_grain(fine)[0]])
         k = int(np.flatnonzero(reread == 1)[0])
         cells = _expand(coarse.rows)
         cells[k, 6] = 2
-        assert self._both(fine, _with_cells(coarse, cells))
+        assert _reference_projects_onto(fine, _with_cells(coarse, cells))
 
     def test_cell_count_mismatch_fails(self, pair):
         fine, coarse = pair
-        assert not self._both(fine, _with_cells(coarse, _expand(coarse.rows)[:-1]))
+        assert not _reference_projects_onto(fine, _with_cells(coarse, _expand(coarse.rows)[:-1]))
 
     def test_non_adjacent_depths_rejected(self):
         fam = sample_refined_family(3, replica_rng(11, 0))
-        for check in (projects_onto, _reference_projects_onto):
-            with pytest.raises(ValueError):
-                check(fam[3], fam[1])
+        with pytest.raises(ValueError):
+            _reference_projects_onto(fam[3], fam[1])
 
     def test_repeated_junction_counted(self):
         # Depth 1, the shape (0,0) (1,0) (1,1) (0,2) with its first and last
@@ -455,11 +385,13 @@ JOINT_LAW_RUNS = [(1, 20_000), (2, 20_000), (3, 10_000), (4, 5_000)]
 
 
 @lru_cache(maxsize=None)
-def _joint_law(phi_theta, depth):
-    """Phi and Theta composed to ``depth``, as float masses keyed "s1,s2"."""
+def _joint_law(depth):
+    """Phi and Theta composed to ``depth``, as float masses keyed "s1,s2".
+
+    Cached on the depth alone: polynomials are not hashable."""
     return tuple(
         {f"{s1},{s2}": float(p) for (s1, s2), p in poly.coeffs.items()}
-        for poly in compose_level(*phi_theta, depth)
+        for poly in compose_level(*build_phi_theta(shape_table()), depth)
     )
 
 
@@ -481,35 +413,35 @@ class TestBranchingStatistics:
             assert p_value > 1e-3, (kind, p_value)
 
     @pytest.mark.parametrize("depth,runs", JOINT_LAW_RUNS)
-    def test_level_counts_follow_the_joint_law(self, depth, runs, phi_theta):
+    def test_level_counts_follow_the_joint_law(self, depth, runs):
         # The (S1, S2) counts at an inner level of a deeper history, as a
         # box-counting fit reads them, against Phi composed to that level:
         # the levels drawn after it must not disturb it.
         counts = sample_branching_counts(depth + 2, runs, replica_rng(61, depth))
         observed = Counter(f"{s1},{s2}" for s1, s2 in counts[depth].tolist())
-        _, p_value = chi_square(observed, _joint_law(phi_theta, depth)[0])
+        _, p_value = chi_square(observed, _joint_law(depth)[0])
         assert p_value > 1e-3, p_value
 
     @pytest.mark.parametrize("depth,runs", JOINT_LAW_RUNS)
     @pytest.mark.parametrize("ancestor", [(1, 0), (0, 1)], ids=["one-visit", "two-visit"])
-    def test_branching_counts_follow_the_joint_law(self, depth, runs, ancestor, phi_theta):
+    def test_branching_counts_follow_the_joint_law(self, depth, runs, ancestor):
         # From a one-visit ancestor the counts follow Phi composed to the
         # depth, from a two-visit one Theta.
         rng = replica_rng(67, depth)
         counts = sample_branching_counts(depth, runs, rng, ancestor)[-1]
         observed = Counter(f"{s1},{s2}" for s1, s2 in counts.tolist())
-        _, p_value = chi_square(observed, _joint_law(phi_theta, depth)[ancestor[1]])
+        _, p_value = chi_square(observed, _joint_law(depth)[ancestor[1]])
         assert p_value > 1e-3, p_value
 
     @pytest.mark.parametrize("ancestor", [(1, 0), (0, 1)], ids=["one-visit", "two-visit"])
-    def test_every_level_follows_the_joint_law(self, ancestor, phi_theta):
+    def test_every_level_follows_the_joint_law(self, ancestor):
         # Every level m of one depth-4 history, against Phi or Theta
         # composed to m: the levels a box-counting fit reads.
         counts = sample_branching_counts(4, 5_000, replica_rng(71, ancestor[1]), ancestor)
         assert np.all(counts[0] == ancestor)
         for m in range(1, 5):
             observed = Counter(f"{s1},{s2}" for s1, s2 in counts[m].tolist())
-            _, p_value = chi_square(observed, _joint_law(phi_theta, m)[ancestor[1]])
+            _, p_value = chi_square(observed, _joint_law(m)[ancestor[1]])
             assert p_value > 1e-3, (m, p_value)
 
     def test_population_mean_matches_matrix_power(self):

@@ -4,7 +4,8 @@ Every public top-level function or class of ``src/gasket_lerw`` is read by
 other package code, wrapped by the benchmark's tracer, or named below as a
 ground truth; reference code that only tests read lives in
 ``tests/oracles.py``.  Every name the tracer wraps exists, so a rename
-that would break a traced benchmark run fails here first.
+that would break a traced benchmark run fails here first, and every name
+on the allowlist is still defined, so the list cannot go stale.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ ALLOWED = {
     "chronological_erase",  # single-scale erasure, the staged eraser's unit-level reference
     "compose_level",  # the exact joint count laws the count samplers are gated against
     "length_variance",  # the exact erased-length variance, checked against Monte Carlo
-    "projects_onto",  # the coupling property of the limit-path family
 }
 
 
@@ -88,3 +88,14 @@ def test_every_wrapped_name_exists():
     for mod, name in sorted(_wrapped()):
         module = importlib.import_module(f"gasket_lerw.{mod}")
         assert callable(getattr(module, name, None)), f"the tracer wraps a missing {mod}.{name}"
+
+
+def test_every_allowed_name_is_defined():
+    defined = {
+        node.name
+        for tree in _modules().values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    stale = sorted(ALLOWED - defined)
+    assert not stale, f"allowlisted names that src/ no longer defines: {stale}"
