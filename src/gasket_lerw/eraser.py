@@ -13,11 +13,13 @@ coarse view of the segment is chronologically erased, and the surviving fine
 sub-segments are spliced back together.  Surviving pieces are addressed by
 half-open index ranges of the pre-stage path, matching the concatenation
 formula wd = [w(T_{s_i}), ..., w(T_{s_i + 1} - 1)] plus the final exit
-vertex.  A stage scans the path once, for its level-M and level-(M-1) visits
-together.  After the stage, coarse-graining the output one level down yields
-a loop-free path; the coarser skeletons never change again, although a
-two-visit triangle can turn into a one-visit one when the erased mass
-included the middle corner.
+vertex.  A stage reads only the path's level-(M-1) grid vertices, which it
+finds in the grid levels the path carries (``lattice.LevelPath``: the
+sampler records them, each stage slices them with the path), so it never
+rescans the vertex tuples.  After the stage, coarse-graining the output one
+level down yields a loop-free path; the coarser skeletons never change
+again, although a two-visit triangle can turn into a one-visit one when the
+erased mass included the middle corner.
 """
 
 from __future__ import annotations
@@ -25,13 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .lattice import (
     ORIGIN,
+    LevelPath,
     TriangleId,
     Vertex,
     apex,
     cell_of_step,
     corner,
+    grid_level,
     on_grid,
 )
 from .walker import CrossingVariant
@@ -117,28 +123,45 @@ def chronological_erase(path: Sequence[Vertex]) -> list[Vertex]:
 # ---------------------------------------------------------------------------
 
 
-def _stage_visits(path: Sequence[Vertex], level: int) -> tuple[list[int], list[int]]:
-    """One scan for both grids a stage reads: the path indices of the
-    level-(M-1) visits, and the positions in that list of the level-M
-    visits, each counted once in a row.  The first list alone is the
-    once-in-a-row scan of one grid: ``_stage_visits(path, m + 1)[0]`` holds
-    the level-m visits that ``skeleton`` and ``crossing_level`` read.
+def _levels(path: Sequence[Vertex]) -> bytes:
+    """The grid level of every vertex: carried by a ``LevelPath``, else
+    from one ``grid_level`` pass."""
+    return path.levels if isinstance(path, LevelPath) else bytes(map(grid_level, path))
 
-    A level-M visit counted at level M is also counted at level M-1: the
-    last level-(M-1) visit before it cannot be the same vertex, or that
-    would be the last level-M visit as well.
+
+def _stage_visits(path: Sequence[Vertex], level: int) -> tuple[list[int], list[int]]:
+    """Both grids a stage reads: the path indices of the level-(M-1)
+    visits, and the positions in that list of the level-M visits, each
+    counted once in a row.  The first list alone is the once-in-a-row
+    visits of one grid: ``_stage_visits(path, m + 1)[0]`` holds the level-m
+    visits that ``skeleton`` and ``crossing_level`` read.
+
+    Only the path's vertices on the level-(M-1) grid are read, found by one
+    comparison of the grid levels (``_levels``).  A level-M visit counted
+    at level M is also counted at level M-1: the last level-(M-1) visit
+    before it cannot be the same vertex, or that would be the last level-M
+    visit as well.
     """
-    fine_mask = (1 << (level - 1)) - 1
-    top_bit = 1 << (level - 1)
-    fine: list[int] = []
+    levels = _levels(path)
+    grid = np.frombuffer(levels, np.uint8)
     top: list[int] = []
-    last = last_top = None
-    for t, v in enumerate(path):
-        bits = v[0] | v[1]
-        if bits & fine_mask or v == last:
+    last_top = None
+    if level == 1:
+        # A unit step never stays put: every vertex is a level-0 visit.
+        for t in np.flatnonzero(grid).tolist():
+            v = path[t]
+            if v != last_top:
+                last_top = v
+                top.append(t)
+        return list(range(len(path))), top
+    fine: list[int] = []
+    last = None
+    for t in np.flatnonzero(grid >= level - 1).tolist():
+        v = path[t]
+        if v == last:
             continue
         last = v
-        if not bits & top_bit and v != last_top:
+        if levels[t] >= level and v != last_top:
             last_top = v
             top.append(len(fine))
         fine.append(t)
@@ -197,7 +220,7 @@ def _check_grid_endpoints(path: Sequence[Vertex], level: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def erase_scale(path: Sequence[Vertex], level: int, *, _crossing: bool = False) -> list[Vertex]:
+def erase_scale(path: Sequence[Vertex], level: int, *, _crossing: bool = False) -> LevelPath:
     """Remove every 2**(level-1)-scale loop from a path whose coarser views
     are already loop-free, as they are when ``erase_to_scale`` runs the
     stages from the top down.
@@ -205,27 +228,43 @@ def erase_scale(path: Sequence[Vertex], level: int, *, _crossing: bool = False) 
     Works triangle by triangle along the level-M skeleton; inside each
     triangle the level-(M-1) coarse sequence is chronologically erased and
     the fine sub-segments under the surviving coarse steps are spliced.
-    One scan of the path finds the grid visits of both levels; a triangle's
-    level-(M-1) visits are a slice of them, and the kept pieces are slices
-    of the path.  ``erase_to_scale`` runs its top stage with ``_crossing``,
-    which checks the crossing pattern on the level-M visits of that scan.
+    ``_stage_visits`` finds the grid visits of both levels from the path's
+    grid levels; a triangle's level-(M-1) visits are a slice of them, and
+    the kept pieces are slices of the path and of its levels, which the
+    output carries.  ``erase_to_scale`` runs its top stage with
+    ``_crossing``, which checks the crossing pattern on the level-M visits.
     """
     if level < 1:
         raise ValueError("erasure stage level must be >= 1")
     _check_grid_endpoints(path, level)
+    if not isinstance(path, LevelPath):
+        path = LevelPath(path, _levels(path))
     fine, top = _stage_visits(path, level)
     ht = [fine[k] for k in top]
     if _crossing:
         _crossing_variant([path[t] for t in ht], level)
-    out: list[Vertex] = [path[0]]
+    # The kept index ranges of the path, joined where they touch:
+    # ``bounds`` is start, end, start, end, ...
+    bounds = [0]
+    end = 1  # the first vertex is kept
     for _, n, j in _crossed_cells(path, ht, level):
         hs = fine[top[n] : top[j] + 1]
         keep = _sup_rule_keep([path[t] for t in hs])
-        skip = 1  # the triangle's entry is already in ``out``
+        skip = 1  # the triangle's entry is already kept
         for k in keep[:-1]:
-            out += path[hs[k] + skip : hs[k + 1]]
+            if hs[k] + skip != end:
+                bounds += (end, hs[k] + skip)
+            end = hs[k + 1]
             skip = 0
-        out.append(path[hs[keep[-1]]])
+        t = hs[keep[-1]]
+        if t != end:
+            bounds += (end, t)
+        end = t + 1
+    bounds.append(end)
+    pieces = list(map(slice, bounds[::2], bounds[1::2]))
+    out = LevelPath((), b"".join(map(path.levels.__getitem__, pieces)))
+    for piece in pieces:
+        out += path[piece]
     return out
 
 
@@ -254,26 +293,27 @@ def crossing_level(path: Sequence[Vertex]) -> tuple[int, CrossingVariant]:
     return n, _crossing_variant([path[t] for t in _stage_visits(path, n + 1)[0]], n)
 
 
-def erase_to_scale(path: Sequence[Vertex], down_to: int) -> list[Vertex]:
+def erase_to_scale(path: Sequence[Vertex], down_to: int) -> LevelPath:
     """Run erasure stages from the top scale down to (and excluding) 2**down_to.
 
     The output has no loops of scale 2**down_to or larger; with down_to = 0
-    the output is the fully loop-erased path.  The top stage validates the
-    crossing pattern (``crossing_level``) from the visits it scans anyway.
+    the output is the fully loop-erased path.  It carries its grid levels
+    (``LevelPath``).  The top stage validates the crossing pattern
+    (``crossing_level``) from the visits it reads anyway.
     """
     n = _apex_level(path)
     if not 0 <= down_to <= n:
         raise ValueError(f"down_to must be in 0..{n}")
     if down_to == n:
         crossing_level(path)
-        return list(path)
+        return LevelPath(path, _levels(path))
     out = erase_scale(path, n, _crossing=True)
     for m in range(n - 1, down_to, -1):
         out = erase_scale(out, m)
     return out
 
 
-def loop_erase(path: Sequence[Vertex]) -> list[Vertex]:
+def loop_erase(path: Sequence[Vertex]) -> LevelPath:
     """The fully loop-erased crossing: self-avoiding, origin to apex."""
     return erase_to_scale(path, 0)
 

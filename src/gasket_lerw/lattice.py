@@ -14,18 +14,21 @@ length.  Mirrored triangles are tested through the reflection
 (i, j) -> (-i - j - side, j).  All predicates below are pure functions of
 integer inputs.
 
-Paths are plain lists/tuples of integer coordinate pairs.  A path of n+1
-vertices has length n (the number of unit steps).
+Paths are lists/tuples of integer coordinate pairs.  A path of n+1
+vertices has length n (the number of unit steps).  A ``LevelPath`` is a
+list that also carries the ``grid_level`` of each vertex, so the staged
+eraser reads each stage's grid visits without rescanning the tuples.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 Vertex = tuple[int, int]
 
 ORIGIN: Vertex = (0, 0)
+ORIGIN_LEVEL = 255  # the origin's grid level: above every level, and one byte
 
 
 class TriangleId(NamedTuple):
@@ -123,6 +126,25 @@ def neighbors(v: Vertex) -> tuple[Vertex, ...]:
 def on_grid(v: Vertex, level: int) -> bool:
     """Whether both coordinates are divisible by 2**level (v in G_level)."""
     return ((v[0] | v[1]) & ((1 << level) - 1)) == 0
+
+
+def grid_level(v: Vertex) -> int:
+    """The largest level whose grid holds ``v``: the 2-adic valuation of
+    ``v[0] | v[1]``, and ``ORIGIN_LEVEL`` for the origin, which every grid
+    holds."""
+    bits = v[0] | v[1]
+    return (bits & -bits).bit_length() - 1 if bits else ORIGIN_LEVEL
+
+
+class LevelPath(list):
+    """A path that carries ``levels``: the ``grid_level`` of each vertex, in
+    path order, one byte each.  Slices and copies are plain lists."""
+
+    __slots__ = ("levels",)
+
+    def __init__(self, vertices: Iterable[Vertex], levels: bytes):
+        super().__init__(vertices)
+        self.levels = levels
 
 
 def cell_of_step(u: Vertex, v: Vertex, level: int) -> TriangleId:

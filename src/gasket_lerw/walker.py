@@ -25,18 +25,19 @@ the b_N visit this is also the law of retrying whole attempts
 (``attempt_crossing`` runs one whole attempt; it is the ground truth the
 samplers are gated against, and the only code that rejects).
 
-``sample_crossing`` keeps every step of the legs; ``sample_patterns`` walks
-the same legs but records only their level-(N-1) visits, which is all that
-``mc-shapes`` reads.  The automorphisms map the level-(N-1) grid onto
-itself, so mapping those visits gives the level-(N-1) coarse view of the
-mapped crossing.  Both run one leg loop (``_legs``).
+``sample_crossing`` keeps every step of the legs, and the grid level of
+every vertex it keeps (``lattice.LevelPath``), which the staged eraser
+reads.  ``sample_patterns`` walks the same legs (``_legs``) but records only
+their level-(N-1) visits, which is all that ``mc-shapes`` reads.  The
+automorphisms map the level-(N-1) grid onto itself, so mapping those visits
+gives the level-(N-1) coarse view of the mapped crossing.
 
 All walkers read one table per (N, variant): the vertices a level-N attempt
 can reach, with their neighbours by direction (``_region``), ordered so that
 one comparison of a row number tells a level-N or level-(N-1) vertex, and
-each leg's automorphisms as the image vertex of every row.  They step
-through it one block of draws at a time and build vertex tuples only for
-the paths they keep.
+each leg's automorphisms as the image vertex of every row and that
+vertex's grid level.  They step through it one block of draws at a time
+and build vertex tuples only for the paths they keep.
 
 Samplers draw from an explicit ``numpy.random.Generator``; independent
 replicas must use independently spawned streams (``replica_rng``).
@@ -47,12 +48,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from operator import length_hint
 from typing import Callable
 
 import numpy as np
 
-from .lattice import ORIGIN, Vertex, apex, corner, incident_cells, neighbors
+from .lattice import (
+    ORIGIN,
+    ORIGIN_LEVEL,
+    LevelPath,
+    Vertex,
+    apex,
+    corner,
+    incident_cells,
+    neighbors,
+)
 
 DEFAULT_STEP_BUDGET = 10**9
 MAX_LEVEL = 12  # the mean walk, 5**N steps, stays within the default budget
@@ -171,17 +182,31 @@ def sample_crossing(
     variant: CrossingVariant,
     rng: np.random.Generator,
     max_steps: int = DEFAULT_STEP_BUDGET,
-) -> list[Vertex]:
+) -> LevelPath:
     """Sample one conditioned crossing path at level N (starts at O, ends at a_N).
 
     Each leg is walked once and mapped onto its target by the automorphism
-    for the stop it reached (module docstring).  Draws come ``_block(N)``
-    at a time; ``max_steps`` caps the raw steps of the whole call, checked
-    at each refill.
+    for the stop it reached (module docstring).  The path carries the grid
+    level of each vertex, gathered leg by leg from the region's table for
+    the leg's automorphism.  Draws come ``_block(N)`` at a time;
+    ``max_steps`` caps the raw steps of the whole call, checked at each
+    refill.
     """
     if N < 1:
         raise ValueError("crossing level must be >= 1")
-    return _legs(_Dice(rng, max_steps, _block(N)), _region(N, variant), _walk)
+    dice, reg = _Dice(rng, max_steps, _block(N)), _region(N, variant)
+    path = LevelPath([ORIGIN], b"")
+    levels = [bytes([ORIGIN_LEVEL])]
+    for (start, images), tables in zip(reg.legs, reg.levels):
+        rows: list[int] = []
+        stop = _walk(dice, reg, start, rows)
+        image = images[stop]
+        path += [image[r >> 2] for r in rows]
+        # Gathered after the vertices are listed: gathered before, the index
+        # arrays raised the peak memory of mc-length 10 by 5%.
+        levels.append(tables[stop][np.fromiter(rows, np.int32, len(rows)) >> 2].tobytes())
+    path.levels = b"".join(levels)
+    return path
 
 
 def _legs(dice: _Dice, reg: _Region, walk: Callable[..., int]) -> list[Vertex]:
@@ -215,6 +240,9 @@ class _Region:
     # Per leg of ``sample_crossing``: its start row, and for each row it can
     # stop at, the vertex of every row after the leg is mapped onto its target.
     legs: tuple[tuple[int, dict[int, tuple[Vertex, ...]]], ...]
+    # Per leg, and for each row it can stop at: the grid level of those
+    # image vertices, as uint8 indexed by row >> 2.
+    levels: tuple[dict[int, np.ndarray], ...]
 
     def path(self, rows: list[int]) -> list[Vertex]:
         """The vertices of a walk given as rows."""
@@ -258,8 +286,9 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     index = {v: k for k, v in enumerate(vertices)}
     ranks = [rank(v) for v in vertices]
     targets = (corner(N), apex(N)) if via else (apex(N),)
-    legs = tuple(
-        (4 * index[s], _leg_images(vertices, index, s, t, N)) for s, t in zip(starts, targets)
+    grid_levels = _grid_levels(vertices)
+    images, levels = zip(
+        *(_leg_images(vertices, index, grid_levels, s, t, N) for s, t in zip(starts, targets))
     )
     # One int object per vertex, shared by every entry that names it.
     row_of = {v: 4 * k for v, k in index.items()}
@@ -270,16 +299,32 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
         coarse=4 * (len(ranks) - ranks.count(2)),
         apex=index[apex(N)],
         corner=index.get(corner(N), -1),
-        legs=legs,
+        legs=tuple(zip([4 * index[s] for s in starts], images)),
+        levels=levels,
     )
 
 
+def _grid_levels(vertices: list[Vertex]) -> np.ndarray:
+    """``lattice.grid_level`` of every vertex, as uint8: the lowest set bit
+    of ``i | j``, found in int64 arithmetic."""
+    ij = np.fromiter(chain.from_iterable(vertices), np.int64, 2 * len(vertices))
+    bits = ij[0::2] | ij[1::2]
+    levels = np.frexp((bits & -bits).astype(np.float64))[1] - 1
+    return np.where(bits == 0, ORIGIN_LEVEL, levels).astype(np.uint8)
+
+
 def _leg_images(
-    vertices: list[Vertex], index: dict[Vertex, int], s: Vertex, t: Vertex, N: int
-) -> dict[int, tuple[Vertex, ...]]:
+    vertices: list[Vertex],
+    index: dict[Vertex, int],
+    levels: np.ndarray,
+    s: Vertex,
+    t: Vertex,
+    N: int,
+) -> tuple[dict[int, tuple[Vertex, ...]], dict[int, np.ndarray]]:
     """For the row of each level-N stop w of the leg from s to t: the image
     of every vertex under an automorphism of the two level-N cells at s that
-    fixes s and sends w to t.
+    fixes s and sends w to t, and the images' grid levels, gathered from
+    ``levels`` by image index.
 
     If w shares a cell with t, the map swaps them inside it and fixes the
     other cell; otherwise it exchanges the two cells.  Each cell goes onto
@@ -292,7 +337,7 @@ def _leg_images(
     swaps = {t: {}, u: {u: t, t: u}, x: {x: t, t: x, y: u, u: y}, y: {y: t, t: y, x: u, u: x}}
     cells = (home, away)
     where = [next((cell for cell in cells if cell.contains(v)), None) for v in vertices]
-    out = {}
+    images, image_levels = {}, {}
     for w, swap in swaps.items():
         maps = {}
         for cell in cells:
@@ -302,15 +347,16 @@ def _leg_images(
             e1 = ((q1[0] - q0[0]) >> N, (q1[1] - q0[1]) >> N)
             e2 = ((q2[0] - q0[0]) >> N, (q2[1] - q0[1]) >> N)
             maps[cell] = (p0, q0, e1, e2)
-        image = list(vertices)
+        image = list(range(len(vertices)))  # vertex indices
         for k, (v, cell) in enumerate(zip(vertices, where)):
             if cell is not None:
                 p0, q0, e1, e2 = maps[cell]
                 di, dj = v[0] - p0[0], v[1] - p0[1]
                 g = (q0[0] + di * e1[0] + dj * e2[0], q0[1] + di * e1[1] + dj * e2[1])
-                image[k] = vertices[index[g]]
-        out[4 * index[w]] = tuple(image)
-    return out
+                image[k] = index[g]
+        images[4 * index[w]] = tuple(map(vertices.__getitem__, image))
+        image_levels[4 * index[w]] = levels[np.fromiter(image, np.int64, len(image))]
+    return images, image_levels
 
 
 def _coarse_walk(dice: _Dice, reg: _Region, start: int, pattern: list[int]) -> int:

@@ -22,7 +22,15 @@ from gasket_lerw.eraser import (
 )
 from gasket_lerw.exact import PARENT_LAWS, compose_level
 from gasket_lerw.harness import chi_square
-from gasket_lerw.lattice import ORIGIN, TriangleId, apex, corner, incident_cells, neighbors
+from gasket_lerw.lattice import (
+    ORIGIN,
+    TriangleId,
+    apex,
+    corner,
+    grid_level,
+    incident_cells,
+    neighbors,
+)
 from gasket_lerw.walker import CrossingVariant, replica_rng, sample_crossing
 from oracles import (
     coarse_grain,
@@ -292,6 +300,35 @@ class TestOneScanStage:
         rng = replica_rng(90 + n, 0)
         for _ in range(200):
             self._check(sample_crossing(n, variant, rng))
+
+
+class TestCarriedLevels:
+    """Stages read the grid levels a sampled path carries and pass them on
+    sliced with the path; a plain list has them recomputed."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_every_stage_carries_its_grid_levels(self, n, variant):
+        rng = replica_rng(400 + n, 0)
+        for _ in range(10 if n < 6 else 2):
+            p = sample_crossing(n, variant, rng)
+            for m in range(n + 1):
+                out = erase_to_scale(p, m)
+                assert out.levels == bytes(map(grid_level, out))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_carried_and_recomputed_levels_agree(self, n, variant):
+        rng = replica_rng(500 + n, 0)
+        for _ in range(10 if n < 5 else 3):
+            p = sample_crossing(n, variant, rng)
+            plain = list(p)
+            assert crossing_level(p) == crossing_level(plain)
+            for m in range(n + 1):
+                out = erase_to_scale(p, m)
+                assert out == erase_to_scale(plain, m)
+                assert skeleton(p, m) == skeleton(plain, m)
+                assert skeleton(out, m) == skeleton(list(out), m)
 
 
 class TestScaleLoopPredicate:

@@ -661,27 +661,13 @@ class TestCli:
             with pytest.raises(Sampled):
                 cli.main(argv)
 
-    def test_mc_shapes_imports_no_scipy(self):
-        code = (
-            "import sys\n"
-            "from gasket_lerw import cli\n"
-            "assert cli.main(['mc-shapes', '1', '--samples', '200', '--seed', '1']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        src = Path(harness.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            check=True,
-        )
-        assert done.stdout.splitlines()[-1] == "[]"
-
     def test_commands_run_on_numpy_and_mpmath_alone(self, tmp_path):
         # One process runs a command of each kind with scipy unimportable,
         # then lists the installed third-party packages it loaded beyond
-        # those the interpreter's start-up already held.
+        # those the interpreter's start-up already held.  A second process
+        # runs them with scipy importable, and must load it no more: that
+        # catches an import the program makes only when scipy is there and
+        # would otherwise swallow.
         commands = [
             ["exact", "3"],
             ["moments", "4"],
@@ -690,27 +676,28 @@ class TestCli:
             ["dimension", "6", "--samples", "4", "--seed", "1"],
             ["limit-path", "4", "--seed", "1", "--format", "svg", "--out", str(tmp_path / "p")],
         ]
-        code = (
-            "import importlib.metadata, sys\n"
-            "start = set(sys.modules)\n"
-            "sys.modules['scipy'] = None\n"
-            "from gasket_lerw import cli\n"
-            f"for argv in {commands!r}:\n"
-            "    assert cli.main(argv) in (0, 2), argv\n"
-            "loaded = {m.split('.')[0] for m, v in sys.modules.items() if v and m not in start}\n"
-            "third = loaded & importlib.metadata.packages_distributions().keys()\n"
-            "print(sorted(third - {'gasket_lerw'}))\n"
-        )
         src = Path(harness.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-        )
-        assert "Traceback" not in done.stderr, done.stderr
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "['mpmath', 'numpy']"
+        for block in ("sys.modules['scipy'] = None\n", ""):
+            code = (
+                "import importlib.metadata, sys\n"
+                "start = set(sys.modules)\n"
+                f"{block}"
+                "from gasket_lerw import cli\n"
+                f"for argv in {commands!r}:\n"
+                "    assert cli.main(argv) in (0, 2), argv\n"
+                "loaded = {m.split('.')[0] for m, v in sys.modules.items() if v and m not in start}\n"
+                "third = loaded & importlib.metadata.packages_distributions().keys()\n"
+                "print(sorted(third - {'gasket_lerw'}))\n"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+            )
+            assert "Traceback" not in done.stderr, done.stderr
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[-1] == "['mpmath', 'numpy']", block
 
     def test_exit_two_without_spread(self, capsys, monkeypatch):
         monkeypatch.setattr(walker, "sample_crossing", _straight_crossing)

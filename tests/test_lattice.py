@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 from gasket_lerw import lattice
 from gasket_lerw.lattice import (
     ORIGIN,
+    ORIGIN_LEVEL,
     NoCommonCell,
     TriangleId,
     apex,
     cell_of_step,
     corner,
+    grid_level,
     neighbors,
     on_grid,
     up_triangle_exists,
@@ -167,6 +169,15 @@ class TestVertexLevel:
     def test_frame_corners_have_exact_level(self, n):
         assert vertex_level(apex(n)) == n
         assert vertex_level(corner(n)) == n
+
+    def test_grid_level_is_the_vertex_level(self):
+        # The carried level of a vertex, both halves: the oracle's, with the
+        # origin saturated at one byte.
+        vertices = list(iter_vertices(5))
+        assert min(i for i, _ in vertices) < 0
+        for v in vertices:
+            assert grid_level(v) == vertex_level(v, cap=ORIGIN_LEVEL)
+
 
 
 class TestCellOfStep:

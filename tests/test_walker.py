@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, ks_2samp
 
 from gasket_lerw.eraser import chronological_erase, loop_erase
-from gasket_lerw.lattice import ORIGIN, apex, corner, incident_cells, neighbors, on_grid
+from gasket_lerw.lattice import (
+    ORIGIN,
+    apex,
+    corner,
+    grid_level,
+    incident_cells,
+    neighbors,
+    on_grid,
+)
 from gasket_lerw.harness import chi_square, classify_top_shape
 from gasket_lerw.walker import (
     CrossingVariant,
@@ -461,6 +469,26 @@ class TestLegwiseSampler:
                 ref = _whole_attempt_crossing(n, DIRECT, replica_rng(seed, n), _block(n))
                 assert path == ref
         assert kept > 0
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_path_carries_its_grid_levels(self, n, variant):
+        # The levels are gathered from the images of the walked rows: the
+        # via-corner second leg moves O and (2**(n+1), 0), so a walked
+        # vertex's own level would be wrong there.
+        rng = replica_rng(300 + n, 0)
+        for _ in range(20 if n < 6 else 3):
+            path = sample_crossing(n, variant, rng)
+            assert path.levels == bytes(map(grid_level, path))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_region_level_tables_match_images(self, n, variant):
+        reg = _region(n, variant)
+        for (_, images), tables in zip(reg.legs, reg.levels):
+            assert images.keys() == tables.keys()
+            for stop, image in images.items():
+                assert tables[stop].tobytes() == bytes(map(grid_level, image))
 
     @pytest.mark.parametrize("n,samples", [(1, 4000), (2, 3000), (3, 1200), (4, 400)])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
