@@ -522,16 +522,16 @@ def _write_artifacts(config: RunConfig, report: McReport) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     family = report.payload.get("_family")
     if config.fmt == "json":
-        out.with_suffix(".json").write_text(report.to_json())
+        Path(f"{out}.json").write_text(report.to_json())
         if family is not None:
-            _write_skeleton(family[-1], out.with_suffix(".skeleton.json"))
+            _write_skeleton(family[-1], Path(f"{out}.skeleton.json"))
     elif config.fmt == "csv":
         rows = ["t,x,y"]
         rows += [f"{t:.15g},{x:.15g},{y:.15g}" for t, x, y in family[-1].polyline().tolist()]
-        out.with_suffix(".csv").write_text("\n".join(rows) + "\n")
+        Path(f"{out}.csv").write_text("\n".join(rows) + "\n")
     elif config.fmt == "svg":
         shown = [m for m in family if m.depth in (0, 2, 4, family[-1].depth)]
-        out.with_suffix(".svg").write_text(emit_svg(shown))
+        Path(f"{out}.svg").write_text(emit_svg(shown))
 
 
 def _write_skeleton(path: limit.RefinedPath, target: Path) -> None:
@@ -591,7 +591,15 @@ def _write_skeleton(path: limit.RefinedPath, target: Path) -> None:
 def summarize(report: McReport) -> str:
     """One console line per run; the only place timing appears."""
     verdict = "pass" if report.passed else "FAIL"
-    keys = ("p_value", "z_score", "mean_slope", "scaled_mean", "w_prime_mean")
+    keys = (
+        "p_value",
+        "z_score",
+        "mean_slope",
+        "scaled_mean",
+        "scaled_length",
+        "repeated_junctions",
+        "w_prime_mean",
+    )
     bits = [f"{k}={report.payload[k]:.6g}" for k in keys if report.payload.get(k) is not None]
     return (
         f"[{report.command}] {verdict} "

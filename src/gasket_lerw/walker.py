@@ -27,16 +27,18 @@ samplers are gated against, and the only code that rejects).
 
 ``sample_crossing`` keeps every step of the legs, and the grid level of
 every vertex it keeps (``lattice.LevelPath``), which the staged eraser
-reads.  ``sample_patterns`` walks the same legs (``_legs``) but records only
-their level-(N-1) visits, which is all that ``mc-shapes`` reads.  The
+reads.  ``sample_patterns`` walks the same legs but records only their
+level-(N-1) visits, which is all that ``mc-shapes`` reads.  The
 automorphisms map the level-(N-1) grid onto itself, so mapping those visits
 gives the level-(N-1) coarse view of the mapped crossing.
 
 All walkers read one table per (N, variant): the vertices a level-N attempt
-can reach, with their neighbours by direction (``_region``), ordered so that
-one comparison of a row number tells a level-N or level-(N-1) vertex, and
-each leg's automorphisms as the image vertex of every row and that
-vertex's grid level.  They step through it one block of draws at a time
+can reach, with their neighbours by direction and their grid levels
+(``_region``), ordered so that one comparison of a row number tells a
+level-N or level-(N-1) vertex, and each leg's automorphisms as the image
+vertex of every row.  An automorphism is an integer affine map with a
+unimodular linear part, so it keeps the grid level of every vertex below
+level N.  The walkers step through the table one block of draws at a time
 and build vertex tuples only for the paths they keep.
 
 Samplers draw from an explicit ``numpy.random.Generator``; independent
@@ -48,9 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
 from operator import length_hint
-from typing import Callable
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .lattice import (
     Vertex,
     apex,
     corner,
+    grid_level,
     incident_cells,
     neighbors,
 )
@@ -187,37 +188,25 @@ def sample_crossing(
 
     Each leg is walked once and mapped onto its target by the automorphism
     for the stop it reached (module docstring).  The path carries the grid
-    level of each vertex, gathered leg by leg from the region's table for
-    the leg's automorphism.  Draws come ``_block(N)`` at a time;
-    ``max_steps`` caps the raw steps of the whole call, checked at each
-    refill.
+    level of each vertex, gathered leg by leg from the region's level
+    column.  Draws come ``_block(N)`` at a time; ``max_steps`` caps the raw
+    steps of the whole call, checked at each refill.
     """
     if N < 1:
         raise ValueError("crossing level must be >= 1")
     dice, reg = _Dice(rng, max_steps, _block(N)), _region(N, variant)
     path = LevelPath([ORIGIN], b"")
     levels = [bytes([ORIGIN_LEVEL])]
-    for (start, images), tables in zip(reg.legs, reg.levels):
-        rows: list[int] = []
-        stop = _walk(dice, reg, start, rows)
-        image = images[stop]
-        path += [image[r >> 2] for r in rows]
-        # Gathered after the vertices are listed: gathered before, the index
-        # arrays raised the peak memory of mc-length 10 by 5%.
-        levels.append(tables[stop][np.fromiter(rows, np.int32, len(rows)) >> 2].tobytes())
-    path.levels = b"".join(levels)
-    return path
-
-
-def _legs(dice: _Dice, reg: _Region, walk: Callable[..., int]) -> list[Vertex]:
-    """One crossing from O to a_N: each leg walked once by ``walk``, which
-    appends the rows it records and returns its stop, and the recorded rows
-    mapped onto the leg's target by the automorphism for that stop."""
-    path = [ORIGIN]
     for start, images in reg.legs:
         rows: list[int] = []
-        image = images[walk(dice, reg, start, rows)]
+        image = images[_walk(dice, reg, start, rows)]
         path += [image[r >> 2] for r in rows]
+        # Gathered after the vertices are listed: gathered before, the index
+        # arrays raised the peak memory of mc-length 10 by 5%.  The map keeps
+        # every walked level but the stop's, which goes to the target, level N.
+        levels.append(reg.levels[np.fromiter(rows, np.int32, len(rows) - 1) >> 2].tobytes())
+        levels.append(bytes([N]))
+    path.levels = b"".join(levels)
     return path
 
 
@@ -237,12 +226,10 @@ class _Region:
     coarse: int  # 4 * the number of level-(N-1) grid vertices
     apex: int  # index of a_N
     corner: int  # index of b_N, or -1 when the attempt never stops there
+    levels: np.ndarray  # the grid level of every vertex, as uint8
     # Per leg of ``sample_crossing``: its start row, and for each row it can
     # stop at, the vertex of every row after the leg is mapped onto its target.
     legs: tuple[tuple[int, dict[int, tuple[Vertex, ...]]], ...]
-    # Per leg, and for each row it can stop at: the grid level of those
-    # image vertices, as uint8 indexed by row >> 2.
-    levels: tuple[dict[int, np.ndarray], ...]
 
     def path(self, rows: list[int]) -> list[Vertex]:
         """The vertices of a walk given as rows."""
@@ -286,10 +273,6 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     index = {v: k for k, v in enumerate(vertices)}
     ranks = [rank(v) for v in vertices]
     targets = (corner(N), apex(N)) if via else (apex(N),)
-    grid_levels = _grid_levels(vertices)
-    images, levels = zip(
-        *(_leg_images(vertices, index, grid_levels, s, t, N) for s, t in zip(starts, targets))
-    )
     # One int object per vertex, shared by every entry that names it.
     row_of = {v: 4 * k for v, k in index.items()}
     return _Region(
@@ -299,32 +282,19 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
         coarse=4 * (len(ranks) - ranks.count(2)),
         apex=index[apex(N)],
         corner=index.get(corner(N), -1),
-        legs=tuple(zip([4 * index[s] for s in starts], images)),
-        levels=levels,
+        levels=np.frombuffer(bytes(map(grid_level, vertices)), np.uint8),
+        legs=tuple(
+            (4 * index[s], _leg_images(vertices, index, s, t, N)) for s, t in zip(starts, targets)
+        ),
     )
 
 
-def _grid_levels(vertices: list[Vertex]) -> np.ndarray:
-    """``lattice.grid_level`` of every vertex, as uint8: the lowest set bit
-    of ``i | j``, found in int64 arithmetic."""
-    ij = np.fromiter(chain.from_iterable(vertices), np.int64, 2 * len(vertices))
-    bits = ij[0::2] | ij[1::2]
-    levels = np.frexp((bits & -bits).astype(np.float64))[1] - 1
-    return np.where(bits == 0, ORIGIN_LEVEL, levels).astype(np.uint8)
-
-
 def _leg_images(
-    vertices: list[Vertex],
-    index: dict[Vertex, int],
-    levels: np.ndarray,
-    s: Vertex,
-    t: Vertex,
-    N: int,
-) -> tuple[dict[int, tuple[Vertex, ...]], dict[int, np.ndarray]]:
+    vertices: list[Vertex], index: dict[Vertex, int], s: Vertex, t: Vertex, N: int
+) -> dict[int, tuple[Vertex, ...]]:
     """For the row of each level-N stop w of the leg from s to t: the image
     of every vertex under an automorphism of the two level-N cells at s that
-    fixes s and sends w to t, and the images' grid levels, gathered from
-    ``levels`` by image index.
+    fixes s and sends w to t.
 
     If w shares a cell with t, the map swaps them inside it and fixes the
     other cell; otherwise it exchanges the two cells.  Each cell goes onto
@@ -337,7 +307,7 @@ def _leg_images(
     swaps = {t: {}, u: {u: t, t: u}, x: {x: t, t: x, y: u, u: y}, y: {y: t, t: y, x: u, u: x}}
     cells = (home, away)
     where = [next((cell for cell in cells if cell.contains(v)), None) for v in vertices]
-    images, image_levels = {}, {}
+    images = {}
     for w, swap in swaps.items():
         maps = {}
         for cell in cells:
@@ -355,8 +325,7 @@ def _leg_images(
                 g = (q0[0] + di * e1[0] + dj * e2[0], q0[1] + di * e1[1] + dj * e2[1])
                 image[k] = index[g]
         images[4 * index[w]] = tuple(map(vertices.__getitem__, image))
-        image_levels[4 * index[w]] = levels[np.fromiter(image, np.int64, len(image))]
-    return images, image_levels
+    return images
 
 
 def _coarse_walk(dice: _Dice, reg: _Region, start: int, pattern: list[int]) -> int:
@@ -405,5 +374,12 @@ def sample_patterns(
         raise ValueError("count must be >= 1")
     reg = _region(N, variant)
     dice = _Dice(rng, max_steps * count)
-    patterns = [tuple(_legs(dice, reg, _coarse_walk)) for _ in range(count)]
+    patterns = []
+    for _ in range(count):
+        pattern = [ORIGIN]
+        for start, images in reg.legs:
+            rows: list[int] = []
+            image = images[_coarse_walk(dice, reg, start, rows)]
+            pattern += [image[r >> 2] for r in rows]
+        patterns.append(tuple(pattern))
     return patterns, dice.steps

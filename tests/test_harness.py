@@ -496,6 +496,17 @@ class TestArtifacts:
         assert len(data) == size
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_dotted_prefixes_keep_their_own_artifacts(self, tmp_path):
+        # Each suffix is appended to the whole prefix, dots and all.
+        for seed in (1, 2):
+            out = str(tmp_path / f"r.s{seed}")
+            run(RunConfig(command="limit-path", level=3, seed=seed, out=out))
+            assert json.loads(Path(out + ".json").read_text())["config"]["seed"] == seed
+            for fmt in ("csv", "svg"):
+                run(RunConfig(command="limit-path", level=3, seed=seed, out=out, fmt=fmt))
+        names = {f"r.s{k}.{x}" for k in (1, 2) for x in ("json", "skeleton.json", "csv", "svg")}
+        assert {f.name for f in tmp_path.iterdir()} == names
+
     def test_family_never_leaks_into_json(self, tmp_path):
         run(RunConfig(command="limit-path", level=3, seed=2, out=str(tmp_path / "q")))
         doc = json.loads((tmp_path / "q.json").read_text())
@@ -537,6 +548,12 @@ class TestCli:
         assert cli.main(["moments", "6"]) == 0
         out = capsys.readouterr().out
         assert "[moments] pass" in out
+
+    def test_limit_path_prints_its_figures(self, capsys):
+        assert cli.main(["limit-path", "3", "--seed", "1"]) == 0
+        line = capsys.readouterr().out
+        assert line.startswith("[limit-path] pass scaled_length=")
+        assert " repeated_junctions=0 (" in line
 
     def test_moments_order_one_is_honoured(self, tmp_path, capsys):
         assert cli.main(["moments", "1", "--out", str(tmp_path / "m")]) == 0

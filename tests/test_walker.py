@@ -473,9 +473,8 @@ class TestLegwiseSampler:
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
     def test_path_carries_its_grid_levels(self, n, variant):
-        # The levels are gathered from the images of the walked rows: the
-        # via-corner second leg moves O and (2**(n+1), 0), so a walked
-        # vertex's own level would be wrong there.
+        # The levels are gathered from the walked rows, and only the stop
+        # moves to another level: it goes to the leg's target, level n.
         rng = replica_rng(300 + n, 0)
         for _ in range(20 if n < 6 else 3):
             path = sample_crossing(n, variant, rng)
@@ -483,12 +482,23 @@ class TestLegwiseSampler:
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
-    def test_region_level_tables_match_images(self, n, variant):
+    def test_leg_images_keep_the_walked_levels(self, n, variant):
+        # A leg walks its start and the vertices inside its two level-n
+        # cells that are off the level-n grid before it stops; each image
+        # keeps their levels and sends the stop to the target, level n.
         reg = _region(n, variant)
-        for (_, images), tables in zip(reg.legs, reg.levels):
-            assert images.keys() == tables.keys()
+        assert reg.levels.tobytes() == bytes(map(grid_level, reg.vertices))
+        targets = [apex(n)] if variant is DIRECT else [corner(n), apex(n)]
+        for (start, images), t in zip(reg.legs, targets):
+            cells = incident_cells(reg.vertices[start >> 2], n)
+            walked = [start >> 2] + [
+                k
+                for k, v in enumerate(reg.vertices)
+                if not on_grid(v, n) and any(c.contains(v) for c in cells)
+            ]
             for stop, image in images.items():
-                assert tables[stop].tobytes() == bytes(map(grid_level, image))
+                assert [grid_level(image[k]) for k in walked] == [reg.levels[k] for k in walked]
+                assert image[stop >> 2] == t and grid_level(t) == n
 
     @pytest.mark.parametrize("n,samples", [(1, 4000), (2, 3000), (3, 1200), (4, 400)])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
