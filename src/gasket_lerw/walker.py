@@ -39,7 +39,11 @@ level-N or level-(N-1) vertex, and each leg's automorphisms as the image
 vertex of every row.  An automorphism is an integer affine map with a
 unimodular linear part, so it keeps the grid level of every vertex below
 level N.  The walkers step through the table one block of draws at a time
-and build vertex tuples only for the paths they keep.
+and build vertex tuples only for the paths they keep.  ``sample_crossing``
+maps a leg by one numpy gather from its stop's image, an object array of
+the shared vertex tuples.  ``sample_patterns`` maps through tuple prefixes
+of the images over the level-(N-1) rows, which come first and map onto
+themselves, so ``mc-shapes`` never builds the full images.
 
 Samplers draw from an explicit ``numpy.random.Generator``; independent
 replicas must use independently spawned streams (``replica_rng``).
@@ -47,6 +51,7 @@ replicas must use independently spawned streams (``replica_rng``).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -70,6 +75,7 @@ DEFAULT_STEP_BUDGET = 10**9
 MAX_LEVEL = 12  # the mean walk, 5**N steps, stays within the default budget
 MAX_ERASED_LEVEL = 11  # mc-length keeps whole paths and erasures: 2 GB at 11, 7-9 GB at 12
 BLOCK = 4096  # direction draws per block, at most
+GATHER = 1 << 16  # rows mapped per gather in sample_crossing
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -187,9 +193,10 @@ def sample_crossing(
     """Sample one conditioned crossing path at level N (starts at O, ends at a_N).
 
     Each leg is walked once and mapped onto its target by the automorphism
-    for the stop it reached (module docstring).  The path carries the grid
-    level of each vertex, gathered leg by leg from the region's level
-    column.  Draws come ``_block(N)`` at a time; ``max_steps`` caps the raw
+    for the stop it reached (module docstring).  The leg's rows become one
+    int32 index, which gathers its vertices from the stop's image and their
+    grid levels, carried by the path, from the region's level column.
+    Draws come ``_block(N)`` at a time; ``max_steps`` caps the raw
     steps of the whole call, checked at each refill.
     """
     if N < 1:
@@ -200,11 +207,18 @@ def sample_crossing(
     for start, images in reg.legs:
         rows: list[int] = []
         image = images[_walk(dice, reg, start, rows)]
-        path += [image[r >> 2] for r in rows]
-        # Gathered after the vertices are listed: gathered before, the index
-        # arrays raised the peak memory of mc-length 10 by 5%.  The map keeps
-        # every walked level but the stop's, which goes to the target, level N.
-        levels.append(reg.levels[np.fromiter(rows, np.int32, len(rows) - 1) >> 2].tobytes())
+        # An int32 index, the rows dropped before the gather, and the gather
+        # done a slice at a time: against listing the vertices row by row,
+        # the peak memory of mc-length 9 --samples 4 fell from 252 to 169 MB
+        # and that of mc-length 10 --samples 2 from 714 to 533 MB.
+        at = np.fromiter(rows, np.int32, len(rows))
+        del rows
+        at >>= 2
+        for k in range(0, len(at), GATHER):
+            path += image[at[k : k + GATHER]].tolist()
+        # The map keeps every walked level but the stop's, which goes to the
+        # target, level N.
+        levels.append(reg.levels[at[:-1]].tobytes())
         levels.append(bytes([N]))
     path.levels = b"".join(levels)
     return path
@@ -218,7 +232,12 @@ def sample_crossing(
 class _Region:
     """The unit vertices a conditioned level-N attempt can reach and their
     neighbour table.  Vertex 0 is the origin; the level-N vertices come
-    first, then the other level-(N-1) grid vertices, then the rest."""
+    first, then the other level-(N-1) grid vertices, then the rest.
+
+    Each leg's images come in two forms: ``coarse_legs``, tuples over the
+    level-(N-1) rows, built with the region for ``sample_patterns``, and
+    ``legs``, object arrays over every row, built when ``sample_crossing``
+    first needs them."""
 
     vertices: tuple[Vertex, ...]
     rows: list[int]  # the row each (row + direction) steps to; row = 4 * vertex
@@ -227,14 +246,26 @@ class _Region:
     apex: int  # index of a_N
     corner: int  # index of b_N, or -1 when the attempt never stops there
     levels: np.ndarray  # the grid level of every vertex, as uint8
-    # Per leg of ``sample_crossing``: its start row, and for each row it can
-    # stop at, the vertex of every row after the leg is mapped onto its target.
-    legs: tuple[tuple[int, dict[int, tuple[Vertex, ...]]], ...]
+    level: int  # N
+    variant: CrossingVariant
+    ends: tuple[tuple[Vertex, Vertex], ...]  # the start and target of each leg
+    # ``legs`` over the level-(N-1) rows only, as tuples: all that
+    # ``sample_patterns`` maps.  Those rows come first and the maps send them
+    # onto themselves.
+    coarse_legs: tuple[tuple[int, dict[int, tuple[Vertex, ...]]], ...]
 
     def path(self, rows: list[int]) -> list[Vertex]:
         """The vertices of a walk given as rows."""
         vertices = self.vertices
         return [vertices[r >> 2] for r in rows]
+
+    @property
+    def legs(self) -> tuple[tuple[int, dict[int, np.ndarray]], ...]:
+        """Per leg of ``sample_crossing``: its start row, and for each row it
+        can stop at, the vertex of every row after the leg is mapped onto its
+        target, as an object array of the shared vertex tuples.  Built on
+        first use (``_legs``), so ``mc-shapes`` never builds it."""
+        return _legs(self.level, self.variant)
 
 
 @lru_cache(maxsize=32)
@@ -272,29 +303,58 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     vertices.sort(key=rank)
     index = {v: k for k, v in enumerate(vertices)}
     ranks = [rank(v) for v in vertices]
-    targets = (corner(N), apex(N)) if via else (apex(N),)
+    coarse = len(ranks) - ranks.count(2)
+    ends = tuple(zip(starts, (corner(N), apex(N)) if via else (apex(N),)))
     # One int object per vertex, shared by every entry that names it.
     row_of = {v: 4 * k for v, k in index.items()}
     return _Region(
         vertices=tuple(vertices),
         rows=[row_of.get(u, -4) for v in vertices for u in nbrs.get(v) or neighbors(v)],
         stops=4 * ranks.count(0),
-        coarse=4 * (len(ranks) - ranks.count(2)),
+        coarse=4 * coarse,
         apex=index[apex(N)],
         corner=index.get(corner(N), -1),
         levels=np.frombuffer(bytes(map(grid_level, vertices)), np.uint8),
-        legs=tuple(
-            (4 * index[s], _leg_images(vertices, index, s, t, N)) for s, t in zip(starts, targets)
+        level=N,
+        variant=variant,
+        ends=ends,
+        coarse_legs=_leg_table(
+            vertices[:coarse], ends, N, lambda image: tuple(map(vertices.__getitem__, image))
         ),
     )
 
 
+@lru_cache(maxsize=32)
+def _legs(N: int, variant: CrossingVariant) -> tuple[tuple[int, dict[int, np.ndarray]], ...]:
+    """``_Region.legs``, built once per (N, variant) on first use."""
+    reg = _region(N, variant)
+    vertices = np.fromiter(reg.vertices, object, len(reg.vertices))
+    return _leg_table(reg.vertices, reg.ends, N, vertices.__getitem__)
+
+
+def _leg_table(
+    vertices: Sequence[Vertex],
+    ends: tuple[tuple[Vertex, Vertex], ...],
+    N: int,
+    take: Callable[[list[int]], Sequence[Vertex]],
+) -> tuple:
+    """Per leg from s to t in ``ends``: its start row, and for the row of
+    each stop, ``take`` of the image indices of ``vertices`` (``_leg_images``).
+    ``vertices`` is a prefix of the region's that the maps send onto itself."""
+    index = {v: k for k, v in enumerate(vertices)}
+    legs = []
+    for s, t in ends:
+        images = _leg_images(vertices, index, s, t, N)
+        legs.append((4 * index[s], {stop: take(image) for stop, image in images.items()}))
+    return tuple(legs)
+
+
 def _leg_images(
-    vertices: list[Vertex], index: dict[Vertex, int], s: Vertex, t: Vertex, N: int
-) -> dict[int, tuple[Vertex, ...]]:
-    """For the row of each level-N stop w of the leg from s to t: the image
-    of every vertex under an automorphism of the two level-N cells at s that
-    fixes s and sends w to t.
+    vertices: Sequence[Vertex], index: dict[Vertex, int], s: Vertex, t: Vertex, N: int
+) -> dict[int, list[int]]:
+    """For the row of each level-N stop w of the leg from s to t: the index
+    of the image of every vertex under an automorphism of the two level-N
+    cells at s that fixes s and sends w to t.
 
     If w shares a cell with t, the map swaps them inside it and fixes the
     other cell; otherwise it exchanges the two cells.  Each cell goes onto
@@ -324,7 +384,7 @@ def _leg_images(
                 di, dj = v[0] - p0[0], v[1] - p0[1]
                 g = (q0[0] + di * e1[0] + dj * e2[0], q0[1] + di * e1[1] + dj * e2[1])
                 image[k] = index[g]
-        images[4 * index[w]] = tuple(map(vertices.__getitem__, image))
+        images[4 * index[w]] = image
     return images
 
 
@@ -377,7 +437,7 @@ def sample_patterns(
     patterns = []
     for _ in range(count):
         pattern = [ORIGIN]
-        for start, images in reg.legs:
+        for start, images in reg.coarse_legs:
             rows: list[int] = []
             image = images[_coarse_walk(dice, reg, start, rows)]
             pattern += [image[r >> 2] for r in rows]

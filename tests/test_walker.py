@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -534,6 +535,71 @@ class TestLegwiseSampler:
         a, b = _shape_counts(legwise), _shape_counts(whole)
         rows = [[a.get(k, 0) for k in ids], [b.get(k, 0) for k in ids]]
         assert chi2_contingency(rows).pvalue > 1e-3
+
+
+def _leg_steps_moments(n):
+    """Exact mean and variance of one leg's raw steps at level n.
+
+    Its generating function is f composed n times, f(s) = s**2 / (4 - 3s).
+    Each composition is carried as a Taylor series at s = 1 to second
+    order, in Fractions; the mean is the first coefficient and the second
+    factorial moment twice the second.
+    """
+
+    def mul(a, b):
+        return (a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[0] * b[2] + a[1] * b[1] + a[2] * b[0])
+
+    def f(x):
+        d0, d1, d2 = 4 - 3 * x[0], -3 * x[1], -3 * x[2]
+        return mul(mul(x, x), (1 / d0, -d1 / d0**2, (d1 * d1 - d0 * d2) / d0**3))
+
+    x = (Fraction(1), Fraction(1), Fraction(0))  # s itself
+    for _ in range(n):
+        x = f(x)
+    mean = x[1]
+    return mean, 2 * x[2] + mean - mean * mean
+
+
+class TestWalkerClock:
+    """Raw steps per sample against the exact exit-time moments.  A
+    via-corner crossing is two independent legs.  An accepted whole attempt
+    checks, without the leg maps, that conditioning on the stop leaves a
+    leg's length law alone (the maps carry stops length for length)."""
+
+    def test_exact_moments(self):
+        moments = [_leg_steps_moments(n) for n in range(1, 5)]
+        assert moments == [(5**n, v) for n, v in zip(range(1, 5), (12, 360, 9300, 234000))]
+
+    @staticmethod
+    def _assert_moments(steps, n, variant):
+        legs = 1 if variant is DIRECT else 2
+        mean, var = (legs * m for m in _leg_steps_moments(n))
+        x = np.array(steps, dtype=float)
+        size = len(x)
+        centred = x - x.mean()
+        s2 = centred @ centred / (size - 1)
+        m4 = np.mean(centred**4)
+        z_mean = (x.mean() - float(mean)) / np.sqrt(float(var) / size)
+        z_var = (s2 - float(var)) / np.sqrt((m4 - s2 * s2 * (size - 3) / (size - 1)) / size)
+        assert abs(z_mean) < 3 and abs(z_var) < 3, (z_mean, z_var)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_sample_crossing(self, n, variant):
+        rng = replica_rng(1000 + n, variant is VIA)
+        steps = [len(sample_crossing(n, variant, rng)) - 1 for _ in range(3000)]
+        self._assert_moments(steps, n, variant)
+
+    @pytest.mark.parametrize("n,accepted", [(1, 3000), (2, 2000), (3, 1000), (4, 400)])
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_accepted_attempts(self, n, accepted, variant):
+        rng = replica_rng(1100 + n, variant is VIA)
+        steps = []
+        while len(steps) < accepted:
+            path = attempt_crossing(n, variant, rng)
+            if path is not None:
+                steps.append(len(path) - 1)
+        self._assert_moments(steps, n, variant)
 
 
 def _pooled_rows(a, b, least=10):
