@@ -32,18 +32,18 @@ level-(N-1) visits, which is all that ``mc-shapes`` reads.  The
 automorphisms map the level-(N-1) grid onto itself, so mapping those visits
 gives the level-(N-1) coarse view of the mapped crossing.
 
-All walkers read one table per (N, variant): the vertices a level-N attempt
-can reach, with their neighbours by direction and their grid levels
-(``_region``), ordered so that one comparison of a row number tells a
-level-N or level-(N-1) vertex, and each leg's automorphisms as the image
-vertex of every row.  An automorphism is an integer affine map with a
-unimodular linear part, so it keeps the grid level of every vertex below
-level N.  The walkers step through the table one block of draws at a time
-and build vertex tuples only for the paths they keep.  ``sample_crossing``
-maps a leg by one numpy gather from its stop's image, an object array of
-the shared vertex tuples.  ``sample_patterns`` maps through tuple prefixes
-of the images over the level-(N-1) rows, which come first and map onto
-themselves, so ``mc-shapes`` never builds the full images.
+All walkers read one table per (N, variant), built once (``_region``): the
+vertices a level-N attempt can reach, with their neighbours by direction
+and their grid levels, ordered so that one comparison of a row number
+tells a level-N or level-(N-1) vertex, and each leg's automorphisms as the
+image vertex of every row, computed on coordinate arrays in numpy.  An
+automorphism is an integer affine map with a unimodular linear part, so it
+keeps the grid level of every vertex below level N.  The walkers step
+through the table one block of draws at a time and build vertex tuples
+only for the paths they keep.  ``sample_crossing`` maps a leg by one numpy
+gather from its stop's image, an object array of the shared vertex tuples;
+``sample_patterns`` indexes tuple prefixes of the same images over the
+level-(N-1) rows, which come first and map onto themselves.
 
 Samplers draw from an explicit ``numpy.random.Generator``; independent
 replicas must use independently spawned streams (``replica_rng``).
@@ -51,10 +51,10 @@ replicas must use independently spawned streams (``replica_rng``).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from operator import length_hint
 
 import numpy as np
@@ -181,7 +181,7 @@ def attempt_crossing(
         if end != 4 * reg.corner:
             return None
         end = _walk(dice, reg, end, path)
-    return reg.path(path) if end == 4 * reg.apex else None
+    return [reg.vertices[r >> 2] for r in path] if end == 4 * reg.apex else None
 
 
 def sample_crossing(
@@ -232,12 +232,7 @@ def sample_crossing(
 class _Region:
     """The unit vertices a conditioned level-N attempt can reach and their
     neighbour table.  Vertex 0 is the origin; the level-N vertices come
-    first, then the other level-(N-1) grid vertices, then the rest.
-
-    Each leg's images come in two forms: ``coarse_legs``, tuples over the
-    level-(N-1) rows, built with the region for ``sample_patterns``, and
-    ``legs``, object arrays over every row, built when ``sample_crossing``
-    first needs them."""
+    first, then the other level-(N-1) grid vertices, then the rest."""
 
     vertices: tuple[Vertex, ...]
     rows: list[int]  # the row each (row + direction) steps to; row = 4 * vertex
@@ -246,26 +241,11 @@ class _Region:
     apex: int  # index of a_N
     corner: int  # index of b_N, or -1 when the attempt never stops there
     levels: np.ndarray  # the grid level of every vertex, as uint8
-    level: int  # N
-    variant: CrossingVariant
-    ends: tuple[tuple[Vertex, Vertex], ...]  # the start and target of each leg
-    # ``legs`` over the level-(N-1) rows only, as tuples: all that
-    # ``sample_patterns`` maps.  Those rows come first and the maps send them
-    # onto themselves.
+    # Per leg: its start row, and for each row it can stop at, the vertex of every row after
+    # the leg is mapped onto its target, as an object array of the shared vertex tuples.
+    legs: tuple[tuple[int, dict[int, np.ndarray]], ...]
+    # ``legs`` over the level-(N-1) rows, which come first and map onto themselves, as tuples.
     coarse_legs: tuple[tuple[int, dict[int, tuple[Vertex, ...]]], ...]
-
-    def path(self, rows: list[int]) -> list[Vertex]:
-        """The vertices of a walk given as rows."""
-        vertices = self.vertices
-        return [vertices[r >> 2] for r in rows]
-
-    @property
-    def legs(self) -> tuple[tuple[int, dict[int, np.ndarray]], ...]:
-        """Per leg of ``sample_crossing``: its start row, and for each row it
-        can stop at, the vertex of every row after the leg is mapped onto its
-        target, as an object array of the shared vertex tuples.  Built on
-        first use (``_legs``), so ``mc-shapes`` never builds it."""
-        return _legs(self.level, self.variant)
 
 
 @lru_cache(maxsize=32)
@@ -275,13 +255,13 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     plus those at b_N.  Directions follow ``lattice.neighbors``."""
     via = variant is CrossingVariant.VIA_CORNER
     mask = (1 << N) - 1
-    index: dict[Vertex, int] = {}
+    seen: set[Vertex] = set()  # membership only: no int object per vertex to fragment
     vertices: list[Vertex] = []
     nbrs: dict[Vertex, tuple[Vertex, ...]] = {}  # each vertex looked up once
-    starts = (ORIGIN, corner(N)) if via else (ORIGIN,)
-    for start in starts:
-        if start not in index:
-            index[start] = len(vertices)
+    ends = [(ORIGIN, corner(N)), (corner(N), apex(N))] if via else [(ORIGIN, apex(N))]
+    for start, _ in ends:
+        if start not in seen:
+            seen.add(start)
             vertices.append(start)
         queue = [start]
         while queue:
@@ -290,8 +270,8 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
                 continue
             nbrs[v] = neighbors(v)
             for u in nbrs[v]:
-                if u not in index:
-                    index[u] = len(vertices)
+                if u not in seen:
+                    seen.add(u)
                     vertices.append(u)
                     queue.append(u)
 
@@ -301,91 +281,86 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
 
     # A stable sort: the origin stays first.
     vertices.sort(key=rank)
-    index = {v: k for k, v in enumerate(vertices)}
     ranks = [rank(v) for v in vertices]
-    coarse = len(ranks) - ranks.count(2)
-    ends = tuple(zip(starts, (corner(N), apex(N)) if via else (apex(N),)))
     # One int object per vertex, shared by every entry that names it.
-    row_of = {v: 4 * k for v, k in index.items()}
+    row_of = {v: 4 * k for k, v in enumerate(vertices)}
+    rows = [row_of.get(u, -4) for v in vertices for u in nbrs.get(v) or neighbors(v)]
+    a, b = row_of[apex(N)] >> 2, row_of.get(corner(N), -4) >> 2
+    # Freed before the images are built: the peak of _region(10, VIA_CORNER) 226 -> 204 MB.
+    del seen, row_of, nbrs
+    coarse = len(ranks) - ranks.count(2)
+    shared = np.fromiter(vertices, object, len(vertices))
+    legs = tuple(
+        (start, {w: shared[image] for w, image in images.items()})
+        for start, images in _leg_images(vertices, ends, N)
+    )
     return _Region(
         vertices=tuple(vertices),
-        rows=[row_of.get(u, -4) for v in vertices for u in nbrs.get(v) or neighbors(v)],
+        rows=rows,
         stops=4 * ranks.count(0),
         coarse=4 * coarse,
-        apex=index[apex(N)],
-        corner=index.get(corner(N), -1),
+        apex=a,
+        corner=b,
         levels=np.frombuffer(bytes(map(grid_level, vertices)), np.uint8),
-        level=N,
-        variant=variant,
-        ends=ends,
-        coarse_legs=_leg_table(
-            vertices[:coarse], ends, N, lambda image: tuple(map(vertices.__getitem__, image))
+        legs=legs,
+        coarse_legs=tuple(
+            (row, {w: tuple(image[:coarse]) for w, image in images.items()})
+            for row, images in legs
         ),
     )
 
 
-@lru_cache(maxsize=32)
-def _legs(N: int, variant: CrossingVariant) -> tuple[tuple[int, dict[int, np.ndarray]], ...]:
-    """``_Region.legs``, built once per (N, variant) on first use."""
-    reg = _region(N, variant)
-    vertices = np.fromiter(reg.vertices, object, len(reg.vertices))
-    return _leg_table(reg.vertices, reg.ends, N, vertices.__getitem__)
-
-
-def _leg_table(
-    vertices: Sequence[Vertex],
-    ends: tuple[tuple[Vertex, Vertex], ...],
-    N: int,
-    take: Callable[[list[int]], Sequence[Vertex]],
-) -> tuple:
-    """Per leg from s to t in ``ends``: its start row, and for the row of
-    each stop, ``take`` of the image indices of ``vertices`` (``_leg_images``).
-    ``vertices`` is a prefix of the region's that the maps send onto itself."""
-    index = {v: k for k, v in enumerate(vertices)}
-    legs = []
-    for s, t in ends:
-        images = _leg_images(vertices, index, s, t, N)
-        legs.append((4 * index[s], {stop: take(image) for stop, image in images.items()}))
-    return tuple(legs)
-
-
 def _leg_images(
-    vertices: Sequence[Vertex], index: dict[Vertex, int], s: Vertex, t: Vertex, N: int
-) -> dict[int, list[int]]:
-    """For the row of each level-N stop w of the leg from s to t: the index
-    of the image of every vertex under an automorphism of the two level-N
-    cells at s that fixes s and sends w to t.
+    vertices: list[Vertex], ends: list[tuple[Vertex, Vertex]], N: int
+) -> list[tuple[int, dict[int, np.ndarray]]]:
+    """Per leg from s to t in ``ends``: its start row, and for the row of
+    each level-N stop w, the int32 index of the image of every vertex under
+    an automorphism of the two level-N cells at s that fixes s and sends w to t.
 
     If w shares a cell with t, the map swaps them inside it and fixes the
     other cell; otherwise it exchanges the two cells.  Each cell goes onto
     its image by the integer affine map that sends its corners to their
-    images.  Vertices outside both cells keep themselves.
+    images.  Vertices outside both cells keep themselves.  The maps act on
+    int64 coordinate arrays, and each image is found by binary search over
+    the sorted keys x << 32 | y (y >= 0 on the gasket); an image missing
+    from ``vertices`` raises ``KeyError``.
     """
-    home, away = sorted(incident_cells(s, N), key=lambda cell: t not in cell.corners())
-    (u,) = set(home.corners()) - {s, t}
-    x, y = (c for c in away.corners() if c != s)
-    swaps = {t: {}, u: {u: t, t: u}, x: {x: t, t: x, y: u, u: y}, y: {y: t, t: y, x: u, u: x}}
-    cells = (home, away)
-    where = [next((cell for cell in cells if cell.contains(v)), None) for v in vertices]
-    images = {}
-    for w, swap in swaps.items():
-        maps = {}
-        for cell in cells:
-            p0, p1, p2 = cell.corners()
-            q0, q1, q2 = (swap.get(p, p) for p in (p0, p1, p2))
-            # The cell's edge vectors are side * (1, 0) and side * (0, 1).
-            e1 = ((q1[0] - q0[0]) >> N, (q1[1] - q0[1]) >> N)
-            e2 = ((q2[0] - q0[0]) >> N, (q2[1] - q0[1]) >> N)
-            maps[cell] = (p0, q0, e1, e2)
-        image = list(range(len(vertices)))  # vertex indices
-        for k, (v, cell) in enumerate(zip(vertices, where)):
-            if cell is not None:
-                p0, q0, e1, e2 = maps[cell]
-                di, dj = v[0] - p0[0], v[1] - p0[1]
-                g = (q0[0] + di * e1[0] + dj * e2[0], q0[1] + di * e1[1] + dj * e2[1])
-                image[k] = index[g]
-        images[4 * index[w]] = image
-    return images
+    n = len(vertices)
+    xy = np.fromiter(chain.from_iterable(vertices), np.int64, 2 * n).reshape(n, 2)
+    xs, ys = xy.T
+    keys = xs << 32 | ys
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def find(g: np.ndarray) -> np.ndarray:  # the indices of the vertices at coordinates g
+        want = g[:, 0] << 32 | g[:, 1]
+        at = np.minimum(np.searchsorted(keys, want), n - 1)
+        if (keys[at] != want).any():
+            raise KeyError("an image is not among the vertices")
+        return order[at]
+
+    legs = []
+    for s, t in ends:
+        home, away = sorted(incident_cells(s, N), key=lambda cell: t not in cell.corners())
+        (u,) = set(home.corners()) - {s, t}
+        x, y = (c for c in away.corners() if c != s)
+        swaps = {u: {u: t, t: u}, x: {x: t, t: x, y: u, u: y}, y: {y: t, t: y, x: u, u: x}}
+        cells = []  # each cell, the indices of its vertices, and their offsets from its corner
+        for cell in (home, away):
+            (i, j), side = cell.corner, cell.side
+            inside = np.flatnonzero((xs >= i) & (ys >= j) & (xs + ys <= i + j + side))
+            cells.append((cell, inside, xy[inside] - cell.corner))
+        start, *stops = 4 * find(np.array([s, t, *swaps], np.int64))
+        images = {}
+        for stop, swap in zip(stops, [{}, *swaps.values()]):
+            image = np.arange(n, dtype=np.int32)  # the map for t is the identity
+            for cell, inside, d in cells if swap else ():
+                q = np.array([swap.get(p, p) for p in cell.corners()], np.int64)
+                # The cell's edge vectors are side * (1, 0) and side * (0, 1).
+                image[inside] = find(d @ ((q[1:] - q[0]) >> N) + q[0])
+            images[int(stop)] = image
+        legs.append((int(start), images))
+    return legs
 
 
 def _coarse_walk(dice: _Dice, reg: _Region, start: int, pattern: list[int]) -> int:

@@ -32,7 +32,7 @@ from gasket_lerw.exact import (
     spectral_data,
     type_count_mean,
 )
-from gasket_lerw.walker import CrossingVariant
+from gasket_lerw.walker import CrossingVariant, replica_rng, sample_crossing
 from oracles import enumerate_self_avoiding_crossings
 
 F = Fraction
@@ -509,6 +509,33 @@ class TestRationalCountMoments:
         assert length_variance(12, ancestor=(0, 1)) == F(
             5555402705220258181195600852, 114920872591552734375
         )
+
+    @pytest.mark.parametrize(
+        "variant,depth,samples",
+        [
+            (CrossingVariant.DIRECT, 2, 5000),
+            (CrossingVariant.DIRECT, 3, 3000),
+            (CrossingVariant.DIRECT, 4, 2000),
+            (CrossingVariant.VIA_CORNER, 3, 2000),
+        ],
+    )
+    def test_length_variance_matches_monte_carlo(self, variant, depth, samples):
+        # Erased lengths of sampled crossings against the exact variance, by
+        # a z score whose standard error comes from the sample's fourth
+        # central moment.
+        ancestor = (1, 0) if variant is CrossingVariant.DIRECT else (0, 1)
+        rng = replica_rng(2900 + depth, variant is CrossingVariant.VIA_CORNER)
+        lengths = [
+            len(eraser.loop_erase(sample_crossing(depth, variant, rng))) - 1
+            for _ in range(samples)
+        ]
+        mean = sum(lengths) / samples
+        centred = [x - mean for x in lengths]
+        s2 = sum(c * c for c in centred) / (samples - 1)
+        m4 = sum(c**4 for c in centred) / samples
+        se = ((m4 - s2 * s2 * (samples - 3) / (samples - 1)) / samples) ** 0.5
+        z = (s2 - float(length_variance(depth, ancestor))) / se
+        assert abs(z) < 3, z
 
     def test_mean_is_matrix_power_row(self, phi_theta):
         m = mean_matrix(*phi_theta)

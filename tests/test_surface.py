@@ -23,7 +23,8 @@ ALLOWED = {
     "attempt_crossing",  # the whole-attempt ground truth the samplers are gated against
     "chronological_erase",  # single-scale erasure, the staged eraser's unit-level reference
     "compose_level",  # the exact joint count laws the count samplers are gated against
-    "length_variance",  # exact erased-length variance: pinned, and converges to w_prime_variance
+    "length_variance",  # exact erased-length variance: pinned, checked against Monte Carlo,
+    # and converges to w_prime_variance
 }
 
 

@@ -22,8 +22,10 @@ from gasket_lerw.lattice import (
 )
 from gasket_lerw.harness import chi_square, classify_top_shape
 from gasket_lerw.walker import (
+    MAX_LEVEL,
     CrossingVariant,
     StepBudgetExceeded,
+    _leg_images,
     _region,
     attempt_crossing,
     replica_rng,
@@ -343,6 +345,31 @@ class TestRegionWalker:
                         if u in members:
                             assert g[u] in neighbors(g[v])
 
+    @pytest.mark.parametrize(
+        "s,t",
+        [(ORIGIN, apex(MAX_LEVEL)), (ORIGIN, corner(MAX_LEVEL)), (corner(MAX_LEVEL), apex(MAX_LEVEL))],
+    )
+    def test_leg_images_at_the_largest_level(self, s, t):
+        # The corners and edge midpoints of the two level-N cells at s map
+        # onto themselves, so the builder runs at the largest coordinates a
+        # region can hold without building one.
+        cells = incident_cells(s, MAX_LEVEL)
+        corners = sorted({c for cell in cells for c in cell.corners()})
+        edges = {(p, q) for cell in cells for p in cell.corners() for q in cell.corners() if p < q}
+        vertices = corners + sorted({((p[0] + q[0]) // 2, (p[1] + q[1]) // 2) for p, q in edges})
+        assert len(vertices) == 11
+        [(start, images)] = _leg_images(vertices, [(s, t)], MAX_LEVEL)
+        assert vertices[start >> 2] == s
+        assert {vertices[r >> 2] for r in images} == set(corners) - {s}
+        for stop, image in images.items():
+            assert image.dtype == np.int32 and sorted(image) == list(range(len(vertices)))
+            mapped = [vertices[k] for k in image]
+            assert mapped[vertices.index(s)] == s and mapped[stop >> 2] == t
+            assert sorted(mapped[: len(corners)]) == corners
+        # Without one midpoint some image is missing, and the lookup says so.
+        with pytest.raises(KeyError):
+            _leg_images(vertices[:-1], [(s, t)], MAX_LEVEL)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
     def test_attempt_crossing_equals_tuple_walk(self, n, variant):
@@ -410,6 +437,21 @@ class TestPatternSampler:
         rows = range(0, 4 * len(reg.vertices), 4)
         assert [r < reg.stops for r in rows] == [on_grid(v, n) for v in reg.vertices]
         assert [r < reg.coarse for r in rows] == [on_grid(v, n - 1) for v in reg.vertices]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_coarse_legs_are_prefixes_of_the_legs(self, n, variant):
+        # One table serves both samplers: each image that sample_patterns
+        # maps through is the prefix, over the level-(n-1) rows, of the one
+        # sample_crossing gathers from, and it stays on the level-(n-1) grid.
+        reg = _region(n, variant)
+        assert [(start, images.keys()) for start, images in reg.coarse_legs] == [
+            (start, images.keys()) for start, images in reg.legs
+        ]
+        for (_, coarse), (_, images) in zip(reg.coarse_legs, reg.legs):
+            for stop, image in images.items():
+                assert coarse[stop] == tuple(image[: reg.coarse >> 2])
+                assert all(on_grid(v, n - 1) for v in coarse[stop])
 
     @pytest.mark.parametrize(
         "n,count,seeds", [(1, 40, 4), (2, 30, 4), (3, 20, 3), (4, 8, 3), (5, 3, 2)]
