@@ -105,10 +105,10 @@ def neighbors(v: Vertex) -> tuple[Vertex, ...]:
     """The four nearest neighbors of a gasket vertex.
 
     These are the corners of the exactly two filled unit triangles incident
-    to ``v``, with ``v`` itself removed.  The walkers' ``walker._region``
-    tables are built from it, and the exact absorbing chains and the
-    tests' reference walker and oracles read it directly; the bounded
-    cache holds every vertex of a level-7 region.
+    to ``v``, with ``v`` itself removed.  The walkers' tables apply the same
+    rule to coordinate arrays (``walker._region``) and never call it; its
+    bounded cache serves the exact absorbing chains and the tests'
+    reference walker and oracles.
     """
     cells = incident_cells(v, 0)
     if not cells:

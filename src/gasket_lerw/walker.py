@@ -32,18 +32,18 @@ level-(N-1) visits, which is all that ``mc-shapes`` reads.  The
 automorphisms map the level-(N-1) grid onto itself, so mapping those visits
 gives the level-(N-1) coarse view of the mapped crossing.
 
-All walkers read one table per (N, variant), built once (``_region``): the
-vertices a level-N attempt can reach, with their neighbours by direction
-and their grid levels, ordered so that one comparison of a row number
-tells a level-N or level-(N-1) vertex, and each leg's automorphisms as the
-image vertex of every row, computed on coordinate arrays in numpy.  An
-automorphism is an integer affine map with a unimodular linear part, so it
-keeps the grid level of every vertex below level N.  The walkers step
-through the table one block of draws at a time and build vertex tuples
-only for the paths they keep.  ``sample_crossing`` maps a leg by one numpy
-gather from its stop's image, an object array of the shared vertex tuples;
-``sample_patterns`` indexes tuple prefixes of the same images over the
-level-(N-1) rows, which come first and map onto themselves.
+All walkers read one table per (N, variant), built once in numpy on
+coordinate arrays from the gasket's self-similarity (``_region``): the
+vertices of the level-N cells at the legs' starts, with their neighbours by
+direction and their grid levels, ordered so that one comparison of a row
+number tells a level-N or level-(N-1) vertex, and each leg's automorphisms
+as the image vertex of every row.  An automorphism is an integer affine map
+with a unimodular linear part, so it keeps the grid level of every vertex
+below level N.  The walkers build vertex tuples only for the paths they
+keep: ``sample_crossing`` maps a leg by one numpy gather from its stop's
+image, an object array of the shared vertex tuples, and ``sample_patterns``
+indexes tuple prefixes of the same images over the level-(N-1) rows, which
+come first and map onto themselves.
 
 Samplers draw from an explicit ``numpy.random.Generator``; independent
 replicas must use independently spawned streams (``replica_rng``).
@@ -54,22 +54,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
 from operator import length_hint
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import (
-    ORIGIN,
-    ORIGIN_LEVEL,
-    LevelPath,
-    Vertex,
-    apex,
-    corner,
-    grid_level,
-    incident_cells,
-    neighbors,
-)
+from .lattice import ORIGIN, ORIGIN_LEVEL, LevelPath, Vertex, apex, corner, incident_cells
 
 DEFAULT_STEP_BUDGET = 10**9
 MAX_LEVEL = 12  # the mean walk, 5**N steps, stays within the default budget
@@ -178,10 +168,10 @@ def attempt_crossing(
     path = [0]
     end = _walk(dice, reg, 0, path)
     if variant is CrossingVariant.VIA_CORNER:
-        if end != 4 * reg.corner:
+        if reg.vertices[end >> 2] != corner(N):
             return None
         end = _walk(dice, reg, end, path)
-    return [reg.vertices[r >> 2] for r in path] if end == 4 * reg.apex else None
+    return [reg.vertices[r >> 2] for r in path] if reg.vertices[end >> 2] == apex(N) else None
 
 
 def sample_crossing(
@@ -230,7 +220,7 @@ def sample_crossing(
 
 @dataclass(frozen=True)
 class _Region:
-    """The unit vertices a conditioned level-N attempt can reach and their
+    """The unit vertices of the level-N cells at the legs' starts and their
     neighbour table.  Vertex 0 is the origin; the level-N vertices come
     first, then the other level-(N-1) grid vertices, then the rest."""
 
@@ -238,8 +228,6 @@ class _Region:
     rows: list[int]  # the row each (row + direction) steps to; row = 4 * vertex
     stops: int  # 4 * the number of level-N vertices
     coarse: int  # 4 * the number of level-(N-1) grid vertices
-    apex: int  # index of a_N
-    corner: int  # index of b_N, or -1 when the attempt never stops there
     levels: np.ndarray  # the grid level of every vertex, as uint8
     # Per leg: its start row, and for each row it can stop at, the vertex of every row after
     # the leg is mapped onto its target, as an object array of the shared vertex tuples.
@@ -250,58 +238,62 @@ class _Region:
 
 @lru_cache(maxsize=32)
 def _region(N: int, variant: CrossingVariant) -> _Region:
-    """Breadth-first closure from O (and b_N for via-corner) that stops at
-    every level-N vertex other than the leg's start: the level-N cells at O,
-    plus those at b_N.  Directions follow ``lattice.neighbors``."""
+    """The table of the level-N cells at the legs' starts (the two at O, and
+    for via-corner the two at b_N), built by the gasket's self-similarity.
+
+    A level-k cell is three copies of a level-(k-1) cell, at offsets 0,
+    (2**(k-1), 0) and (0, 2**(k-1)), so N doublings of the unit cell give
+    the unit cells of the level-N cell at O.  Every filled level-N cell,
+    the mirrored one at (-2**N, 0) included, holds them shifted to its
+    corner.  The vertices are their corners, within each rank in the order
+    the doubling first reaches them, which keeps neighbours close in memory.
+    The neighbours of v are the other corners of its two filled unit cells
+    among those at v, v - (1, 0) and v - (0, 1), in that order, as in
+    ``lattice.neighbors``.  Only the rows a walk leaves are built, each
+    start's and every row off the level-N grid; the others hold -4.
+    """
     via = variant is CrossingVariant.VIA_CORNER
-    mask = (1 << N) - 1
-    seen: set[Vertex] = set()  # membership only: no int object per vertex to fragment
-    vertices: list[Vertex] = []
-    nbrs: dict[Vertex, tuple[Vertex, ...]] = {}  # each vertex looked up once
     ends = [(ORIGIN, corner(N)), (corner(N), apex(N))] if via else [(ORIGIN, apex(N))]
-    for start, _ in ends:
-        if start not in seen:
-            seen.add(start)
-            vertices.append(start)
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            if v != start and ((v[0] | v[1]) & mask) == 0:
-                continue
-            nbrs[v] = neighbors(v)
-            for u in nbrs[v]:
-                if u not in seen:
-                    seen.add(u)
-                    vertices.append(u)
-                    queue.append(u)
-
-    def rank(v: Vertex) -> int:  # 0 on the level-N grid, 1 on level N-1 only, else 2
-        bits = v[0] | v[1]
-        return 0 if bits & mask == 0 else 1 if bits & (mask >> 1) == 0 else 2
-
-    # A stable sort: the origin stays first.
-    vertices.sort(key=rank)
-    ranks = [rank(v) for v in vertices]
-    # One int object per vertex, shared by every entry that names it.
-    row_of = {v: 4 * k for k, v in enumerate(vertices)}
-    rows = [row_of.get(u, -4) for v in vertices for u in nbrs.get(v) or neighbors(v)]
-    a, b = row_of[apex(N)] >> 2, row_of.get(corner(N), -4) >> 2
-    # Freed before the images are built: the peak of _region(10, VIA_CORNER) 226 -> 204 MB.
-    del seen, row_of, nbrs
-    coarse = len(ranks) - ranks.count(2)
-    shared = np.fromiter(vertices, object, len(vertices))
+    unit = np.zeros((1, 2), np.int64)
+    for k in range(N):
+        unit = np.concatenate([unit, unit + (1 << k, 0), unit + (0, 1 << k)])
+    big = np.array(list(dict.fromkeys(c.corner for s, _ in ends for c in incident_cells(s, N))))
+    xy = (big[:, None, None] + unit[:, None] + [(0, 0), (1, 0), (0, 1)]).reshape(-1, 2)
+    xy = xy[np.sort(np.unique(xy[:, 0] << 32 | xy[:, 1], return_index=True)[1])]
+    bits = xy[:, 0] | xy[:, 1]
+    levels = np.log2(bits & -bits, out=np.full(len(xy), float(ORIGIN_LEVEL)), where=bits != 0)
+    # Level N first, then level N-1, then the rest.  The origin is the
+    # doubling's first corner, and the stable sort keeps it first.
+    order = np.argsort((levels < N) * 1 + (levels < N - 1), kind="stable")
+    xy, levels = xy[order], levels[order].astype(np.uint8)
+    stops, coarse = int((levels >= N).sum()), int((levels >= N - 1).sum())
+    find = _lookup(xy)
+    walked = np.concatenate([find(np.array([s for s, _ in ends])), np.arange(stops, len(xy))])
+    c = xy[walked, None] + [(0, 0), (-1, 0), (0, -1)]  # the unit cells at v, v-(1,0), v-(0,1)
+    i, j = np.moveaxis(c, 2, 0)
+    i = np.where(i < 0, -i - j - 1, i)  # mirrored, as in up_triangle_exists
+    filled = (j >= 0) & (i >= 0) & (i & j == 0)
+    # The corners of each filled cell other than v, by their offsets from the cell's corner.
+    others = (c[:, :, None] + [[(1, 0), (0, 1)], [(0, 0), (0, 1)], [(0, 0), (1, 0)]])[filled]
+    del unit, bits, order, c, i, j, filled
+    table = np.full((len(xy), 4), -1)
+    table[walked] = find(others).reshape(-1, 4)
+    del walked, others  # freed before the vertex tuples and images, which set the peak
+    # One int object per row, shared by every entry that names it.
+    rows = np.arange(-4, 4 * len(xy), 4).astype(object)[table.ravel() + 1].tolist()
+    del table
+    vertices = tuple(zip(*xy.T.tolist()))
+    shared = np.fromiter(vertices, object, len(xy))
     legs = tuple(
         (start, {w: shared[image] for w, image in images.items()})
-        for start, images in _leg_images(vertices, ends, N)
+        for start, images in _leg_images(xy, ends, N)
     )
     return _Region(
-        vertices=tuple(vertices),
+        vertices=vertices,
         rows=rows,
-        stops=4 * ranks.count(0),
+        stops=4 * stops,
         coarse=4 * coarse,
-        apex=a,
-        corner=b,
-        levels=np.frombuffer(bytes(map(grid_level, vertices)), np.uint8),
+        levels=levels,
         legs=legs,
         coarse_legs=tuple(
             (row, {w: tuple(image[:coarse]) for w, image in images.items()})
@@ -310,8 +302,27 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     )
 
 
+def _lookup(xy: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The lookup of points among the vertices ``xy``, an (n, 2) int64
+    array: ``find(g)`` gives the index of each point ``g[..., :]``, by
+    binary search over the sorted keys x << 32 | y (y >= 0 on the gasket),
+    and raises ``KeyError`` on a point that is not a vertex."""
+    keys = xy[:, 0] << 32 | xy[:, 1]
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def find(g: np.ndarray) -> np.ndarray:
+        want = g[..., 0] << 32 | g[..., 1]
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        if (keys[at] != want).any():
+            raise KeyError("a point is not among the vertices")
+        return order[at]
+
+    return find
+
+
 def _leg_images(
-    vertices: list[Vertex], ends: list[tuple[Vertex, Vertex]], N: int
+    vertices: Sequence[Vertex] | np.ndarray, ends: list[tuple[Vertex, Vertex]], N: int
 ) -> list[tuple[int, dict[int, np.ndarray]]]:
     """Per leg from s to t in ``ends``: its start row, and for the row of
     each level-N stop w, the int32 index of the image of every vertex under
@@ -321,24 +332,12 @@ def _leg_images(
     other cell; otherwise it exchanges the two cells.  Each cell goes onto
     its image by the integer affine map that sends its corners to their
     images.  Vertices outside both cells keep themselves.  The maps act on
-    int64 coordinate arrays, and each image is found by binary search over
-    the sorted keys x << 32 | y (y >= 0 on the gasket); an image missing
-    from ``vertices`` raises ``KeyError``.
+    int64 coordinate arrays, and ``_lookup`` finds each image, raising
+    ``KeyError`` on one missing from ``vertices``.
     """
-    n = len(vertices)
-    xy = np.fromiter(chain.from_iterable(vertices), np.int64, 2 * n).reshape(n, 2)
+    xy = np.asarray(vertices, np.int64)
     xs, ys = xy.T
-    keys = xs << 32 | ys
-    order = np.argsort(keys)
-    keys = keys[order]
-
-    def find(g: np.ndarray) -> np.ndarray:  # the indices of the vertices at coordinates g
-        want = g[:, 0] << 32 | g[:, 1]
-        at = np.minimum(np.searchsorted(keys, want), n - 1)
-        if (keys[at] != want).any():
-            raise KeyError("an image is not among the vertices")
-        return order[at]
-
+    find = _lookup(xy)
     legs = []
     for s, t in ends:
         home, away = sorted(incident_cells(s, N), key=lambda cell: t not in cell.corners())
@@ -353,7 +352,7 @@ def _leg_images(
         start, *stops = 4 * find(np.array([s, t, *swaps], np.int64))
         images = {}
         for stop, swap in zip(stops, [{}, *swaps.values()]):
-            image = np.arange(n, dtype=np.int32)  # the map for t is the identity
+            image = np.arange(len(xy), dtype=np.int32)  # the map for t is the identity
             for cell, inside, d in cells if swap else ():
                 q = np.array([swap.get(p, p) for p in cell.corners()], np.int64)
                 # The cell's edge vectors are side * (1, 0) and side * (0, 1).

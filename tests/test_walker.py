@@ -32,7 +32,7 @@ from gasket_lerw.walker import (
     sample_crossing,
     sample_patterns,
 )
-from oracles import coarse_grain, euclid_sq, hitting_indices, neighbors_on_grid
+from oracles import coarse_grain, euclid_sq, hitting_indices, is_vertex, neighbors_on_grid
 
 DIRECT = CrossingVariant.DIRECT
 VIA = CrossingVariant.VIA_CORNER
@@ -369,6 +369,33 @@ class TestRegionWalker:
         # Without one midpoint some image is missing, and the lookup says so.
         with pytest.raises(KeyError):
             _leg_images(vertices[:-1], [(s, t)], MAX_LEVEL)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_region_is_the_gasket_in_the_start_cells(self, n, variant):
+        # The table holds each gasket vertex of the closed level-n cells at
+        # the legs' starts once, and every row a walk leaves (each start's,
+        # and each one off the level-n grid) lists lattice.neighbors in order.
+        reg = _region(n, variant)
+        starts = [ORIGIN] if variant is DIRECT else [ORIGIN, corner(n)]
+        side = 1 << n
+        gasket = {
+            (i, j)
+            for s in starts
+            for (ci, cj), _ in incident_cells(s, n)
+            for j in range(cj, cj + side + 1)
+            for i in range(ci, ci + side + 1 - (j - cj))
+            if is_vertex((i, j))
+        }
+        assert len(set(reg.vertices)) == len(reg.vertices)
+        assert set(reg.vertices) == gasket
+        assert len(gasket) == (3 ** (n + 1) + 2 if variant is DIRECT else (3 ** (n + 2) + 5) // 2)
+        # Python ints: a numpy scalar would slow every step's comparison.
+        assert type(reg.stops) is type(reg.coarse) is int
+        for k, v in enumerate(reg.vertices):
+            if v in starts or not on_grid(v, n):
+                row = reg.rows[4 * k : 4 * k + 4]
+                assert [reg.vertices[r >> 2] for r in row] == list(neighbors(v))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
