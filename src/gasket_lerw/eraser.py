@@ -13,13 +13,12 @@ coarse view of the segment is chronologically erased, and the surviving fine
 sub-segments are spliced back together.  Surviving pieces are addressed by
 half-open index ranges of the pre-stage path, matching the concatenation
 formula wd = [w(T_{s_i}), ..., w(T_{s_i + 1} - 1)] plus the final exit
-vertex.  A stage reads only the path's level-(M-1) grid vertices, which it
-finds in the grid levels the path carries (``lattice.LevelPath``: the
-sampler records them, each stage slices them with the path), so it never
-rescans the vertex tuples.  After the stage, coarse-graining the output one
-level down yields a loop-free path; the coarser skeletons never change
-again, although a two-visit triangle can turn into a one-visit one when the
-erased mass included the middle corner.
+vertex.  A stage works on vertex ids and grid levels (``lattice.LevelPath``):
+it finds its grid visits by numpy scans, reads coordinates only for the
+level-M visits, and keeps its pieces by one mask.  After the stage,
+coarse-graining the output one level down yields a loop-free path; the
+coarser skeletons never change again, although a two-visit triangle can
+turn into a one-visit one when the erased mass included the middle corner.
 """
 
 from __future__ import annotations
@@ -37,10 +36,8 @@ from .lattice import (
     apex,
     cell_of_step,
     corner,
-    grid_level,
-    on_grid,
 )
-from .walker import CrossingVariant
+from .walker import CrossingVariant, grid_levels
 
 TYPE_ONE = 1
 TYPE_TWO = 2
@@ -96,18 +93,6 @@ class Skeleton:
 # ---------------------------------------------------------------------------
 
 
-def _sup_rule_keep(seq: Sequence[Vertex]) -> list[int]:
-    """Kept indices under the last-occurrence jump rule."""
-    last: dict[Vertex, int] = {}
-    for t, v in enumerate(seq):
-        last[v] = t
-    keep = [last[seq[0]]]
-    end = len(seq) - 1
-    while keep[-1] < end:
-        keep.append(last[seq[keep[-1] + 1]])
-    return keep
-
-
 def chronological_erase(path: Sequence[Vertex]) -> list[Vertex]:
     """Erase all loops from a finite path, oldest loop base first.
 
@@ -115,7 +100,12 @@ def chronological_erase(path: Sequence[Vertex]) -> list[Vertex]:
     """
     if not path:
         raise ValueError("empty path")
-    return [path[t] for t in _sup_rule_keep(path)]
+    last = dict(zip(path, range(len(path))))
+    out, t = [], -1
+    while t < len(path) - 1:
+        t = last[path[t + 1]]
+        out.append(path[t])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -123,96 +113,89 @@ def chronological_erase(path: Sequence[Vertex]) -> list[Vertex]:
 # ---------------------------------------------------------------------------
 
 
-def _levels(path: Sequence[Vertex]) -> bytes:
-    """The grid level of every vertex: carried by a ``LevelPath``, else
-    from one ``grid_level`` pass."""
-    return path.levels if isinstance(path, LevelPath) else bytes(map(grid_level, path))
+def _as_ids(path: Sequence[Vertex], level: int = 0) -> LevelPath:
+    """The path as vertex ids with their grid levels, checked to start and
+    end on the ``level`` grid: as it is if it is a ``LevelPath``, else
+    numbered by its distinct vertices, keyed (i << 32) + j (coordinates
+    below 2**31)."""
+    if not len(path):
+        raise ValueError("empty path")
+    if not isinstance(path, LevelPath):
+        xy = np.array(path, np.int64).reshape(-1, 2)
+        keys = (xy[:, 0] << 32) + xy[:, 1]
+        _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+        path = LevelPath(ids.astype(np.int32), grid_levels(xy[first])[ids].tobytes(), xy[first])
+    if min(path.levels[0], path.levels[-1]) < level:
+        raise ValueError(f"path endpoints must lie on the level-{level} grid")
+    return path
 
 
-def _stage_visits(path: Sequence[Vertex], level: int) -> tuple[list[int], list[int]]:
+def _once_in_a_row(at: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The visits ``at`` of vertices ``ids`` without the repeats in a row."""
+    new = np.empty(len(ids), bool)
+    new[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    return at[new], ids[new]
+
+
+def _stage_visits(path: LevelPath, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Both grids a stage reads: the path indices of the level-(M-1)
-    visits, and the positions in that list of the level-M visits, each
-    counted once in a row.  The first list alone is the once-in-a-row
+    visits, and the positions in that array of the level-M visits, each
+    counted once in a row.  The first array alone is the once-in-a-row
     visits of one grid: ``_stage_visits(path, m + 1)[0]`` holds the level-m
     visits that ``skeleton`` and ``crossing_level`` read.
 
-    Only the path's vertices on the level-(M-1) grid are read, found by one
-    comparison of the grid levels (``_levels``).  A level-M visit counted
-    at level M is also counted at level M-1: the last level-(M-1) visit
-    before it cannot be the same vertex, or that would be the last level-M
-    visit as well.
+    A level-M visit counted at level M is also counted at level M-1: the
+    last level-(M-1) visit before it cannot be the same vertex, or that
+    would be the last level-M visit as well.
     """
-    levels = _levels(path)
-    grid = np.frombuffer(levels, np.uint8)
-    top: list[int] = []
-    last_top = None
-    if level == 1:
-        # A unit step never stays put: every vertex is a level-0 visit.
-        for t in np.flatnonzero(grid).tolist():
-            v = path[t]
-            if v != last_top:
-                last_top = v
-                top.append(t)
-        return list(range(len(path))), top
-    fine: list[int] = []
-    last = None
-    for t in np.flatnonzero(grid >= level - 1).tolist():
-        v = path[t]
-        if v == last:
-            continue
-        last = v
-        if levels[t] >= level and v != last_top:
-            last_top = v
-            top.append(len(fine))
-        fine.append(t)
-    return fine, top
+    levels = np.frombuffer(path.levels, np.uint8)
+    fine = (levels >= level - 1).nonzero()[0]
+    fine, ids = _once_in_a_row(fine, path.ids[fine])
+    top = (levels[fine] >= level).nonzero()[0]
+    return fine, _once_in_a_row(top, ids[top])[0]
 
 
-def _crossed_cells(path: Sequence[Vertex], hits: list[int], level: int):
-    """The ordered 2**level-triangles along the grid visits ``path[hits]``:
-    yields (cell, n, j), the triangle and the positions in ``hits`` of its
-    entry and exit.
+def _points(path: LevelPath, at: np.ndarray) -> np.ndarray:
+    """The coordinates of the vertices at path indices ``at``, (k, 2)."""
+    return path.xy.take(path.ids[at], axis=0)
 
-    The exit of a triangle is the last grid visit before the coarse path
-    moves to a vertex outside it; the next triangle is the unique filled
-    cell containing that exit and the following grid visit.
+
+def _crossed_cells(points: np.ndarray) -> tuple[list[int], list[int]]:
+    """The ordered cells along the grid visits at ``points``: the positions
+    of each cell's entry, and of its exit.  Two consecutive visits are
+    corners of the cell whose lower-left corner is their coordinatewise
+    minimum (``cell_of_step``); a cell lasts while the steps stay in it.
     """
-    m = len(hits) - 1
-    n = 0
-    while n < m:
-        cell = cell_of_step(path[hits[n]], path[hits[n + 1]], level)
-        j = n + 1
-        while j < m and cell.contains(path[hits[j + 1]]):
-            j += 1
-        yield cell, n, j
-        n = j
+    if len(points) < 2:
+        return [], []
+    corner = np.minimum(points[:-1], points[1:])
+    moved = corner[1:] != corner[:-1]
+    exits = ((moved[:, 0] | moved[:, 1]).nonzero()[0] + 1).tolist()
+    return [0, *exits], [*exits, len(corner)]
 
 
 def skeleton(path: Sequence[Vertex], level: int) -> Skeleton:
     """The ordered 2**level-triangles a path crosses, with exit times
-    (``_crossed_cells``)."""
-    _check_grid_endpoints(path, level)
+    (``_crossed_cells``).  Each triangle is found by ``cell_of_step``,
+    which raises ``NoCommonCell`` if its first step is no step of a walk."""
+    path = _as_ids(path, level)
     ht = _stage_visits(path, level + 1)[0]
+    points = _points(path, ht)
+    hits = list(zip(*points.T.tolist()))
     entries = []
-    for cell, n, j in _crossed_cells(path, ht, level):
+    for n, j in zip(*_crossed_cells(points)):
         visits = j - n
         entries.append(
             SkeletonEntry(
-                triangle=cell,
-                entry=path[ht[n]],
-                exit=path[ht[j]],
+                triangle=cell_of_step(hits[n], hits[n + 1], level),
+                entry=hits[n],
+                exit=hits[j],
                 kind=visits if visits <= 2 else None,
-                exit_index=ht[j],
+                exit_index=int(ht[j]),
             )
         )
     return Skeleton(level=level, entries=tuple(entries))
-
-
-def _check_grid_endpoints(path: Sequence[Vertex], level: int) -> None:
-    if not path:
-        raise ValueError("empty path")
-    if not (on_grid(path[0], level) and on_grid(path[-1], level)):
-        raise ValueError(f"path endpoints must lie on the level-{level} grid")
 
 
 # ---------------------------------------------------------------------------
@@ -228,44 +211,50 @@ def erase_scale(path: Sequence[Vertex], level: int, *, _crossing: bool = False) 
     Works triangle by triangle along the level-M skeleton; inside each
     triangle the level-(M-1) coarse sequence is chronologically erased and
     the fine sub-segments under the surviving coarse steps are spliced.
-    ``_stage_visits`` finds the grid visits of both levels from the path's
-    grid levels; a triangle's level-(M-1) visits are a slice of them, and
-    the kept pieces are slices of the path and of its levels, which the
-    output carries.  ``erase_to_scale`` runs its top stage with
-    ``_crossing``, which checks the crossing pattern on the level-M visits.
+    ``_stage_visits`` finds the grid visits of both levels; a triangle's
+    level-(M-1) visits are a slice of them, erased by their ids.  The kept
+    pieces are index ranges of the path, which become one mask over its ids
+    and levels.  ``erase_to_scale`` runs its top stage with ``_crossing``,
+    which checks the crossing pattern on the level-M visits.
     """
     if level < 1:
         raise ValueError("erasure stage level must be >= 1")
-    _check_grid_endpoints(path, level)
-    if not isinstance(path, LevelPath):
-        path = LevelPath(path, _levels(path))
+    path = _as_ids(path, level)
     fine, top = _stage_visits(path, level)
-    ht = [fine[k] for k in top]
+    points = _points(path, fine[top])
     if _crossing:
-        _crossing_variant([path[t] for t in ht], level)
+        _crossing_variant(list(zip(*points.T.tolist())), level)
+    ids = path.ids[fine].tolist()
+    fine, top = fine.tolist(), top.tolist()
     # The kept index ranges of the path, joined where they touch:
     # ``bounds`` is start, end, start, end, ...
     bounds = [0]
     end = 1  # the first vertex is kept
-    for _, n, j in _crossed_cells(path, ht, level):
-        hs = fine[top[n] : top[j] + 1]
-        keep = _sup_rule_keep([path[t] for t in hs])
+    for n, j in zip(*_crossed_cells(points)):
+        a, b = top[n], top[j] + 1
+        hs, seg = fine[a:b], ids[a:b]
+        # ``chronological_erase`` of the cell's visits, inlined on their ids:
+        # from the last visit to a vertex, on to the next visit.
+        last = dict(zip(seg, range(len(seg))))
+        k, stop = last[seg[0]], len(seg) - 1
         skip = 1  # the triangle's entry is already kept
-        for k in keep[:-1]:
-            if hs[k] + skip != end:
-                bounds += (end, hs[k] + skip)
+        while k < stop:
+            t = hs[k] + skip
+            if t != end:
+                bounds += (end, t)
             end = hs[k + 1]
+            k = last[seg[k + 1]]
             skip = 0
-        t = hs[keep[-1]]
+        t = hs[stop]
         if t != end:
             bounds += (end, t)
         end = t + 1
-    bounds.append(end)
-    pieces = list(map(slice, bounds[::2], bounds[1::2]))
-    out = LevelPath((), b"".join(map(path.levels.__getitem__, pieces)))
-    for piece in pieces:
-        out += path[piece]
-    return out
+    bounds += (end, len(path))
+    # The kept ranges alternate with the gaps between them.
+    bounds = np.array(bounds)
+    mask = np.repeat(np.arange(len(bounds) - 1) % 2 == 0, bounds[1:] - bounds[:-1])
+    levels = np.frombuffer(path.levels, np.uint8)[mask].tobytes()
+    return LevelPath(path.ids[mask], levels, path.xy)
 
 
 def _apex_level(path: Sequence[Vertex]) -> int:
@@ -290,7 +279,9 @@ def _crossing_variant(hits: list[Vertex], n: int) -> CrossingVariant:
 def crossing_level(path: Sequence[Vertex]) -> tuple[int, CrossingVariant]:
     """Validate the hitting structure of a crossing path and read off its level."""
     n = _apex_level(path)
-    return n, _crossing_variant([path[t] for t in _stage_visits(path, n + 1)[0]], n)
+    path = _as_ids(path)
+    hits = _points(path, _stage_visits(path, n + 1)[0])
+    return n, _crossing_variant(list(zip(*hits.T.tolist())), n)
 
 
 def erase_to_scale(path: Sequence[Vertex], down_to: int) -> LevelPath:
@@ -304,9 +295,10 @@ def erase_to_scale(path: Sequence[Vertex], down_to: int) -> LevelPath:
     n = _apex_level(path)
     if not 0 <= down_to <= n:
         raise ValueError(f"down_to must be in 0..{n}")
+    path = _as_ids(path)
     if down_to == n:
         crossing_level(path)
-        return LevelPath(path, _levels(path))
+        return path
     out = erase_scale(path, n, _crossing=True)
     for m in range(n - 1, down_to, -1):
         out = erase_scale(out, m)

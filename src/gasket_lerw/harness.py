@@ -296,14 +296,13 @@ def classify_top_shape(pattern, level: int, table=None) -> str:
     """Shape id of the loop-free coarse view one level below the apex.
 
     The level-(N-1) walk pattern, as ``sample_patterns`` records it, is
-    chronologically erased (the vertices at ``eraser._sup_rule_keep``'s
-    indices) and rescaled to the unit frame in one pass; its law is exactly
-    the level-1 loop-erased crossing law.  ``_shapes_worker`` calls it once
+    chronologically erased and rescaled to the unit frame; its law is
+    exactly the level-1 loop-erased crossing law.  ``_shapes_worker`` calls it once
     per distinct pattern of a replica.  Raises ``eraser.UnknownShape`` when
     the erased view is not an admissible shape.
     """
     shift = level - 1
-    kept = (pattern[t] for t in eraser._sup_rule_keep(pattern))
+    kept = eraser.chronological_erase(pattern)
     return eraser.classify_shape(tuple((i >> shift, j >> shift) for i, j in kept), table)
 
 
@@ -333,6 +332,7 @@ def _length_worker(config: RunConfig, replica: int, count: int) -> tuple[Counter
         path = walker.sample_crossing(config.level, config.variant, rng)
         raw_steps += len(path) - 1
         lengths[len(eraser.loop_erase(path)) - 1] += 1
+        del path  # not held through the next walk
     return lengths, raw_steps
 
 

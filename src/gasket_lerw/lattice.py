@@ -14,16 +14,16 @@ length.  Mirrored triangles are tested through the reflection
 (i, j) -> (-i - j - side, j).  All predicates below are pure functions of
 integer inputs.
 
-Paths are lists/tuples of integer coordinate pairs.  A path of n+1
-vertices has length n (the number of unit steps).  A ``LevelPath`` is a
-list that also carries the ``grid_level`` of each vertex, so the staged
-eraser reads each stage's grid visits without rescanning the tuples.
+Paths are sequences of integer coordinate pairs.  A path of n+1
+vertices has length n (the number of unit steps).  A ``LevelPath`` holds
+them as vertex ids with the grid level of each, as the walker hands them to
+the staged eraser.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 Vertex = tuple[int, int]
 
@@ -128,23 +128,35 @@ def on_grid(v: Vertex, level: int) -> bool:
     return ((v[0] | v[1]) & ((1 << level) - 1)) == 0
 
 
-def grid_level(v: Vertex) -> int:
-    """The largest level whose grid holds ``v``: the 2-adic valuation of
-    ``v[0] | v[1]``, and ``ORIGIN_LEVEL`` for the origin, which every grid
-    holds."""
-    bits = v[0] | v[1]
-    return (bits & -bits).bit_length() - 1 if bits else ORIGIN_LEVEL
+class LevelPath(Sequence):
+    """A path as int32 vertex ids, rows of ``xy``, the (n, 2) int64
+    coordinates, with one grid level byte per vertex (``walker.grid_levels``).
+    It reads as a sequence of (i, j) tuples: a slice is a ``LevelPath``, and
+    a path equals the list or tuple of its vertices."""
 
+    __slots__ = ("ids", "levels", "xy")
 
-class LevelPath(list):
-    """A path that carries ``levels``: the ``grid_level`` of each vertex, in
-    path order, one byte each.  Slices and copies are plain lists."""
+    def __init__(self, ids, levels: bytes, xy):
+        self.ids, self.levels, self.xy = ids, levels, xy
 
-    __slots__ = ("levels",)
+    def __len__(self) -> int:
+        return len(self.ids)
 
-    def __init__(self, vertices: Iterable[Vertex], levels: bytes):
-        super().__init__(vertices)
-        self.levels = levels
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return LevelPath(self.ids[k], self.levels[k], self.xy)
+        return tuple(self.xy[self.ids[k]].tolist())
+
+    def __iter__(self) -> Iterator[Vertex]:
+        for k in range(0, len(self.ids), 1 << 16):  # never a list of the whole path
+            yield from zip(*self.xy.take(self.ids[k : k + (1 << 16)], axis=0).T.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LevelPath) and other.xy is self.xy:
+            return len(self) == len(other) and bool((self.ids == other.ids).all())
+        if isinstance(other, (LevelPath, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def cell_of_step(u: Vertex, v: Vertex, level: int) -> TriangleId:

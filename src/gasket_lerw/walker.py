@@ -25,10 +25,10 @@ the b_N visit this is also the law of retrying whole attempts
 (``attempt_crossing`` runs one whole attempt; it is the ground truth the
 samplers are gated against, and the only code that rejects).
 
-``sample_crossing`` keeps every step of the legs, and the grid level of
-every vertex it keeps (``lattice.LevelPath``), which the staged eraser
-reads.  ``sample_patterns`` walks the same legs but records only their
-level-(N-1) visits, which is all that ``mc-shapes`` reads.  The
+``sample_crossing`` keeps every step of the legs, as vertex ids with their
+grid levels (``lattice.LevelPath``), which the staged eraser reads.
+``sample_patterns`` walks the same legs but records only their level-(N-1)
+visits, which is all that ``mc-shapes`` reads.  The
 automorphisms map the level-(N-1) grid onto itself, so mapping those visits
 gives the level-(N-1) coarse view of the mapped crossing.
 
@@ -39,11 +39,10 @@ direction and their grid levels, ordered so that one comparison of a row
 number tells a level-N or level-(N-1) vertex, and each leg's automorphisms
 as the image vertex of every row.  An automorphism is an integer affine map
 with a unimodular linear part, so it keeps the grid level of every vertex
-below level N.  The walkers build vertex tuples only for the paths they
-keep: ``sample_crossing`` maps a leg by one numpy gather from its stop's
-image, an object array of the shared vertex tuples, and ``sample_patterns``
-indexes tuple prefixes of the same images over the level-(N-1) rows, which
-come first and map onto themselves.
+below level N.  ``sample_crossing`` maps a leg by one numpy gather from
+its stop's image and builds no vertex tuple; ``sample_patterns`` indexes
+tuple prefixes of the images over the level-(N-1) rows, which come first
+and map onto themselves.
 
 The walk loops take two draws per iteration.  The region's pair table
 holds, for each vertex and pair of directions (d1, d2), the vertex the two
@@ -77,9 +76,8 @@ from .lattice import ORIGIN, ORIGIN_LEVEL, LevelPath, Vertex, apex, corner, inci
 
 DEFAULT_STEP_BUDGET = 10**9
 MAX_LEVEL = 12  # the mean walk, 5**N steps, stays within the default budget
-MAX_ERASED_LEVEL = 11  # mc-length keeps whole paths and erasures: 2 GB at 11, 7-9 GB at 12
+MAX_ERASED_LEVEL = 11  # mc-length keeps whole paths: 2.6 GB at 11 (default run), 5x longer at 12
 BLOCK = 4096  # direction draws per block, at most
-GATHER = 1 << 16  # rows mapped per gather in sample_crossing
 PAIR_CHUNK = 1 << 14  # vertices per chunk of the pair table's build
 # The level from which sample_patterns walks two draws per loop iteration.
 # Below it one draw per iteration is faster: at N <= 2 the first step of most
@@ -153,6 +151,14 @@ class _Dice:
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     """An independent stream fully determined by (seed, replica-index)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replica,)))
+
+
+def grid_levels(xy: np.ndarray) -> np.ndarray:
+    """The grid level of each row (i, j) of an (n, 2) integer array, as
+    uint8: the 2-adic valuation of i | j, ``ORIGIN_LEVEL`` at the origin."""
+    bits = xy[:, 0] | xy[:, 1]
+    out = np.full(len(xy), float(ORIGIN_LEVEL))
+    return np.log2(bits & -bits, out=out, where=bits != 0).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +261,7 @@ def attempt_crossing(
     variant: CrossingVariant,
     rng: np.random.Generator,
     max_steps: int = DEFAULT_STEP_BUDGET,
-) -> list[Vertex] | None:
+) -> LevelPath | None:
     """Run one whole conditioning trial of the fine walk; None if the event fails.
 
     Draws come ``_block(N)`` at a time, as in ``sample_crossing``.
@@ -268,10 +274,10 @@ def attempt_crossing(
     stop, walked = 0, []
     for target in targets:
         stop, at = _leg(dice, reg, stop)
-        if reg.vertices[stop >> 2] != target:
+        if tuple(reg.xy[stop >> 2].tolist()) != target:
             return None
         walked.append(at)
-    return [ORIGIN, *(reg.vertices[k] for k in np.concatenate(walked).tolist())]
+    return _path(reg, walked)
 
 
 def sample_crossing(
@@ -283,33 +289,26 @@ def sample_crossing(
     """Sample one conditioned crossing path at level N (starts at O, ends at a_N).
 
     Each leg is walked once and mapped onto its target by the automorphism
-    for the stop it reached (module docstring).  The leg's rows become one
-    int32 index, which gathers its vertices from the stop's image and their
-    grid levels, carried by the path, from the region's level column.
-    Draws come ``_block(N)`` at a time; ``max_steps`` caps the raw
-    steps of the whole call, checked at each refill.
+    for the stop it reached (module docstring), a gather of its vertex
+    indices from the stop's image.  Draws come ``_block(N)`` at a time;
+    ``max_steps`` caps the raw steps of the whole call, checked at each
+    refill.
     """
     if N < 1:
         raise ValueError("crossing level must be >= 1")
     dice = _Dice(rng, max_steps, _block(N), paired=True)
     reg = _region(N, variant)
-    path = LevelPath([ORIGIN], b"")
-    levels = [bytes([ORIGIN_LEVEL])]
+    walked = []
     for start, images in reg.legs:
-        # An int32 index, the walked list dropped before the gather, and the
-        # gather done a slice at a time: against listing the vertices row by
-        # row, the peak memory of mc-length 9 --samples 4 fell from 252 to
-        # 169 MB and that of mc-length 10 --samples 2 from 714 to 533 MB.
         stop, at = _leg(dice, reg, start)
-        image = images[stop]
-        for k in range(0, len(at), GATHER):
-            path += image[at[k : k + GATHER]].tolist()
-        # The map keeps every walked level but the stop's, which goes to the
-        # target, level N.
-        levels.append(reg.levels[at[:-1]].tobytes())
-        levels.append(bytes([N]))
-    path.levels = b"".join(levels)
-    return path
+        walked.append(images[stop].take(at, out=at, mode="clip"))  # "raise" would buffer
+    return _path(reg, walked)
+
+
+def _path(reg: _Region, walked: list[np.ndarray]) -> LevelPath:
+    """The path of the origin, vertex 0, and then the vertices ``walked``."""
+    ids = np.concatenate([np.zeros(1, np.int32), *walked])
+    return LevelPath(ids, reg.levels[ids].tobytes(), reg.xy)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +325,7 @@ class _Region:
     the walkers step its second draw from ``rows``, or leave it pending if
     the first step stopped the leg."""
 
-    vertices: tuple[Vertex, ...]
+    xy: np.ndarray  # the (n, 2) int64 coordinates of every vertex
     rows: list[int]  # the row each (row + direction) steps to; row = 4 * vertex
     row_array: np.ndarray  # ``rows`` as int32
     # The pair-table row each (16 * vertex + 4 * d1 + d2) steps to, two steps on, in
@@ -336,8 +335,8 @@ class _Region:
     stops: int  # 4 * the number of level-N vertices
     coarse: int  # 4 * the number of level-(N-1) grid vertices
     levels: np.ndarray  # the grid level of every vertex, as uint8
-    # Per leg: its start row, and for each row it can stop at, the vertex of every row after
-    # the leg is mapped onto its target, as an object array of the shared vertex tuples.
+    # Per leg: its start row, and for each row it can stop at, the vertex index of every
+    # vertex's image after the leg is mapped onto its target, as int32.
     legs: tuple[tuple[int, dict[int, np.ndarray]], ...]
     # ``legs`` over the level-(N-1) rows, which come first and map onto themselves, as tuples.
     coarse_legs: tuple[tuple[int, dict[int, tuple[Vertex, ...]]], ...]
@@ -370,12 +369,11 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     big = np.array(list(dict.fromkeys(c.corner for s, _ in ends for c in incident_cells(s, N))))
     xy = (big[:, None, None] + unit[:, None] + [(0, 0), (1, 0), (0, 1)]).reshape(-1, 2)
     xy = xy[np.sort(np.unique(xy[:, 0] << 32 | xy[:, 1], return_index=True)[1])]
-    bits = xy[:, 0] | xy[:, 1]
-    levels = np.log2(bits & -bits, out=np.full(len(xy), float(ORIGIN_LEVEL)), where=bits != 0)
+    levels = grid_levels(xy)
     # Level N first, then level N-1, then the rest.  The origin is the
     # doubling's first corner, and the stable sort keeps it first.
     order = np.argsort((levels < N) * 1 + (levels < N - 1), kind="stable")
-    xy, levels = xy[order], levels[order].astype(np.uint8)
+    xy, levels = xy[order], levels[order]
     stops, coarse = int((levels >= N).sum()), int((levels >= N - 1).sum())
     find = _lookup(xy)
     walked = np.concatenate([find(np.array([s for s, _ in ends])), np.arange(stops, len(xy))])
@@ -385,23 +383,23 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     filled = (j >= 0) & (i >= 0) & (i & j == 0)
     # The corners of each filled cell other than v, by their offsets from the cell's corner.
     others = (c[:, :, None] + [[(1, 0), (0, 1)], [(0, 0), (0, 1)], [(0, 0), (1, 0)]])[filled]
-    del unit, bits, order, c, i, j, filled
+    del unit, order, c, i, j, filled
     table = np.full((len(xy), 4), -1)
     table[walked] = find(others).reshape(-1, 4)
-    del walked, others  # freed before the vertex tuples and images, which set the peak
+    del walked, others  # freed before the pair table and images, which set the peak
     # One int object per row, shared by every entry that names it.
     rows = np.arange(-4, 4 * len(xy), 4).astype(object)[table.ravel() + 1].tolist()
     row_array = (table << 2).astype(np.int32).ravel()
     pairs = _pair_table(table, coarse)
     del table
-    vertices = tuple(zip(*xy.T.tolist()))
-    shared = np.fromiter(vertices, object, len(xy))
-    legs = tuple(
-        (start, {w: shared[image] for w, image in images.items()})
-        for start, images in _leg_images(xy, ends, N)
+    legs = tuple(_leg_images(xy, ends, N))
+    grid = tuple(zip(*xy[:coarse].T.tolist()))  # the level-(N-1) vertices, as tuples
+    coarse_legs = tuple(
+        (row, {w: tuple([grid[k] for k in image[:coarse].tolist()]) for w, image in images.items()})
+        for row, images in legs
     )
     return _Region(
-        vertices=vertices,
+        xy=xy,
         rows=rows,
         row_array=row_array,
         pairs=pairs,
@@ -409,10 +407,7 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
         coarse=4 * coarse,
         levels=levels,
         legs=legs,
-        coarse_legs=tuple(
-            (row, {w: tuple(image[:coarse]) for w, image in images.items()})
-            for row, images in legs
-        ),
+        coarse_legs=coarse_legs,
     )
 
 

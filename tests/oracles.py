@@ -5,8 +5,9 @@ computes another way, or a predicate the tests state their claims with:
 stack erasure beside the package's chronological erasure, the diameter
 reading of loop scale beside the staged eraser, the once-in-a-row hitting
 scan and coarse-graining beside the walkers' level-(N-1) patterns and the
-eraser's one-scan stage visits, the one-draw walk loops beside the
-walker's pair loops, a depth-first enumeration of the level-1
+eraser's one-scan stage visits, the staged eraser on vertex tuples beside
+the eraser on vertex ids, the one-draw walk loops beside the walker's pair
+loops, a depth-first enumeration of the level-1
 self-avoiding crossings beside the exact chain's supports, the lattice
 predicates the geometry tests use, and the per-cell coarse-graining that
 checks the coupling of the limit sampler's refinement family.  None of it shares code with what the
@@ -27,6 +28,7 @@ from gasket_lerw.lattice import (
     TriangleId,
     Vertex,
     apex,
+    cell_of_step,
     corner,
     neighbors,
     on_grid,
@@ -79,6 +81,12 @@ def vertex_level(v: Vertex, cap: int = 62) -> int:
         j >>= 1
         m += 1
     return m
+
+
+def grid_level(v: Vertex) -> int:
+    """The grid level a path carries for a vertex: ``vertex_level`` with
+    the origin at ``ORIGIN_LEVEL``."""
+    return vertex_level(v, cap=ORIGIN_LEVEL)
 
 
 def euclid_sq(u: Vertex, v: Vertex) -> int:
@@ -162,6 +170,97 @@ def stack_erase(path: Sequence[Vertex]) -> list[Vertex]:
             while len(out) > k + 1:
                 pos.pop(out.pop())
     return out
+
+
+def _last_occurrence_keep(seq: Sequence) -> list[int]:
+    """Kept indices of chronological erasure: jump to the last occurrence
+    of the current entry, step forward once, repeat."""
+    last = {v: t for t, v in enumerate(seq)}
+    keep = [last[seq[0]]]
+    while keep[-1] < len(seq) - 1:
+        keep.append(last[seq[keep[-1] + 1]])
+    return keep
+
+
+def _tuple_stage_visits(path, levels: bytes, level: int) -> tuple[list[int], list[int]]:
+    """The path indices of the once-in-a-row level-(M-1) visits, and the
+    positions in that list of the once-in-a-row level-M visits, by one scan
+    of the grid levels that compares vertex tuples."""
+    top: list[int] = []
+    last_top = None
+    if level == 1:
+        for t, v in enumerate(path):
+            if levels[t] >= 1 and v != last_top:
+                last_top = v
+                top.append(t)
+        return list(range(len(path))), top
+    fine: list[int] = []
+    last = None
+    for t, v in enumerate(path):
+        if levels[t] < level - 1 or v == last:
+            continue
+        last = v
+        if levels[t] >= level and v != last_top:
+            last_top = v
+            top.append(len(fine))
+        fine.append(t)
+    return fine, top
+
+
+def tuple_erase_scale(path: list[Vertex], levels: bytes, level: int) -> tuple[list[Vertex], bytes]:
+    """One stage of the staged eraser on vertex tuples: triangle by triangle
+    along the level-M skeleton, the level-(M-1) visits inside each are
+    chronologically erased and the fine pieces under the kept coarse steps
+    spliced.  Returns the kept vertices and their grid levels."""
+    fine, top = _tuple_stage_visits(path, levels, level)
+    ht = [fine[k] for k in top]
+    bounds = [0]
+    end = 1  # the first vertex is kept
+    n, m = 0, len(ht) - 1
+    while n < m:
+        cell = cell_of_step(path[ht[n]], path[ht[n + 1]], level)
+        j = n + 1
+        while j < m and cell.contains(path[ht[j + 1]]):
+            j += 1
+        hs = fine[top[n] : top[j] + 1]
+        keep = _last_occurrence_keep([path[t] for t in hs])
+        skip = 1  # the triangle's entry is already kept
+        for k in keep[:-1]:
+            if hs[k] + skip != end:
+                bounds += (end, hs[k] + skip)
+            end = hs[k + 1]
+            skip = 0
+        t = hs[keep[-1]]
+        if t != end:
+            bounds += (end, t)
+        end = t + 1
+        n = j
+    bounds.append(end)
+    out, kept = [], b""
+    for a, b in zip(bounds[::2], bounds[1::2]):
+        out += path[a:b]
+        kept += levels[a:b]
+    return out, kept
+
+
+def tuple_erase_to_scale(
+    path: Sequence[Vertex], down_to: int, levels: bytes | None = None
+) -> tuple[list[Vertex], bytes]:
+    """``tuple_erase_scale`` from the top stage of a crossing down to (and
+    excluding) 2**down_to; ``levels`` defaults to one ``grid_level`` pass."""
+    path = list(path)
+    if levels is None:
+        levels = bytes(map(grid_level, path))
+    for m in range(path[-1][1].bit_length() - 1, down_to, -1):
+        path, levels = tuple_erase_scale(path, levels, m)
+    return path, levels
+
+
+def tuple_loop_erase(
+    path: Sequence[Vertex], levels: bytes | None = None
+) -> tuple[list[Vertex], bytes]:
+    """The fully loop-erased crossing on vertex tuples, with its grid levels."""
+    return tuple_erase_to_scale(path, 0, levels)
 
 
 def has_loops_at_or_above(path: Sequence[Vertex], level: int) -> bool:
@@ -302,6 +401,11 @@ def _reference_projects_onto(fine, coarse):
 # ---------------------------------------------------------------------------
 
 
+def region_vertices(reg) -> list[Vertex]:
+    """The vertices of a walker region table, ``reg.xy``, as tuples."""
+    return list(zip(*reg.xy.T.tolist()))
+
+
 class OneDrawDice:
     """Direction draws a block at a time, handed out one by one, with the
     walker's step budget: checked at each refill against the draws of the
@@ -372,12 +476,13 @@ def one_draw_crossing(N, variant, rng, max_steps=10**9):
     """``sample_crossing`` walked one draw at a time: the path's vertices
     and their grid levels, one byte each."""
     reg = _region(N, variant)
+    vertices = region_vertices(reg)
     dice = OneDrawDice(rng, max_steps, _block(N))
     path, levels = [ORIGIN], bytearray([ORIGIN_LEVEL])
     for start, images in reg.legs:
         rows: list[int] = []
         image = images[one_draw_walk(dice, reg, start, rows)]
-        path += [image[r >> 2] for r in rows]
+        path += [vertices[image[r >> 2]] for r in rows]
         levels += bytes(reg.levels[r >> 2] for r in rows[:-1]) + bytes([N])
     return path, bytes(levels)
 
@@ -385,11 +490,12 @@ def one_draw_crossing(N, variant, rng, max_steps=10**9):
 def one_draw_attempt(N, variant, rng, max_steps=10**9):
     """``attempt_crossing`` walked one draw at a time."""
     reg = _region(N, variant)
+    vertices = region_vertices(reg)
     dice = OneDrawDice(rng, max_steps, _block(N))
     path = [0]
     end = one_draw_walk(dice, reg, 0, path)
     if variant is CrossingVariant.VIA_CORNER:
-        if reg.vertices[end >> 2] != corner(N):
+        if vertices[end >> 2] != corner(N):
             return None
         end = one_draw_walk(dice, reg, end, path)
-    return [reg.vertices[r >> 2] for r in path] if reg.vertices[end >> 2] == apex(N) else None
+    return [vertices[r >> 2] for r in path] if vertices[end >> 2] == apex(N) else None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from gasket_lerw.eraser import (
     NotACrossing,
     Skeleton,
     UnknownShape,
+    _as_ids,
     _stage_visits,
     chronological_erase,
     classify_shape,
@@ -27,18 +29,20 @@ from gasket_lerw.lattice import (
     TriangleId,
     apex,
     corner,
-    grid_level,
     incident_cells,
     neighbors,
 )
 from gasket_lerw.walker import CrossingVariant, replica_rng, sample_crossing
 from oracles import (
     coarse_grain,
+    grid_level,
     has_loops_at_or_above,
     has_scale_loop,
     hitting_indices,
     is_self_avoiding,
     stack_erase,
+    tuple_erase_to_scale,
+    tuple_loop_erase,
 )
 
 DIRECT = CrossingVariant.DIRECT
@@ -285,9 +289,9 @@ class TestOneScanStage:
         # One scan gives the once-in-a-row visits of two grids: a stage
         # reads both, and ``skeleton`` and ``crossing_level`` the finer one.
         w = walk_from_dirs(dirs)
-        fine, top = _stage_visits(w, m + 1)
-        assert fine == hitting_indices(w, m)
-        assert [fine[k] for k in top] == hitting_indices(w, m + 1)
+        fine, top = _stage_visits(_as_ids(w), m + 1)
+        assert fine.tolist() == hitting_indices(w, m)
+        assert fine[top].tolist() == hitting_indices(w, m + 1)
 
     def test_hand_built_paths(self):
         for p in HAND_BUILT:
@@ -329,6 +333,69 @@ class TestCarriedLevels:
                 assert out == erase_to_scale(plain, m)
                 assert skeleton(p, m) == skeleton(plain, m)
                 assert skeleton(out, m) == skeleton(list(out), m)
+
+
+class TestTupleEraser:
+    """The eraser on vertex ids against the staged eraser on vertex tuples
+    it replaced, kept in ``oracles``: every stage's output, vertex for
+    vertex and grid level for grid level."""
+
+    @staticmethod
+    def _check(p, levels=None):
+        n = p[-1][1].bit_length() - 1
+        for m in range(1, n + 1):
+            out = erase_to_scale(p, m)
+            path, kept = tuple_erase_to_scale(list(p), m, levels)
+            assert list(out) == path and out.levels == kept
+        out = loop_erase(p)
+        path, kept = tuple_loop_erase(list(p), levels)
+        assert list(out) == path and out.levels == kept
+
+    def test_hand_built_paths(self):
+        for p in HAND_BUILT:
+            self._check(p)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_sampled_crossings(self, n, variant):
+        rng = replica_rng(400 + n, 0)
+        for _ in range(40 if n < 6 else 5 if n < 7 else 2):
+            p = sample_crossing(n, variant, rng)
+            self._check(p, p.levels)
+
+
+class TestPathSequence:
+    """Sampled and erased paths hold vertex ids but read as sequences of
+    (i, j) tuples, which the benchmark's traced check relies on."""
+
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_paths_read_as_vertex_tuples(self, variant):
+        rng = replica_rng(31, 0)
+        for _ in range(30):
+            raw = sample_crossing(3, variant, rng)
+            for path in (raw, loop_erase(raw)):
+                vertices = list(path)
+                assert all(type(v) is tuple and list(map(type, v)) == [int, int] for v in vertices)
+                assert len(path) == len(vertices)
+                assert [path[k] for k in range(len(path))] == vertices
+                assert path[-1] == vertices[-1] == apex(3) and path[0] == ORIGIN
+                assert path == vertices and vertices == path and path == tuple(vertices)
+                assert path != vertices[:-1] and path != vertices[::-1] and path != "path"
+                assert path[2:9] == vertices[2:9] and list(path[1::3]) == vertices[1::3]
+                assert path[2:9].levels == path.levels[2:9]
+                assert set(path) == set(vertices) and all(v in path for v in vertices)
+                assert (5, 5) not in path
+                assert all(b in neighbors(a) for a, b in zip(path, path[1:]))
+
+    def test_traced_benchmark_check_passes(self, monkeypatch):
+        # perfbench's traced runs check every (raw, erased) pair they see.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import checks
+
+        rng = replica_rng(32, 0)
+        for n, variant in [(1, DIRECT), (2, VIA), (4, DIRECT), (4, VIA)]:
+            raw = sample_crossing(n, variant, rng)
+            checks.check_erased_path(raw, loop_erase(raw), n)
 
 
 class TestScaleLoopPredicate:

@@ -8,6 +8,7 @@ two independent routes.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,11 +22,11 @@ from gasket_lerw.lattice import (
     apex,
     cell_of_step,
     corner,
-    grid_level,
     neighbors,
     on_grid,
     up_triangle_exists,
 )
+from gasket_lerw.walker import grid_levels
 from oracles import euclid_sq, is_vertex, iter_vertices, neighbors_on_grid, vertex_level
 
 
@@ -175,8 +176,9 @@ class TestVertexLevel:
         # origin saturated at one byte.
         vertices = list(iter_vertices(5))
         assert min(i for i, _ in vertices) < 0
-        for v in vertices:
-            assert grid_level(v) == vertex_level(v, cap=ORIGIN_LEVEL)
+        levels = grid_levels(np.array(vertices))
+        assert levels.dtype == np.uint8
+        assert levels.tolist() == [vertex_level(v, cap=ORIGIN_LEVEL) for v in vertices]
 
 
 

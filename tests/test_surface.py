@@ -21,7 +21,6 @@ SPANS = ROOT / "perfbench" / "spans.py"
 # Public names that no other package code reads, kept on purpose.
 ALLOWED = {
     "attempt_crossing",  # the whole-attempt ground truth the samplers are gated against
-    "chronological_erase",  # single-scale erasure, the staged eraser's unit-level reference
     "compose_level",  # the exact joint count laws the count samplers are gated against
 }
 

@@ -16,7 +16,6 @@ from gasket_lerw.lattice import (
     ORIGIN,
     apex,
     corner,
-    grid_level,
     incident_cells,
     neighbors,
     on_grid,
@@ -38,12 +37,14 @@ from gasket_lerw.walker import (
 from oracles import (
     coarse_grain,
     euclid_sq,
+    grid_level,
     hitting_indices,
     is_vertex,
     neighbors_on_grid,
     one_draw_attempt,
     one_draw_crossing,
     one_draw_patterns,
+    region_vertices,
 )
 
 DIRECT = CrossingVariant.DIRECT
@@ -335,23 +336,24 @@ class TestRegionWalker:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
     def test_leg_images_are_cell_automorphisms(self, n, variant):
-        # Each image tuple maps the two level-n cells at the leg's start
-        # onto themselves, one to one, keeping every edge between their
+        # Each image maps the two level-n cells at the leg's start onto
+        # themselves, one to one, keeping every edge between their
         # vertices; it fixes the start and sends its stop to the target.
         reg = _region(n, variant)
+        vertices = region_vertices(reg)
         targets = [apex(n)] if variant is DIRECT else [corner(n), apex(n)]
         assert len(reg.legs) == len(targets)
         for (start, images), t in zip(reg.legs, targets):
-            s = reg.vertices[start >> 2]
+            s = vertices[start >> 2]
             cells = incident_cells(s, n)
             stops = {c for cell in cells for c in cell.corners()} - {s}
-            assert {reg.vertices[r >> 2] for r in images} == stops
-            inside = [k for k, v in enumerate(reg.vertices) if any(c.contains(v) for c in cells)]
-            members = {reg.vertices[k] for k in inside}
+            assert {vertices[r >> 2] for r in images} == stops
+            inside = [k for k, v in enumerate(vertices) if any(c.contains(v) for c in cells)]
+            members = {vertices[k] for k in inside}
             for r, image in images.items():
-                g = {reg.vertices[k]: image[k] for k in inside}
+                g = {vertices[k]: vertices[image[k]] for k in inside}
                 assert set(g.values()) == members
-                assert g[s] == s and g[reg.vertices[r >> 2]] == t
+                assert g[s] == s and g[vertices[r >> 2]] == t
                 for v in members:
                     for u in neighbors(v):
                         if u in members:
@@ -389,6 +391,7 @@ class TestRegionWalker:
         # the legs' starts once, and every row a walk leaves (each start's,
         # and each one off the level-n grid) lists lattice.neighbors in order.
         reg = _region(n, variant)
+        vertices = region_vertices(reg)
         starts = [ORIGIN] if variant is DIRECT else [ORIGIN, corner(n)]
         side = 1 << n
         gasket = {
@@ -399,15 +402,15 @@ class TestRegionWalker:
             for i in range(ci, ci + side + 1 - (j - cj))
             if is_vertex((i, j))
         }
-        assert len(set(reg.vertices)) == len(reg.vertices)
-        assert set(reg.vertices) == gasket
+        assert len(set(vertices)) == len(vertices)
+        assert set(vertices) == gasket
         assert len(gasket) == (3 ** (n + 1) + 2 if variant is DIRECT else (3 ** (n + 2) + 5) // 2)
         # Python ints: a numpy scalar would slow every step's comparison.
         assert type(reg.stops) is type(reg.coarse) is int
-        for k, v in enumerate(reg.vertices):
+        for k, v in enumerate(vertices):
             if v in starts or not on_grid(v, n):
                 row = reg.rows[4 * k : 4 * k + 4]
-                assert [reg.vertices[r >> 2] for r in row] == list(neighbors(v))
+                assert [vertices[r >> 2] for r in row] == list(neighbors(v))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
@@ -464,7 +467,7 @@ class TestPairWalk:
         # Python ints: a numpy scalar would slow every step's comparison.
         assert type(reg.stops) is type(reg.coarse) is int
         assert all(type(v) is int for v in reg.pairs)
-        size = len(reg.vertices)
+        size = len(reg.xy)
         # One shared object per value: 16 * u, ~(16 * u) on the coarse grid, and -16.
         assert len({id(v) for v in reg.pairs}) <= size + (reg.coarse >> 2) + 1
         rows, pairs = np.array(reg.rows), np.array(reg.pairs).reshape(size, 4, 4)
@@ -548,10 +551,11 @@ class TestPatternSampler:
         # One comparison per step finds the level-(N-1) visits, and the
         # level-N stops among them, only if the rows come in this order.
         reg = _region(n, variant)
-        assert reg.vertices[0] == ORIGIN
-        rows = range(0, 4 * len(reg.vertices), 4)
-        assert [r < reg.stops for r in rows] == [on_grid(v, n) for v in reg.vertices]
-        assert [r < reg.coarse for r in rows] == [on_grid(v, n - 1) for v in reg.vertices]
+        vertices = region_vertices(reg)
+        assert vertices[0] == ORIGIN
+        rows = range(0, 4 * len(vertices), 4)
+        assert [r < reg.stops for r in rows] == [on_grid(v, n) for v in vertices]
+        assert [r < reg.coarse for r in rows] == [on_grid(v, n - 1) for v in vertices]
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
@@ -560,12 +564,13 @@ class TestPatternSampler:
         # maps through is the prefix, over the level-(n-1) rows, of the one
         # sample_crossing gathers from, and it stays on the level-(n-1) grid.
         reg = _region(n, variant)
+        vertices = region_vertices(reg)
         assert [(start, images.keys()) for start, images in reg.coarse_legs] == [
             (start, images.keys()) for start, images in reg.legs
         ]
         for (_, coarse), (_, images) in zip(reg.coarse_legs, reg.legs):
             for stop, image in images.items():
-                assert coarse[stop] == tuple(image[: reg.coarse >> 2])
+                assert coarse[stop] == tuple(vertices[k] for k in image[: reg.coarse >> 2])
                 assert all(on_grid(v, n - 1) for v in coarse[stop])
 
     @pytest.mark.parametrize(
@@ -645,18 +650,21 @@ class TestLegwiseSampler:
         # cells that are off the level-n grid before it stops; each image
         # keeps their levels and sends the stop to the target, level n.
         reg = _region(n, variant)
-        assert reg.levels.tobytes() == bytes(map(grid_level, reg.vertices))
+        vertices = region_vertices(reg)
+        assert reg.levels.tobytes() == bytes(map(grid_level, vertices))
         targets = [apex(n)] if variant is DIRECT else [corner(n), apex(n)]
         for (start, images), t in zip(reg.legs, targets):
-            cells = incident_cells(reg.vertices[start >> 2], n)
+            cells = incident_cells(vertices[start >> 2], n)
             walked = [start >> 2] + [
                 k
-                for k, v in enumerate(reg.vertices)
+                for k, v in enumerate(vertices)
                 if not on_grid(v, n) and any(c.contains(v) for c in cells)
             ]
             for stop, image in images.items():
-                assert [grid_level(image[k]) for k in walked] == [reg.levels[k] for k in walked]
-                assert image[stop >> 2] == t and grid_level(t) == n
+                assert [grid_level(vertices[image[k]]) for k in walked] == [
+                    reg.levels[k] for k in walked
+                ]
+                assert vertices[image[stop >> 2]] == t and grid_level(t) == n
 
     @pytest.mark.parametrize("n,samples", [(1, 4000), (2, 3000), (3, 1200), (4, 400)])
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
