@@ -22,8 +22,9 @@ on a level, depth or order outside a command's range, on a negative
 ``mc-shapes`` samples too few for two chi-square cells after pooling (before
 any walk), on a format the command cannot write or a drawing without
 ``--out``, and on a runtime failure of the samplers or the exact solver (a
-walk past its step budget, a singular linear system).  Every exit 1 prints
-one ``error: ...`` line on standard error.
+walk past its step budget, a singular linear system, memory the machine
+cannot give).  Every exit 1 prints one ``error: ...`` line on standard
+error.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def main(argv: list[str] | None = None) -> int:
         report = run(config_from_args(build_parser().parse_args(argv)))
     except SystemExit:  # --help printed its text
         return 0
-    except (ValueError, OSError, StepBudgetExceeded, SingularSystem) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, StepBudgetExceeded, SingularSystem, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     print(summarize(report))
     return 0 if report.passed else 2

@@ -13,12 +13,13 @@ coarse view of the segment is chronologically erased, and the surviving fine
 sub-segments are spliced back together.  Surviving pieces are addressed by
 half-open index ranges of the pre-stage path, matching the concatenation
 formula wd = [w(T_{s_i}), ..., w(T_{s_i + 1} - 1)] plus the final exit
-vertex.  A stage works on vertex ids and grid levels (``lattice.LevelPath``):
-it finds its grid visits by numpy scans, reads coordinates only for the
-level-M visits, and keeps its pieces by one mask.  After the stage,
-coarse-graining the output one level down yields a loop-free path; the
-coarser skeletons never change again, although a two-visit triangle can
-turn into a one-visit one when the erased mass included the middle corner.
+vertex.  A stage works on vertex ids numbered by grid level
+(``lattice.LevelPath``): it finds its grid visits by comparing ids in
+numpy, reads coordinates only for the level-M visits, and keeps its pieces
+by one mask.  After the stage, coarse-graining the output one level down
+yields a loop-free path; the coarser skeletons never change again, although
+a two-visit triangle can turn into a one-visit one when the erased mass
+included the middle corner.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .lattice import (
     cell_of_step,
     corner,
 )
-from .walker import CrossingVariant, grid_levels
+from .walker import CrossingVariant, by_grid_level
 
 TYPE_ONE = 1
 TYPE_TWO = 2
@@ -114,18 +115,19 @@ def chronological_erase(path: Sequence[Vertex]) -> list[Vertex]:
 
 
 def _as_ids(path: Sequence[Vertex], level: int = 0) -> LevelPath:
-    """The path as vertex ids with their grid levels, checked to start and
-    end on the ``level`` grid: as it is if it is a ``LevelPath``, else
-    numbered by its distinct vertices, keyed (i << 32) + j (coordinates
-    below 2**31)."""
+    """The path as vertex ids numbered by grid level, checked to start and
+    end on the ``level`` grid: as it is if it is a ``LevelPath``, else its
+    distinct vertices, keyed (i << 32) + j (coordinates below 2**31), in
+    the order of ``by_grid_level``."""
     if not len(path):
         raise ValueError("empty path")
     if not isinstance(path, LevelPath):
         xy = np.array(path, np.int64).reshape(-1, 2)
         keys = (xy[:, 0] << 32) + xy[:, 1]
         _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
-        path = LevelPath(ids.astype(np.int32), grid_levels(xy[first])[ids].tobytes(), xy[first])
-    if min(path.levels[0], path.levels[-1]) < level:
+        order, at_least = by_grid_level(xy[first])
+        path = LevelPath(np.argsort(order)[ids].astype(np.int32), xy[first[order]], at_least)
+    if max(path.ids[0], path.ids[-1]) >= path.at_least[level]:
         raise ValueError(f"path endpoints must lie on the level-{level} grid")
     return path
 
@@ -149,10 +151,9 @@ def _stage_visits(path: LevelPath, level: int) -> tuple[np.ndarray, np.ndarray]:
     last level-(M-1) visit before it cannot be the same vertex, or that
     would be the last level-M visit as well.
     """
-    levels = np.frombuffer(path.levels, np.uint8)
-    fine = (levels >= level - 1).nonzero()[0]
+    fine = (path.ids < path.at_least[level - 1]).nonzero()[0]
     fine, ids = _once_in_a_row(fine, path.ids[fine])
-    top = (levels[fine] >= level).nonzero()[0]
+    top = (ids < path.at_least[level]).nonzero()[0]
     return fine, _once_in_a_row(top, ids[top])[0]
 
 
@@ -213,8 +214,8 @@ def erase_scale(path: Sequence[Vertex], level: int, *, _crossing: bool = False) 
     the fine sub-segments under the surviving coarse steps are spliced.
     ``_stage_visits`` finds the grid visits of both levels; a triangle's
     level-(M-1) visits are a slice of them, erased by their ids.  The kept
-    pieces are index ranges of the path, which become one mask over its ids
-    and levels.  ``erase_to_scale`` runs its top stage with ``_crossing``,
+    pieces are index ranges of the path, which become one mask over its
+    ids.  ``erase_to_scale`` runs its top stage with ``_crossing``,
     which checks the crossing pattern on the level-M visits.
     """
     if level < 1:
@@ -253,8 +254,7 @@ def erase_scale(path: Sequence[Vertex], level: int, *, _crossing: bool = False) 
     # The kept ranges alternate with the gaps between them.
     bounds = np.array(bounds)
     mask = np.repeat(np.arange(len(bounds) - 1) % 2 == 0, bounds[1:] - bounds[:-1])
-    levels = np.frombuffer(path.levels, np.uint8)[mask].tobytes()
-    return LevelPath(path.ids[mask], levels, path.xy)
+    return LevelPath(path.ids[mask], path.xy, path.at_least)
 
 
 def _apex_level(path: Sequence[Vertex]) -> int:
@@ -288,9 +288,9 @@ def erase_to_scale(path: Sequence[Vertex], down_to: int) -> LevelPath:
     """Run erasure stages from the top scale down to (and excluding) 2**down_to.
 
     The output has no loops of scale 2**down_to or larger; with down_to = 0
-    the output is the fully loop-erased path.  It carries its grid levels
-    (``LevelPath``).  The top stage validates the crossing pattern
-    (``crossing_level``) from the visits it reads anyway.
+    the output is the fully loop-erased path, a ``LevelPath``.  The top
+    stage validates the crossing pattern (``crossing_level``) from the
+    visits it reads anyway.
     """
     n = _apex_level(path)
     if not 0 <= down_to <= n:

@@ -16,8 +16,8 @@ integer inputs.
 
 Paths are sequences of integer coordinate pairs.  A path of n+1
 vertices has length n (the number of unit steps).  A ``LevelPath`` holds
-them as vertex ids with the grid level of each, as the walker hands them to
-the staged eraser.
+them as vertex ids numbered by grid level, as the walker hands them to the
+staged eraser.
 """
 
 from __future__ import annotations
@@ -130,21 +130,22 @@ def on_grid(v: Vertex, level: int) -> bool:
 
 class LevelPath(Sequence):
     """A path as int32 vertex ids, rows of ``xy``, the (n, 2) int64
-    coordinates, with one grid level byte per vertex (``walker.grid_levels``).
-    It reads as a sequence of (i, j) tuples: a slice is a ``LevelPath``, and
-    a path equals the list or tuple of its vertices."""
+    coordinates, numbered by descending grid level (``walker.by_grid_level``):
+    vertex k lies on the level-m grid exactly when k < at_least[m].  It
+    reads as a sequence of (i, j) tuples: a slice is a ``LevelPath``, and a
+    path equals the list or tuple of its vertices."""
 
-    __slots__ = ("ids", "levels", "xy")
+    __slots__ = ("ids", "xy", "at_least")
 
-    def __init__(self, ids, levels: bytes, xy):
-        self.ids, self.levels, self.xy = ids, levels, xy
+    def __init__(self, ids, xy, at_least: tuple[int, ...]):
+        self.ids, self.xy, self.at_least = ids, xy, at_least
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return LevelPath(self.ids[k], self.levels[k], self.xy)
+            return LevelPath(self.ids[k], self.xy, self.at_least)
         return tuple(self.xy[self.ids[k]].tolist())
 
     def __iter__(self) -> Iterator[Vertex]:

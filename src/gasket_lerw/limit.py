@@ -87,21 +87,8 @@ CORNER_OFFSETS = ((0, 0), (1, 0), (0, 1))
 ORIENTATIONS = np.array(
     [[CORNER_OFFSETS[k] for k in order] for order in permutations(range(3))], dtype=np.int32
 )
-# The orientation with entry offset k and exit offset l, at k + 3 l, where an
-# offset (a, b) is numbered a + 2 b.
-_ORIENTATION_OF_ENDS = np.full(9, -1, dtype=np.int32)
-_ORIENTATION_OF_ENDS[[e + 3 * x for e, x, _ in permutations(range(3))]] = range(6)
 _ENTRY = ORIENTATIONS[:, 0]
 _THIRD_EXIT = ORIENTATIONS[:, [2, 1]].reshape(6, 4)
-
-
-def _orientation(corner: np.ndarray, entry: np.ndarray, exit_: np.ndarray) -> np.ndarray:
-    """Orientation of each cell from its corner, entry and exit (n x 2 each)."""
-    e = entry - corner
-    x = exit_ - corner
-    ends = e[:, 0] + 2 * e[:, 1] + 3 * (x[:, 0] + 2 * x[:, 1])
-    # Indices past either end clip to the table's ends, which hold -1.
-    return np.take(_ORIENTATION_OF_ENDS, ends, mode="clip")
 
 
 def _compact(points: np.ndarray, kinds: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -111,7 +98,9 @@ def _compact(points: np.ndarray, kinds: Sequence[int] | np.ndarray) -> np.ndarra
     corner = points.min(axis=1)
     rows = np.empty((len(points), 4), dtype=np.int32)
     rows[:, 0:2] = corner
-    rows[:, 2] = _orientation(corner, points[:, 0], points[:, 1])
+    # The orientation whose offsets the corners take; a cell with none gets 0, caught below.
+    match = (points[:, None] - corner[:, None, None] == ORIENTATIONS).all(axis=(2, 3))
+    rows[:, 2] = match.argmax(axis=1)
     rows[:, 3] = kinds
     if not np.array_equal(_points(rows), points):
         raise ValueError("cells must be upward triangles of side 1")

@@ -25,8 +25,8 @@ the b_N visit this is also the law of retrying whole attempts
 (``attempt_crossing`` runs one whole attempt; it is the ground truth the
 samplers are gated against, and the only code that rejects).
 
-``sample_crossing`` keeps every step of the legs, as vertex ids with their
-grid levels (``lattice.LevelPath``), which the staged eraser reads.
+``sample_crossing`` keeps every step of the legs, as vertex ids numbered by
+grid level (``lattice.LevelPath``), which the staged eraser reads.
 ``sample_patterns`` walks the same legs but records only their level-(N-1)
 visits, which is all that ``mc-shapes`` reads.  The
 automorphisms map the level-(N-1) grid onto itself, so mapping those visits
@@ -35,14 +35,14 @@ gives the level-(N-1) coarse view of the mapped crossing.
 All walkers read one table per (N, variant), built once in numpy on
 coordinate arrays from the gasket's self-similarity (``_region``): the
 vertices of the level-N cells at the legs' starts, with their neighbours by
-direction and their grid levels, ordered so that one comparison of a row
-number tells a level-N or level-(N-1) vertex, and each leg's automorphisms
-as the image vertex of every row.  An automorphism is an integer affine map
-with a unimodular linear part, so it keeps the grid level of every vertex
-below level N.  ``sample_crossing`` maps a leg by one numpy gather from
-its stop's image and builds no vertex tuple; ``sample_patterns`` indexes
-tuple prefixes of the images over the level-(N-1) rows, which come first
-and map onto themselves.
+direction, numbered by descending grid level (``by_grid_level``) so that
+one comparison of a row number tells a level-N or level-(N-1) vertex, and
+each leg's automorphisms as the image vertex of every row.  An
+automorphism is an integer affine map with a unimodular linear part, so it
+keeps the grid level of every vertex below level N.  ``sample_crossing``
+maps a leg by one numpy gather from its stop's image and builds no vertex
+tuple; ``sample_patterns`` indexes tuple prefixes of the images over the
+level-(N-1) rows, which come first and map onto themselves.
 
 The walk loops take two draws per iteration.  The region's pair table
 holds, for each vertex and pair of directions (d1, d2), the vertex the two
@@ -54,9 +54,10 @@ rare branch, where the pair is stepped one draw at a time.  A walk that
 stops on the first draw of a pair leaves the second draw pending, and the
 next leg steps it first, so the walks read the same draws in the same
 order as one step per draw, and walk the same paths.  ``sample_crossing``
-records one pair index per pair and rebuilds both rows of every pair in
-numpy.  Below ``PATTERN_PAIRS_FROM``, ``sample_patterns`` steps one draw
-per iteration, which is faster there.
+records one pair index per pair, which names the vertex the pair starts
+from, and gathers the pairs' middle vertices in numpy.  Below
+``PATTERN_PAIRS_FROM``, ``sample_patterns`` steps one draw per iteration,
+which is faster there.
 
 Samplers draw from an explicit ``numpy.random.Generator``; independent
 replicas must use independently spawned streams (``replica_rng``).
@@ -153,12 +154,18 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replica,)))
 
 
-def grid_levels(xy: np.ndarray) -> np.ndarray:
-    """The grid level of each row (i, j) of an (n, 2) integer array, as
-    uint8: the 2-adic valuation of i | j, ``ORIGIN_LEVEL`` at the origin."""
+def by_grid_level(xy: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The numbering of the rows (i, j) of an (n, 2) integer array by
+    descending grid level, the 2-adic valuation of i | j (``ORIGIN_LEVEL``
+    at the origin): the order of the rows, stable within a level, and
+    ``at_least``, whose entry m counts the rows of level m or more, for m up
+    to ``ORIGIN_LEVEL``.  Numbered in that order, row k has level m or more
+    exactly when k < at_least[m]."""
     bits = xy[:, 0] | xy[:, 1]
-    out = np.full(len(xy), float(ORIGIN_LEVEL))
-    return np.log2(bits & -bits, out=out, where=bits != 0).astype(np.uint8)
+    levels = np.full(len(xy), float(ORIGIN_LEVEL))
+    levels = np.log2(bits & -bits, out=levels, where=bits != 0).astype(np.uint8)
+    at_least = np.bincount(levels, minlength=ORIGIN_LEVEL + 1)[::-1].cumsum()[::-1]
+    return np.argsort(~levels, kind="stable"), tuple(at_least.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +220,12 @@ def _leg(dice: _Dice, reg: _Region, start: int) -> tuple[int, np.ndarray]:
     """Walk one leg from row ``start``: the row it stops at, and the vertex
     index of every vertex it reached, as int32.
 
-    The rows are rebuilt from the walk's pair indices ``i``: the row the
-    pending draw reached comes first, if there was one, then both rows of
-    every pair, ``mid = rows[i >> 2]`` and ``end = rows[mid + (i & 3)]``,
-    but the last pair's end if the walk stopped on that pair's first draw.
+    A pair index ``i = 16 * v + 4 * d1 + d2`` names the vertex v the pair
+    starts from, where the previous pair, or the pending draw, ended.  So
+    the vertices are each pair's start ``i >> 4`` and middle
+    ``row_array[i >> 2]`` in turn, then the stop.  The leg's start goes,
+    unless a pending draw led away from it, and the stop goes if the walk
+    stopped on the last pair's first draw: that pair's middle is the stop.
     """
     path: list[int] = []
     lead, spilled = dice.pending, bytearray()
@@ -225,16 +234,11 @@ def _leg(dice: _Dice, reg: _Region, start: int) -> tuple[int, np.ndarray]:
     del path
     at = np.frombuffer(spilled, np.int32)
     walked = np.empty(2 * len(at) + 1, np.int32)
-    if lead is not None:
-        walked[0] = reg.rows[start + lead]
     # take, not indexing: it costs less per call, and most legs are short.
-    mid = reg.row_array.take(at >> 2, out=walked[1::2])
-    at &= 3
-    at += mid
-    reg.row_array.take(at, out=walked[2::2])
-    walked = walked[(lead is None) : len(walked) - (dice.pending is not None)]
-    walked >>= 2
-    return stop, walked
+    reg.row_array.take(at >> 2, out=walked[1::2])
+    np.right_shift(at, 4, out=walked[:-1:2])
+    walked[-1] = stop >> 2
+    return stop, walked[(lead is None) : len(walked) - (dice.pending is not None)]
 
 
 def leg_steps_moments(N: int) -> tuple[int, int]:
@@ -307,8 +311,7 @@ def sample_crossing(
 
 def _path(reg: _Region, walked: list[np.ndarray]) -> LevelPath:
     """The path of the origin, vertex 0, and then the vertices ``walked``."""
-    ids = np.concatenate([np.zeros(1, np.int32), *walked])
-    return LevelPath(ids, reg.levels[ids].tobytes(), reg.xy)
+    return LevelPath(np.concatenate([np.zeros(1, np.int32), *walked]), reg.xy, reg.at_least)
 
 
 # ---------------------------------------------------------------------------
@@ -318,23 +321,24 @@ def _path(reg: _Region, walked: list[np.ndarray]) -> LevelPath:
 @dataclass(frozen=True)
 class _Region:
     """The unit vertices of the level-N cells at the legs' starts, their
-    neighbour table and their pair table.  Vertex 0 is the origin; the
-    level-N vertices come first, then the other level-(N-1) grid vertices,
-    then the rest.  A pair-table entry whose first step lands on the
-    level-(N-1) grid is flagged, negative, and names that step's vertex;
-    the walkers step its second draw from ``rows``, or leave it pending if
-    the first step stopped the leg."""
+    neighbour table and their pair table.  The vertices are numbered by
+    descending grid level (``by_grid_level``): vertex 0 is the origin, and
+    vertex k has level m or more exactly when k < at_least[m].  A
+    pair-table entry whose first step lands on the level-(N-1) grid is
+    flagged, negative, and names that step's vertex; the walkers step its
+    second draw from ``rows``, or leave it pending if the first step
+    stopped the leg."""
 
     xy: np.ndarray  # the (n, 2) int64 coordinates of every vertex
     rows: list[int]  # the row each (row + direction) steps to; row = 4 * vertex
-    row_array: np.ndarray  # ``rows`` as int32
+    row_array: np.ndarray  # ``rows`` as int32 vertex ids, row >> 2
     # The pair-table row each (16 * vertex + 4 * d1 + d2) steps to, two steps on, in
     # rows of 16 * vertex; ~(16 * vertex) of the first step's vertex if that is on the
     # level-(N-1) grid.
     pairs: list[int]
-    stops: int  # 4 * the number of level-N vertices
-    coarse: int  # 4 * the number of level-(N-1) grid vertices
-    levels: np.ndarray  # the grid level of every vertex, as uint8
+    stops: int  # 4 * at_least[N]
+    coarse: int  # 4 * at_least[N - 1]
+    at_least: tuple[int, ...]  # at_least[m]: the number of vertices of level m or more
     # Per leg: its start row, and for each row it can stop at, the vertex index of every
     # vertex's image after the leg is mapped onto its target, as int32.
     legs: tuple[tuple[int, dict[int, np.ndarray]], ...]
@@ -351,8 +355,10 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     (2**(k-1), 0) and (0, 2**(k-1)), so N doublings of the unit cell give
     the unit cells of the level-N cell at O.  Every filled level-N cell,
     the mirrored one at (-2**N, 0) included, holds them shifted to its
-    corner.  The vertices are their corners, within each rank in the order
-    the doubling first reaches them, which keeps neighbours close in memory.
+    corner.  The vertices are their corners, by descending grid level and
+    within a level in the order the doubling first reaches them, which
+    keeps neighbours close in memory; the origin, of level
+    ``ORIGIN_LEVEL``, comes first.
     The neighbours of v are the other corners of its two filled unit cells
     among those at v, v - (1, 0) and v - (0, 1), in that order, as in
     ``lattice.neighbors``.  Only the rows a walk leaves are built, each
@@ -369,12 +375,9 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     big = np.array(list(dict.fromkeys(c.corner for s, _ in ends for c in incident_cells(s, N))))
     xy = (big[:, None, None] + unit[:, None] + [(0, 0), (1, 0), (0, 1)]).reshape(-1, 2)
     xy = xy[np.sort(np.unique(xy[:, 0] << 32 | xy[:, 1], return_index=True)[1])]
-    levels = grid_levels(xy)
-    # Level N first, then level N-1, then the rest.  The origin is the
-    # doubling's first corner, and the stable sort keeps it first.
-    order = np.argsort((levels < N) * 1 + (levels < N - 1), kind="stable")
-    xy, levels = xy[order], levels[order]
-    stops, coarse = int((levels >= N).sum()), int((levels >= N - 1).sum())
+    order, at_least = by_grid_level(xy)
+    xy = xy[order]
+    stops, coarse = at_least[N], at_least[N - 1]
     find = _lookup(xy)
     walked = np.concatenate([find(np.array([s for s, _ in ends])), np.arange(stops, len(xy))])
     c = xy[walked, None] + [(0, 0), (-1, 0), (0, -1)]  # the unit cells at v, v-(1,0), v-(0,1)
@@ -389,7 +392,7 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
     del walked, others  # freed before the pair table and images, which set the peak
     # One int object per row, shared by every entry that names it.
     rows = np.arange(-4, 4 * len(xy), 4).astype(object)[table.ravel() + 1].tolist()
-    row_array = (table << 2).astype(np.int32).ravel()
+    row_array = table.astype(np.int32).ravel()
     pairs = _pair_table(table, coarse)
     del table
     legs = tuple(_leg_images(xy, ends, N))
@@ -405,7 +408,7 @@ def _region(N: int, variant: CrossingVariant) -> _Region:
         pairs=pairs,
         stops=4 * stops,
         coarse=4 * coarse,
-        levels=levels,
+        at_least=at_least,
         legs=legs,
         coarse_legs=coarse_legs,
     )

@@ -89,6 +89,14 @@ def grid_level(v: Vertex) -> int:
     return vertex_level(v, cap=ORIGIN_LEVEL)
 
 
+def step_levels(path) -> bytes:
+    """The grid level of every vertex of a ``LevelPath``, one byte each,
+    read off its numbering: vertex k has level m when at_least[m + 1] <= k
+    < at_least[m]."""
+    at_least = np.array(path.at_least)
+    return (np.searchsorted(-at_least, -path.ids) - 1).astype(np.uint8).tobytes()
+
+
 def euclid_sq(u: Vertex, v: Vertex) -> int:
     """Squared Euclidean distance between two lattice vertices (an integer)."""
     di = u[0] - v[0]
@@ -483,7 +491,7 @@ def one_draw_crossing(N, variant, rng, max_steps=10**9):
         rows: list[int] = []
         image = images[one_draw_walk(dice, reg, start, rows)]
         path += [vertices[image[r >> 2]] for r in rows]
-        levels += bytes(reg.levels[r >> 2] for r in rows[:-1]) + bytes([N])
+        levels += bytes(grid_level(vertices[r >> 2]) for r in rows[:-1]) + bytes([N])
     return path, bytes(levels)
 
 

@@ -31,6 +31,7 @@ from gasket_lerw.lattice import (
     corner,
     incident_cells,
     neighbors,
+    on_grid,
 )
 from gasket_lerw.walker import CrossingVariant, replica_rng, sample_crossing
 from oracles import (
@@ -41,6 +42,7 @@ from oracles import (
     hitting_indices,
     is_self_avoiding,
     stack_erase,
+    step_levels,
     tuple_erase_to_scale,
     tuple_loop_erase,
 )
@@ -118,6 +120,25 @@ class TestSkeleton:
     def test_requires_grid_endpoints(self):
         with pytest.raises(ValueError):
             skeleton([(0, 0), (1, 0)], 1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sampled_path_requires_grid_endpoints(self, m):
+        # A sampled path is checked on its numbering: a slice that starts or
+        # ends off the level-m grid is rejected, and one that ends on it
+        # reads as the same vertices as a list.
+        path = sample_crossing(3, VIA, replica_rng(17, 0))
+        on = [k for k, v in enumerate(path) if on_grid(v, m)]
+        off = [k for k, v in enumerate(path) if not on_grid(v, m)]
+        for k in off[:5] + off[-5:]:
+            for cut in (path[: k + 1], path[k:]):
+                with pytest.raises(ValueError):
+                    erase_scale(cut, m)
+                with pytest.raises(ValueError):
+                    skeleton(cut, m)
+        for k in on[1:6] + on[-5:]:
+            cut = path[: k + 1]
+            assert erase_scale(cut, m) == erase_scale(list(cut), m)
+            assert skeleton(cut, m) == skeleton(list(cut), m)
 
 
 class TestEraseScale:
@@ -307,8 +328,8 @@ class TestOneScanStage:
 
 
 class TestCarriedLevels:
-    """Stages read the grid levels a sampled path carries and pass them on
-    sliced with the path; a plain list has them recomputed."""
+    """Stages read the grid levels off a sampled path's numbering and keep
+    it; a plain list is numbered afresh."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
@@ -318,7 +339,7 @@ class TestCarriedLevels:
             p = sample_crossing(n, variant, rng)
             for m in range(n + 1):
                 out = erase_to_scale(p, m)
-                assert out.levels == bytes(map(grid_level, out))
+                assert step_levels(out) == bytes(map(grid_level, out))
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
@@ -346,10 +367,10 @@ class TestTupleEraser:
         for m in range(1, n + 1):
             out = erase_to_scale(p, m)
             path, kept = tuple_erase_to_scale(list(p), m, levels)
-            assert list(out) == path and out.levels == kept
+            assert list(out) == path and step_levels(out) == kept
         out = loop_erase(p)
         path, kept = tuple_loop_erase(list(p), levels)
-        assert list(out) == path and out.levels == kept
+        assert list(out) == path and step_levels(out) == kept
 
     def test_hand_built_paths(self):
         for p in HAND_BUILT:
@@ -361,7 +382,7 @@ class TestTupleEraser:
         rng = replica_rng(400 + n, 0)
         for _ in range(40 if n < 6 else 5 if n < 7 else 2):
             p = sample_crossing(n, variant, rng)
-            self._check(p, p.levels)
+            self._check(p, step_levels(p))
 
 
 class TestPathSequence:
@@ -382,7 +403,7 @@ class TestPathSequence:
                 assert path == vertices and vertices == path and path == tuple(vertices)
                 assert path != vertices[:-1] and path != vertices[::-1] and path != "path"
                 assert path[2:9] == vertices[2:9] and list(path[1::3]) == vertices[1::3]
-                assert path[2:9].levels == path.levels[2:9]
+                assert step_levels(path[2:9]) == step_levels(path)[2:9]
                 assert set(path) == set(vertices) and all(v in path for v in vertices)
                 assert (5, 5) not in path
                 assert all(b in neighbors(a) for a, b in zip(path, path[1:]))

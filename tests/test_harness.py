@@ -636,7 +636,12 @@ class TestCli:
         assert cli.main(["exact"]) == 1
 
     @pytest.mark.parametrize(
-        "error", [StepBudgetExceeded("step budget 10 exhausted"), SingularSystem("no pivot")]
+        "error",
+        [
+            StepBudgetExceeded("step budget 10 exhausted"),
+            SingularSystem("no pivot"),
+            MemoryError("Unable to allocate 2.40 GiB for an array"),
+        ],
     )
     def test_exit_one_on_sampler_or_solver_failure(self, error, monkeypatch, capsys):
         def boom(config):
@@ -645,6 +650,15 @@ class TestCli:
         monkeypatch.setattr(cli, "run", boom)
         assert cli.main(["mc-shapes", "2"]) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_exit_one_names_a_bare_memory_error(self, monkeypatch, capsys):
+        # Python's own MemoryError, from a list or bytearray, has no message.
+        def boom(config):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run", boom)
+        assert cli.main(["mc-length", "11"]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     @pytest.mark.parametrize(
         "argv,span",

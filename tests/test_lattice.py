@@ -26,7 +26,7 @@ from gasket_lerw.lattice import (
     on_grid,
     up_triangle_exists,
 )
-from gasket_lerw.walker import grid_levels
+from gasket_lerw.walker import by_grid_level
 from oracles import euclid_sq, is_vertex, iter_vertices, neighbors_on_grid, vertex_level
 
 
@@ -172,13 +172,15 @@ class TestVertexLevel:
         assert vertex_level(corner(n)) == n
 
     def test_grid_level_is_the_vertex_level(self):
-        # The carried level of a vertex, both halves: the oracle's, with the
-        # origin saturated at one byte.
+        # The level a path's numbering carries for a vertex, both halves:
+        # the oracle's, with the origin saturated at one byte.  The rows
+        # come by descending level, stable within a level.
         vertices = list(iter_vertices(5))
         assert min(i for i, _ in vertices) < 0
-        levels = grid_levels(np.array(vertices))
-        assert levels.dtype == np.uint8
-        assert levels.tolist() == [vertex_level(v, cap=ORIGIN_LEVEL) for v in vertices]
+        order, at_least = by_grid_level(np.array(vertices))
+        levels = [vertex_level(v, cap=ORIGIN_LEVEL) for v in vertices]
+        assert order.tolist() == sorted(range(len(vertices)), key=lambda k: -levels[k])
+        assert at_least == tuple(sum(lv >= m for lv in levels) for m in range(ORIGIN_LEVEL + 1))
 
 
 

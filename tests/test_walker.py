@@ -14,6 +14,8 @@ from gasket_lerw import walker
 from gasket_lerw.eraser import chronological_erase, loop_erase
 from gasket_lerw.lattice import (
     ORIGIN,
+    ORIGIN_LEVEL,
+    LevelPath,
     apex,
     corner,
     incident_cells,
@@ -45,6 +47,7 @@ from oracles import (
     one_draw_crossing,
     one_draw_patterns,
     region_vertices,
+    step_levels,
 )
 
 DIRECT = CrossingVariant.DIRECT
@@ -501,7 +504,7 @@ class TestPairWalk:
         for _ in range(count):
             path, levels = one_draw_crossing(n, variant, r2)
             got = sample_crossing(n, variant, r1)
-            assert got == path and got.levels == levels
+            assert got == path and step_levels(got) == levels
             assert r1.bit_generator.state == r2.bit_generator.state
         assert any(stops)
 
@@ -545,17 +548,23 @@ class TestPatternSampler:
     attempts of the tuple walk, which consume the stream differently, the
     gate is on the law."""
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 10))
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
     def test_region_rows_are_ordered_by_grid_level(self, n, variant):
         # One comparison per step finds the level-(N-1) visits, and the
         # level-N stops among them, only if the rows come in this order.
+        # The numbering is by descending level: level m or more is the one
+        # comparison id < at_least[m], which every eraser stage reads.
         reg = _region(n, variant)
         vertices = region_vertices(reg)
         assert vertices[0] == ORIGIN
         rows = range(0, 4 * len(vertices), 4)
         assert [r < reg.stops for r in rows] == [on_grid(v, n) for v in vertices]
         assert [r < reg.coarse for r in rows] == [on_grid(v, n - 1) for v in vertices]
+        levels = np.array([grid_level(v) for v in vertices])
+        assert (levels[1:] <= levels[:-1]).all()
+        assert reg.at_least == tuple((levels >= m).sum() for m in range(ORIGIN_LEVEL + 1))
+        assert 4 * reg.at_least[n] == reg.stops and 4 * reg.at_least[n - 1] == reg.coarse
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
@@ -636,12 +645,13 @@ class TestLegwiseSampler:
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
     def test_path_carries_its_grid_levels(self, n, variant):
-        # The levels are gathered from the walked rows, and only the stop
-        # moves to another level: it goes to the leg's target, level n.
+        # The levels follow from the numbering of the walked vertices, and
+        # only the stop moves to another level: it goes to the leg's target,
+        # level n.
         rng = replica_rng(300 + n, 0)
         for _ in range(20 if n < 6 else 3):
             path = sample_crossing(n, variant, rng)
-            assert path.levels == bytes(map(grid_level, path))
+            assert step_levels(path) == bytes(map(grid_level, path))
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
@@ -651,7 +661,8 @@ class TestLegwiseSampler:
         # keeps their levels and sends the stop to the target, level n.
         reg = _region(n, variant)
         vertices = region_vertices(reg)
-        assert reg.levels.tobytes() == bytes(map(grid_level, vertices))
+        levels = step_levels(LevelPath(np.arange(len(vertices)), reg.xy, reg.at_least))
+        assert levels == bytes(map(grid_level, vertices))
         targets = [apex(n)] if variant is DIRECT else [corner(n), apex(n)]
         for (start, images), t in zip(reg.legs, targets):
             cells = incident_cells(vertices[start >> 2], n)
@@ -662,7 +673,7 @@ class TestLegwiseSampler:
             ]
             for stop, image in images.items():
                 assert [grid_level(vertices[image[k]]) for k in walked] == [
-                    reg.levels[k] for k in walked
+                    levels[k] for k in walked
                 ]
                 assert vertices[image[stop >> 2]] == t and grid_level(t) == n
 
