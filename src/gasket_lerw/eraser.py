@@ -15,8 +15,14 @@ half-open index ranges of the pre-stage path, matching the concatenation
 formula wd = [w(T_{s_i}), ..., w(T_{s_i + 1} - 1)] plus the final exit
 vertex.  A stage works on vertex ids numbered by grid level
 (``lattice.LevelPath``): it finds its grid visits by comparing ids in
-numpy, reads coordinates only for the level-M visits, and keeps its pieces
-by one mask.  After the stage, coarse-graining the output one level down
+numpy and reads coordinates only for the level-M visits.  Inside a
+triangle it runs no Python code per visit: each step of the erasure finds
+the last visit of a vertex by a search of the reversed ids, in C.  That
+stays linear because a segment holds at most 15 distinct level-(M-1)
+vertices, the triangle's 6 and the 3 midpoints of each neighbour that the
+walk enters and leaves through a shared corner.  The stage keeps its
+pieces by concatenating their slices, and returns a path it erases nothing
+from unchanged.  After the stage, coarse-graining the output one level down
 yields a loop-free path; the coarser skeletons never change again, although
 a two-visit triangle can turn into a one-visit one when the erased mass
 included the middle corner.
@@ -140,26 +146,25 @@ def _once_in_a_row(at: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndar
     return at[new], ids[new]
 
 
-def _stage_visits(path: LevelPath, level: int) -> tuple[np.ndarray, np.ndarray]:
+def _stage_visits(path: LevelPath, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both grids a stage reads: the path indices of the level-(M-1)
-    visits, and the positions in that array of the level-M visits, each
-    counted once in a row.  The first array alone is the once-in-a-row
-    visits of one grid: ``_stage_visits(path, m + 1)[0]`` holds the level-m
-    visits that ``skeleton`` and ``crossing_level`` read.
+    visits, their vertex ids, and the positions in those arrays of the
+    level-M visits, each counted once in a row.  The first two arrays alone
+    are the once-in-a-row visits of one grid: ``_stage_visits(path, m + 1)``
+    holds the level-m visits that ``skeleton`` and ``crossing_level`` read.
+    Stage 1 skips the grid test, since every vertex lies on the level-0 grid.
 
     A level-M visit counted at level M is also counted at level M-1: the
     last level-(M-1) visit before it cannot be the same vertex, or that
     would be the last level-M visit as well.
     """
-    fine = (path.ids < path.at_least[level - 1]).nonzero()[0]
-    fine, ids = _once_in_a_row(fine, path.ids[fine])
+    if level == 1:
+        fine, ids = _once_in_a_row(np.arange(len(path.ids)), path.ids)
+    else:
+        fine = (path.ids < path.at_least[level - 1]).nonzero()[0]
+        fine, ids = _once_in_a_row(fine, path.ids[fine])
     top = (ids < path.at_least[level]).nonzero()[0]
-    return fine, _once_in_a_row(top, ids[top])[0]
-
-
-def _points(path: LevelPath, at: np.ndarray) -> np.ndarray:
-    """The coordinates of the vertices at path indices ``at``, (k, 2)."""
-    return path.xy.take(path.ids[at], axis=0)
+    return fine, ids, _once_in_a_row(top, ids[top])[0]
 
 
 def _crossed_cells(points: np.ndarray) -> tuple[list[int], list[int]]:
@@ -181,8 +186,8 @@ def skeleton(path: Sequence[Vertex], level: int) -> Skeleton:
     (``_crossed_cells``).  Each triangle is found by ``cell_of_step``,
     which raises ``NoCommonCell`` if its first step is no step of a walk."""
     path = _as_ids(path, level)
-    ht = _stage_visits(path, level + 1)[0]
-    points = _points(path, ht)
+    ht, ids, _ = _stage_visits(path, level + 1)
+    points = path.xy.take(ids, axis=0)
     hits = list(zip(*points.T.tolist()))
     entries = []
     for n, j in zip(*_crossed_cells(points)):
@@ -212,49 +217,56 @@ def erase_scale(path: Sequence[Vertex], level: int, *, _crossing: bool = False) 
     Works triangle by triangle along the level-M skeleton; inside each
     triangle the level-(M-1) coarse sequence is chronologically erased and
     the fine sub-segments under the surviving coarse steps are spliced.
-    ``_stage_visits`` finds the grid visits of both levels; a triangle's
-    level-(M-1) visits are a slice of them, erased by their ids.  The kept
-    pieces are index ranges of the path, which become one mask over its
-    ids.  ``erase_to_scale`` runs its top stage with ``_crossing``,
-    which checks the crossing pattern on the level-M visits.
+    ``_stage_visits`` finds the grid visits of both levels and their ids; a
+    triangle's level-(M-1) visits are a slice of them.  Each step of the
+    erasure finds the last visit of the next vertex with one ``list.index``
+    on the reversed ids, from the triangle's exit.  A triangle's slice holds
+    at most 15 distinct vertices (the module docstring), so these searches
+    take time linear in the slice.  The kept pieces are index ranges of the
+    path, whose slices of its ids are concatenated; a stage that keeps the
+    whole path returns it as it is.  ``erase_to_scale`` runs its top stage
+    with ``_crossing``, which checks the crossing pattern on the level-M
+    visits.
     """
     if level < 1:
         raise ValueError("erasure stage level must be >= 1")
     path = _as_ids(path, level)
-    fine, top = _stage_visits(path, level)
-    points = _points(path, fine[top])
+    fine, ids, top = _stage_visits(path, level)
+    points = path.xy.take(ids[top], axis=0)
     if _crossing:
         _crossing_variant(list(zip(*points.T.tolist())), level)
-    ids = path.ids[fine].tolist()
-    fine, top = fine.tolist(), top.tolist()
+    fine, ids, top = fine.tolist(), ids.tolist(), top.tolist()
+    # The last visit to a vertex at or before position b of ``ids`` is its
+    # first at or after position ``last - b`` of ``rev``.
+    rev, last = ids[::-1], len(ids) - 1
     # The kept index ranges of the path, joined where they touch:
     # ``bounds`` is start, end, start, end, ...
     bounds = [0]
     end = 1  # the first vertex is kept
     for n, j in zip(*_crossed_cells(points)):
-        a, b = top[n], top[j] + 1
-        hs, seg = fine[a:b], ids[a:b]
-        # ``chronological_erase`` of the cell's visits, inlined on their ids:
-        # from the last visit to a vertex, on to the next visit.
-        last = dict(zip(seg, range(len(seg))))
-        k, stop = last[seg[0]], len(seg) - 1
+        # ``chronological_erase`` of the triangle's visits top[n]..b,
+        # inlined on their ids: from the last visit to a vertex, on to the
+        # next visit.
+        b = top[j]
+        lo = last - b
+        k = last - rev.index(ids[top[n]], lo)
         skip = 1  # the triangle's entry is already kept
-        while k < stop:
-            t = hs[k] + skip
+        while k < b:
+            t = fine[k] + skip
             if t != end:
                 bounds += (end, t)
-            end = hs[k + 1]
-            k = last[seg[k + 1]]
+            end = fine[k + 1]
+            k = last - rev.index(ids[k + 1], lo)
             skip = 0
-        t = hs[stop]
+        t = fine[b]
         if t != end:
             bounds += (end, t)
         end = t + 1
-    bounds += (end, len(path))
-    # The kept ranges alternate with the gaps between them.
-    bounds = np.array(bounds)
-    mask = np.repeat(np.arange(len(bounds) - 1) % 2 == 0, bounds[1:] - bounds[:-1])
-    return LevelPath(path.ids[mask], path.xy, path.at_least)
+    if len(bounds) == 1 and end == len(path):
+        return path
+    bounds.append(end)
+    kept = [path.ids[a:b] for a, b in zip(bounds[::2], bounds[1::2])]
+    return LevelPath(np.concatenate(kept), path.xy, path.at_least)
 
 
 def _apex_level(path: Sequence[Vertex]) -> int:
@@ -280,7 +292,7 @@ def crossing_level(path: Sequence[Vertex]) -> tuple[int, CrossingVariant]:
     """Validate the hitting structure of a crossing path and read off its level."""
     n = _apex_level(path)
     path = _as_ids(path)
-    hits = _points(path, _stage_visits(path, n + 1)[0])
+    hits = path.xy.take(_stage_visits(path, n + 1)[1], axis=0)
     return n, _crossing_variant(list(zip(*hits.T.tolist())), n)
 
 

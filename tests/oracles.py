@@ -251,26 +251,6 @@ def tuple_erase_scale(path: list[Vertex], levels: bytes, level: int) -> tuple[li
     return out, kept
 
 
-def tuple_erase_to_scale(
-    path: Sequence[Vertex], down_to: int, levels: bytes | None = None
-) -> tuple[list[Vertex], bytes]:
-    """``tuple_erase_scale`` from the top stage of a crossing down to (and
-    excluding) 2**down_to; ``levels`` defaults to one ``grid_level`` pass."""
-    path = list(path)
-    if levels is None:
-        levels = bytes(map(grid_level, path))
-    for m in range(path[-1][1].bit_length() - 1, down_to, -1):
-        path, levels = tuple_erase_scale(path, levels, m)
-    return path, levels
-
-
-def tuple_loop_erase(
-    path: Sequence[Vertex], levels: bytes | None = None
-) -> tuple[list[Vertex], bytes]:
-    """The fully loop-erased crossing on vertex tuples, with its grid levels."""
-    return tuple_erase_to_scale(path, 0, levels)
-
-
 def has_loops_at_or_above(path: Sequence[Vertex], level: int) -> bool:
     """Whether any coarse view at this level or above still has a loop."""
     k = level

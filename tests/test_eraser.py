@@ -13,6 +13,7 @@ from gasket_lerw.eraser import (
     Skeleton,
     UnknownShape,
     _as_ids,
+    _crossed_cells,
     _stage_visits,
     chronological_erase,
     classify_shape,
@@ -43,8 +44,7 @@ from oracles import (
     is_self_avoiding,
     stack_erase,
     step_levels,
-    tuple_erase_to_scale,
-    tuple_loop_erase,
+    tuple_erase_scale,
 )
 
 DIRECT = CrossingVariant.DIRECT
@@ -309,8 +309,9 @@ class TestOneScanStage:
     def test_stage_scan_is_the_hitting_scan(self, dirs, m):
         # One scan gives the once-in-a-row visits of two grids: a stage
         # reads both, and ``skeleton`` and ``crossing_level`` the finer one.
-        w = walk_from_dirs(dirs)
-        fine, top = _stage_visits(_as_ids(w), m + 1)
+        w = _as_ids(walk_from_dirs(dirs))
+        fine, ids, top = _stage_visits(w, m + 1)
+        assert ids.tolist() == w.ids[fine].tolist()
         assert fine.tolist() == hitting_indices(w, m)
         assert fine[top].tolist() == hitting_indices(w, m + 1)
 
@@ -356,6 +357,32 @@ class TestCarriedLevels:
                 assert skeleton(out, m) == skeleton(list(out), m)
 
 
+# Level-2 crossings whose stages reach the corner cases of the eraser's
+# search for last visits.
+STAGE_CORNER_CASES = {
+    # The entry of the unit triangle at the origin recurs after every other
+    # vertex of its segment but the way out.
+    "entry recurs last": [
+        (0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (0, 1), (0, 2), (0, 3), (0, 4)
+    ],
+    # The same at the top stage: the level-1 visits O, b_1, O.
+    "entry recurs last at the top": [
+        (0, 0), (1, 0), (2, 0), (1, 0), (0, 0), (0, 1), (0, 2), (0, 3), (0, 4)
+    ],
+    # From the corner b_1 round the three midpoints of the unit triangle at
+    # b_1 and back: the level-1 visits fold it, so the segment of the
+    # triangle at the origin holds that triangle's midpoints.
+    "excursion into the neighbour": [
+        (0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (2, 1), (2, 0), (1, 1), (0, 2), (0, 3), (0, 4)
+    ],
+    # The level-1 visits O, b_1, O, b_1, a_1 in one unit triangle: kind None
+    # at stage 1 when that stage runs alone.
+    "more than two visits": [
+        (0, 0), (1, 0), (2, 0), (1, 0), (0, 0), (1, 0), (2, 0), (1, 1), (0, 2), (0, 3), (0, 4)
+    ],
+}
+
+
 class TestTupleEraser:
     """The eraser on vertex ids against the staged eraser on vertex tuples
     it replaced, kept in ``oracles``: every stage's output, vertex for
@@ -363,26 +390,88 @@ class TestTupleEraser:
 
     @staticmethod
     def _check(p, levels=None):
-        n = p[-1][1].bit_length() - 1
-        for m in range(1, n + 1):
+        # The tuple stages run once each, from the top down.
+        path = list(p)
+        kept = bytes(map(grid_level, path)) if levels is None else levels
+        for m in range(p[-1][1].bit_length() - 1, -1, -1):
             out = erase_to_scale(p, m)
-            path, kept = tuple_erase_to_scale(list(p), m, levels)
             assert list(out) == path and step_levels(out) == kept
+            if m:
+                path, kept = tuple_erase_scale(path, kept, m)
         out = loop_erase(p)
-        path, kept = tuple_loop_erase(list(p), levels)
         assert list(out) == path and step_levels(out) == kept
+
+    @staticmethod
+    def _check_alone(p):
+        # Each stage run alone on the whole path.
+        levels = bytes(map(grid_level, p))
+        for m in range(1, p[-1][1].bit_length()):
+            path, kept = tuple_erase_scale(list(p), levels, m)
+            out = erase_scale(p, m)
+            assert list(out) == path and step_levels(out) == kept
 
     def test_hand_built_paths(self):
         for p in HAND_BUILT:
             self._check(p)
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("name", list(STAGE_CORNER_CASES))
+    def test_stage_corner_cases(self, name):
+        p = STAGE_CORNER_CASES[name]
+        assert all(b in neighbors(a) for a, b in zip(p, p[1:]))
+        self._check(p)
+        self._check_alone(p)
+
+    def test_corner_cases_reach_their_branch(self):
+        def segment(name, m):
+            # The level-(m-1) visits inside the first triangle at stage m.
+            p = _as_ids(STAGE_CORNER_CASES[name])
+            _, ids, top = _stage_visits(p, m)
+            out = top[_crossed_cells(p.xy[ids[top]])[1][0]]
+            return list(map(tuple, p.xy[ids[: out + 1]].tolist()))
+
+        assert segment("entry recurs last", 1)[-3:] == [(0, 0), (0, 1), (0, 2)]
+        assert segment("entry recurs last at the top", 2)[:3] == [(0, 0), (2, 0), (0, 0)]
+        assert {(3, 0), (3, 1), (2, 1)} <= set(segment("excursion into the neighbour", 1))
+        (cell, _) = skeleton(STAGE_CORNER_CASES["more than two visits"], 1).entries
+        assert cell.kind is None
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_stage_that_erases_nothing_returns_its_input(self, n, variant):
+        rng = replica_rng(610 + n, 0)
+        for _ in range(20):
+            erased = loop_erase(sample_crossing(n, variant, rng))
+            for m in range(1, n + 1):
+                assert erase_scale(erased, m) is erased
+            self._check(erased, step_levels(erased))
+        w = _as_ids(HAND_BUILT[0])
+        assert erase_scale(w, 1) is w and erase_scale(HAND_BUILT[0], 1) == w
+
+    @pytest.mark.parametrize("n", range(1, 10))
     @pytest.mark.parametrize("variant", [DIRECT, VIA])
     def test_sampled_crossings(self, n, variant):
         rng = replica_rng(400 + n, 0)
         for _ in range(40 if n < 6 else 5 if n < 7 else 2):
             p = sample_crossing(n, variant, rng)
             self._check(p, step_levels(p))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("variant", [DIRECT, VIA])
+    def test_a_segment_holds_at_most_15_vertices(self, n, variant):
+        # A triangle's 6 level-(M-1) vertices, and the 3 midpoints of the
+        # neighbour at each corner that a folded excursion enters: the bound
+        # that keeps the stage's search for last visits linear.
+        rng = replica_rng(600 + n, 0)
+        widest = 0
+        for _ in range(40 if n < 6 else 5):
+            path = sample_crossing(n, variant, rng)
+            for m in range(n, 0, -1):
+                _, ids, top = _stage_visits(path, m)
+                cells = _crossed_cells(path.xy.take(ids[top], axis=0))
+                for a, b in zip(*cells):
+                    widest = max(widest, len(set(ids[top[a] : top[b] + 1].tolist())))
+                path = erase_scale(path, m)
+        assert 6 < widest <= 15
 
 
 class TestPathSequence:
